@@ -39,8 +39,7 @@ Measured measure(std::uint64_t blocks) {
     auto start = ctx.now();
     for (std::uint64_t i = 0; i < blocks; ++i) {
       // timed append loop; a write failure would show as an absurd ms/blk
-      (void)fs.write(ctx, 1, static_cast<std::uint32_t>(i), payload,
-                     disk::kNilAddr);
+      (void)fs.write(ctx, 1, static_cast<std::uint32_t>(i), payload);
     }
     out.append_ms = (ctx.now() - start).ms() / static_cast<double>(blocks);
     (void)fs.sync(ctx);  // bench teardown; sync errors would resurface at remount
@@ -94,7 +93,7 @@ double aged_extents_per_file() {
         live.erase(live.begin() + static_cast<long>(victim));
       } else {
         auto& [id, size] = live[rng.next_below(live.size())];
-        if (fs.write(ctx, id, size, payload, disk::kNilAddr).is_ok()) ++size;
+        if (fs.write(ctx, id, size, payload).is_ok()) ++size;
       }
     }
     std::uint64_t extents = 0, files = 0;

@@ -1,11 +1,11 @@
 // Ablation A3: extent lookups and full-track buffering (§4.3, §4.5).
 //
-// The seed's version of this ablation toggled client disk-address hints,
+// The first version of this ablation toggled client disk-address hints,
 // which the chain layout needed to avoid whole-list walks.  Layout v2 makes
-// lookups an O(log extents) binary search in the in-memory run list, so the
-// hint dimension is gone; what remains measurable is the cache: sequential
-// scan cost per block with and without track read-ahead, random-read cost,
-// extent lookups per operation, cache hit rates.
+// lookups an O(log extents) binary search in the in-memory run list, and
+// the hint is gone from the EFS protocol; what remains measurable is the
+// cache: sequential scan cost per block with and without track read-ahead,
+// random-read cost, extent lookups per operation, cache hit rates.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -39,12 +39,11 @@ Measured measure(bool readahead, std::uint64_t records) {
     (void)fs.create(ctx, 1);  // fresh fs; create cannot fail
     for (std::uint64_t i = 0; i < records; ++i) {
       // fill phase; read path below validates the data
-      (void)fs.write(ctx, 1, static_cast<std::uint32_t>(i), payload,
-                     disk::kNilAddr);
+      (void)fs.write(ctx, 1, static_cast<std::uint32_t>(i), payload);
     }
     auto start = ctx.now();
     for (std::uint64_t i = 0; i < records; ++i) {
-      auto r = fs.read(ctx, 1, static_cast<std::uint32_t>(i), disk::kNilAddr);
+      auto r = fs.read(ctx, 1, static_cast<std::uint32_t>(i));
       if (!r.is_ok()) return;
     }
     out.seq_ms = (ctx.now() - start).ms() / static_cast<double>(records);
@@ -54,8 +53,7 @@ Measured measure(bool readahead, std::uint64_t records) {
     start = ctx.now();
     for (std::uint64_t i = 0; i < probes; ++i) {
       auto r = fs.read(ctx, 1,
-                       static_cast<std::uint32_t>(rng.next_below(records)),
-                       disk::kNilAddr);
+                       static_cast<std::uint32_t>(rng.next_below(records)));
       if (!r.is_ok()) return;
     }
     out.rand_ms = (ctx.now() - start).ms() / static_cast<double>(probes);

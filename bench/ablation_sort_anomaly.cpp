@@ -5,16 +5,16 @@
 // whole displays super-linear speedup.  With a faster (e.g. multi-way) local
 // merge, this anomaly should disappear."
 //
-// Four local-sort configurations, local-phase time vs p:
-//   2-way, no hints   — the 1988 prototype (anomalously expensive merges)
-//   2-way, hints      — hinted reads fixed the chain walks of the seed
-//   8-way, no hints   — multi-way merge: fewer passes
-//   8-way, hints      — both fixes
-// In the seed's chain layout the anomaly showed as a local-phase speedup
-// far above linear and hints pulled it back.  Since layout v2 every lookup
-// is an extent-map binary search, so the hinted and unhinted rows coincide:
-// the chain walk the hints used to paper over no longer exists, and only
-// the merge fan-in still moves the numbers.
+// Two local-sort configurations, local-phase time vs p:
+//   2-way  — the 1988 prototype's merge fan-in
+//   8-way  — multi-way merge: fewer passes
+// In the prototype's chain layout the anomaly showed as a local-phase
+// speedup far above linear, and disk-address hints on the merge reads
+// pulled it back.  The extent layout answers every lookup with one binary
+// search, so there is no chain walk left for a hint to shorten (the hint
+// is gone from the EFS protocol; the analytic model in core/analysis keeps
+// the hinted/unhinted distinction).  Only the merge fan-in still moves the
+// numbers.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -26,13 +26,10 @@ namespace {
 struct Variant {
   const char* name;
   std::uint32_t fanin;
-  bool hints;
 };
 constexpr Variant kVariants[] = {
-    {"2-way, no hints (1988)", 2, false},
-    {"2-way, hinted reads", 2, true},
-    {"8-way, no hints", 8, false},
-    {"8-way, hinted reads", 8, true},
+    {"2-way (1988)", 2},
+    {"8-way", 8},
 };
 
 double local_phase_sec(const Variant& variant, std::uint32_t p,
@@ -45,7 +42,6 @@ double local_phase_sec(const Variant& variant, std::uint32_t p,
   inst.run_client("sort", [&](sim::Context& ctx, core::BridgeClient& client) {
     tools::SortOptions options;
     options.tuning.in_core_records = c;
-    options.tuning.hints_in_local_merge = variant.hints;
     options.tuning.local_merge_fanin = variant.fanin;
     auto result = tools::run_sort_tool(ctx, client, "input", "out", options);
     if (result.is_ok()) sec = result.value().local_phase.sec();
@@ -78,11 +74,11 @@ int main(int argc, char** argv) {
                 variant.name, t2, t8, t16, t2 / t16);
   }
   std::printf(
-      "\nshape checks: with the extent layout the hinted and unhinted rows\n"
-      "coincide - the chain walk that made 1988 local merges anomalously\n"
-      "expensive is gone at the layout level, which is the strong form of\n"
-      "the section 5.2 prediction that 'with a faster (e.g. multi-way)\n"
-      "local merge, this anomaly should disappear'.  Merge fan-in remains\n"
-      "the only lever: 8-way trims passes over the same flat lookup cost.\n");
+      "\nshape checks: with the extent layout the chain walk that made 1988\n"
+      "local merges anomalously expensive is gone at the layout level (no\n"
+      "hint is needed or sent), which is the strong form of the section 5.2\n"
+      "prediction that 'with a faster (e.g. multi-way) local merge, this\n"
+      "anomaly should disappear'.  Merge fan-in remains the only lever:\n"
+      "8-way trims passes over the same flat lookup cost.\n");
   return 0;
 }

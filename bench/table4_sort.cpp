@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
                                      bridge::core::BridgeClient& client) {
       bridge::tools::SortOptions options;
       options.tuning.in_core_records = static_cast<std::uint32_t>(in_core);
-      options.tuning.hints_in_local_merge = false;  // prototype behaviour
       auto result =
           bridge::tools::run_sort_tool(ctx, client, "input", "sorted", options);
       if (!result.is_ok()) {

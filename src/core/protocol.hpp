@@ -239,7 +239,7 @@ struct DeleteManyRequest {
   }
   static DeleteManyRequest decode(util::Reader& r) {
     DeleteManyRequest req;
-    std::uint32_t n = r.u32();
+    std::uint32_t n = r.count(4);
     req.names.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) req.names.push_back(r.str());
     return req;
@@ -381,7 +381,7 @@ struct SeqReadManyResponse {
     SeqReadManyResponse resp;
     resp.eof = r.boolean();
     resp.first_block_no = r.u64();
-    std::uint32_t n = r.u32();
+    std::uint32_t n = r.count(4);
     resp.blocks.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) resp.blocks.push_back(r.bytes());
     return resp;
@@ -402,7 +402,7 @@ struct SeqWriteManyRequest {
   static SeqWriteManyRequest decode(util::Reader& r) {
     SeqWriteManyRequest req;
     req.session = r.u64();
-    std::uint32_t n = r.u32();
+    std::uint32_t n = r.count(4);
     req.blocks.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) req.blocks.push_back(r.bytes());
     return req;
@@ -561,7 +561,7 @@ struct ListResponse {
   }
   static ListResponse decode(util::Reader& r) {
     ListResponse resp;
-    std::uint32_t n = r.u32();
+    std::uint32_t n = r.count(17);  // name length + id + size + distribution
     resp.entries.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       resp.entries.push_back(ListEntry::decode(r));
@@ -597,7 +597,7 @@ struct RandomReadManyResponse {
   }
   static RandomReadManyResponse decode(util::Reader& r) {
     RandomReadManyResponse resp;
-    std::uint32_t n = r.u32();
+    std::uint32_t n = r.count(4);
     resp.blocks.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) resp.blocks.push_back(r.bytes());
     return resp;
@@ -638,7 +638,7 @@ struct ParallelOpenRequest {
   static ParallelOpenRequest decode(util::Reader& r) {
     ParallelOpenRequest req;
     req.session = r.u64();
-    std::uint32_t n = r.u32();
+    std::uint32_t n = r.count(12);  // encoded sim::Address
     req.workers.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       req.workers.push_back(sim::decode_address(r));
@@ -715,7 +715,7 @@ struct ResolveResponse {
   }
   static ResolveResponse decode(util::Reader& r) {
     ResolveResponse resp;
-    std::uint32_t n = r.u32();
+    std::uint32_t n = r.count(8);
     resp.placements.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       Placement placement;
@@ -740,7 +740,7 @@ struct GetInfoResponse {
   }
   static GetInfoResponse decode(util::Reader& r) {
     GetInfoResponse resp;
-    resp.num_lfs = r.u32();
+    resp.num_lfs = r.count(16);  // address + node per LFS
     resp.lfs_services.reserve(resp.num_lfs);
     for (std::uint32_t i = 0; i < resp.num_lfs; ++i) {
       resp.lfs_services.push_back(sim::decode_address(r));

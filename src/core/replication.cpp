@@ -58,7 +58,7 @@ util::Result<UnwrappedBlock> read_block(efs::EfsClient& lfs,
                                         std::uint32_t local_block) {
   auto read = lfs.read(meta.lfs_file_id, local_block);
   if (!read.is_ok()) return read.status();
-  return unwrap_block(read.value().data);
+  return unwrap_block(read.value());
 }
 
 util::Result<std::vector<std::byte>> read_unwrapped(efs::EfsClient& lfs,
@@ -88,8 +88,8 @@ void rollback_truncate(efs::EfsClient& lfs, efs::FileId id, std::uint32_t len,
 //
 // The replication layer speaks the raw EFS wire ops through sim::AsyncBatch
 // (the PR-1 scatter-gather engine), so every multi-LFS operation has all its
-// requests in flight together.  Replies feed the per-file hint table back
-// through note_hint, exactly like the Bridge Server's pipeline.
+// requests in flight together.  Data moves only through the vectored ops; a
+// single block is a run of one.
 
 void issue_info(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id) {
   efs::InfoRequest req{id};
@@ -97,40 +97,41 @@ void issue_info(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id) {
              util::encode_to_bytes(req));
 }
 
-void issue_read(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id,
-                std::uint32_t local_block) {
-  efs::ReadRequest req{id, local_block, lfs.hint_for(id)};
-  batch.call(lfs.service(), msg(efs::MsgType::kRead),
+void issue_read_many(sim::AsyncBatch& batch, efs::EfsClient& lfs,
+                     efs::FileId id, std::vector<std::uint32_t> locals) {
+  efs::ReadManyRequest req{id, std::move(locals)};
+  batch.call(lfs.service(), msg(efs::MsgType::kReadMany),
              util::encode_to_bytes(req));
 }
 
-void issue_read_many(sim::AsyncBatch& batch, efs::EfsClient& lfs,
-                     efs::FileId id, std::vector<std::uint32_t> locals) {
-  efs::ReadManyRequest req{id, lfs.hint_for(id), std::move(locals)};
-  batch.call(lfs.service(), msg(efs::MsgType::kReadMany),
+void issue_read(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id,
+                std::uint32_t local_block) {
+  issue_read_many(batch, lfs, id, {local_block});
+}
+
+void issue_write_run(sim::AsyncBatch& batch, efs::EfsClient& lfs,
+                     efs::FileId id, std::vector<efs::BlockWrite> writes) {
+  efs::WriteManyRequest req{id, std::move(writes)};
+  batch.call(lfs.service(), msg(efs::MsgType::kWriteMany),
              util::encode_to_bytes(req));
 }
 
 void issue_write(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id,
                  std::uint32_t local_block, std::vector<std::byte> payload) {
-  efs::WriteRequest req{id, local_block, lfs.hint_for(id), std::move(payload)};
-  batch.call(lfs.service(), msg(efs::MsgType::kWrite),
+  auto req = efs::WriteManyRequest::one(id, local_block, std::move(payload));
+  batch.call(lfs.service(), msg(efs::MsgType::kWriteMany),
              util::encode_to_bytes(req));
 }
 
-void issue_write_run(sim::AsyncBatch& batch, efs::EfsClient& lfs,
-                     efs::FileId id, std::vector<std::uint32_t> locals,
-                     std::vector<std::vector<std::byte>> payloads) {
-  // Singleton runs use the plain op — byte-identical to the old per-block
-  // path on the wire, same convention as the Bridge Server's pipeline.
-  if (locals.size() == 1) {
-    issue_write(batch, lfs, id, locals[0], std::move(payloads[0]));
-    return;
+/// Number `payloads` as consecutive local blocks starting at `lo`.
+std::vector<efs::BlockWrite> run_at(std::uint32_t lo,
+                                    std::vector<std::vector<std::byte>> payloads) {
+  std::vector<efs::BlockWrite> writes;
+  writes.reserve(payloads.size());
+  for (auto& payload : payloads) {
+    writes.push_back({lo++, std::move(payload)});
   }
-  efs::WriteManyRequest req{id, lfs.hint_for(id), std::move(locals),
-                            std::move(payloads)};
-  batch.call(lfs.service(), msg(efs::MsgType::kWriteMany),
-             util::encode_to_bytes(req));
+  return writes;
 }
 
 util::Result<efs::InfoResponse> take_info(
@@ -139,35 +140,17 @@ util::Result<efs::InfoResponse> take_info(
   return util::decode_from_bytes<efs::InfoResponse>(reply.value());
 }
 
-util::Result<std::vector<std::byte>> take_read(
-    util::Result<std::vector<std::byte>> reply, efs::EfsClient& lfs,
-    efs::FileId id) {
-  if (!reply.is_ok()) return reply.status();
-  auto resp = util::decode_from_bytes<efs::ReadResponse>(reply.value());
-  lfs.note_hint(id, resp.addr);
-  return std::move(resp.data);
-}
-
 util::Result<std::vector<std::vector<std::byte>>> take_read_many(
-    util::Result<std::vector<std::byte>> reply, efs::EfsClient& lfs,
-    efs::FileId id) {
+    util::Result<std::vector<std::byte>> reply) {
   if (!reply.is_ok()) return reply.status();
-  auto resp = util::decode_from_bytes<efs::ReadManyResponse>(reply.value());
-  lfs.note_hint(id, resp.addr);
-  return std::move(resp.blocks);
+  return util::decode_from_bytes<efs::ReadManyResponse>(reply.value()).blocks;
 }
 
-util::Status take_write(util::Result<std::vector<std::byte>> reply,
-                        efs::EfsClient& lfs, efs::FileId id, bool vectored) {
+util::Result<std::vector<std::byte>> take_read(
+    util::Result<std::vector<std::byte>> reply) {
   if (!reply.is_ok()) return reply.status();
-  if (vectored) {
-    auto resp = util::decode_from_bytes<efs::WriteManyResponse>(reply.value());
-    lfs.note_hint(id, resp.addr);
-  } else {
-    auto resp = util::decode_from_bytes<efs::WriteResponse>(reply.value());
-    lfs.note_hint(id, resp.addr);
-  }
-  return util::ok_status();
+  return util::decode_from_bytes<efs::ReadManyResponse>(reply.value())
+      .take_one();
 }
 
 /// A spare/repaired LFS starts from scratch: whatever survives of the old
@@ -196,7 +179,6 @@ void issue_reset(sim::AsyncBatch& batch, efs::EfsClient& lfs,
 
 util::Status take_reset(util::Result<std::vector<std::byte>> reply,
                         efs::EfsClient& lfs, efs::FileId id) {
-  lfs.forget_hint(id);
   if (reply.is_ok()) return util::ok_status();
   if (reply.status().code() != util::ErrorCode::kNotFound) {
     return reply.status();
@@ -285,8 +267,7 @@ util::Status MirroredFile::append_many(
   // Group the run per constituent: blocks homed on LFS j join j's primary
   // group, their mirror copies join ((j + p/2) mod p)'s mirror group.
   struct Group {
-    std::vector<std::uint32_t> locals;
-    std::vector<std::vector<std::byte>> payloads;
+    std::vector<efs::BlockWrite> writes;
   };
   std::vector<Group> primary_groups(p), mirror_groups(p);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -299,46 +280,32 @@ util::Status MirroredFile::append_many(
     if (!wrapped_mirror.is_ok()) return wrapped_mirror.status();
     // The mirror file lays its blocks out with the same local numbering but
     // shifted start, so block n's mirror local number equals the home's.
-    primary_groups[home.lfs_index].locals.push_back(home.local_block);
-    primary_groups[home.lfs_index].payloads.push_back(
-        std::move(wrapped_primary).value());
-    mirror_groups[mirror_lfs].locals.push_back(home.local_block);
-    mirror_groups[mirror_lfs].payloads.push_back(
-        std::move(wrapped_mirror).value());
+    primary_groups[home.lfs_index].writes.push_back(
+        {home.local_block, std::move(wrapped_primary).value()});
+    mirror_groups[mirror_lfs].writes.push_back(
+        {home.local_block, std::move(wrapped_mirror).value()});
   }
 
   // One request per constituent touched, all in flight together.
   struct Issued {
     std::uint32_t lfs = 0;
     efs::FileId id = 0;
-    bool vectored = false;
   };
   sim::AsyncBatch batch(*rpc_);
   std::vector<Issued> issued;
   for (std::uint32_t j = 0; j < p; ++j) {
-    if (!primary_groups[j].locals.empty()) {
-      issued.push_back({j, primary_.lfs_file_id,
-                        primary_groups[j].locals.size() > 1});
+    if (!primary_groups[j].writes.empty()) {
+      issued.push_back({j, primary_.lfs_file_id});
       issue_write_run(batch, *lfs_[j], primary_.lfs_file_id,
-                      std::move(primary_groups[j].locals),
-                      std::move(primary_groups[j].payloads));
+                      std::move(primary_groups[j].writes));
     }
-    if (!mirror_groups[j].locals.empty()) {
-      issued.push_back({j, mirror_.lfs_file_id,
-                        mirror_groups[j].locals.size() > 1});
+    if (!mirror_groups[j].writes.empty()) {
+      issued.push_back({j, mirror_.lfs_file_id});
       issue_write_run(batch, *lfs_[j], mirror_.lfs_file_id,
-                      std::move(mirror_groups[j].locals),
-                      std::move(mirror_groups[j].payloads));
+                      std::move(mirror_groups[j].writes));
     }
   }
-  auto replies = batch.wait_all();
-  util::Status first_error = util::ok_status();
-  for (std::size_t b = 0; b < replies.size(); ++b) {
-    auto st = take_write(std::move(replies[b]), *lfs_[issued[b].lfs],
-                         issued[b].id, issued[b].vectored);
-    if (!st.is_ok() && first_error.is_ok()) first_error = st;
-  }
-  if (!first_error.is_ok()) {
+  if (auto first_error = batch.wait_all_ok(); !first_error.is_ok()) {
     // Compensate: roll every touched constituent back to its pre-run length
     // (kTruncate is a no-op for any whose write never landed).  A truncate
     // aimed at the failed LFS itself fails too — nothing was written there.
@@ -417,11 +384,6 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
     // reconstructed writes together with the NEXT window's surviving-copy
     // reads, so the repaired LFS lands data while both partners stream the
     // window after it — the disks never wait on each other.
-    struct PendingWrite {
-      efs::FileId id = 0;
-      bool vectored = false;
-      std::uint32_t blocks = 0;
-    };
     auto issue_window_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
       std::uint32_t primary_hi = std::min(primary_count, lo + window);
       std::uint32_t mirror_hi = std::min(mirror_count, lo + window);
@@ -440,7 +402,7 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
     issue_reset(*batch, *lfs_[failed_idx], mirror_.lfs_file_id);
     issue_window_reads(*batch, 0);
     bool reset_pending = true;
-    std::vector<PendingWrite> pending;
+    std::vector<std::uint32_t> pending;  ///< block count of each write
     std::uint32_t pending_lo = 0;
 
     // Reap the writes riding at the front of a drained batch; a failure
@@ -450,9 +412,8 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
         [&](std::vector<util::Result<std::vector<std::byte>>>& replies,
             std::size_t& b) -> util::Status {
       util::Status write_status = util::ok_status();
-      for (auto& w : pending) {
-        auto st = take_write(std::move(replies[b++]), *lfs_[failed_idx], w.id,
-                             w.vectored);
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        auto st = replies[b++].status();
         if (!st.is_ok() && write_status.is_ok()) write_status = st;
       }
       if (!write_status.is_ok()) {
@@ -462,7 +423,7 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
                           "MirroredFile::rebuild_lfs");
         return write_status;
       }
-      for (const auto& w : pending) report.blocks_rebuilt += w.blocks;
+      for (auto blocks : pending) report.blocks_rebuilt += blocks;
       if (!pending.empty()) ++report.windows;
       pending.clear();
       return util::ok_status();
@@ -490,13 +451,11 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
       if (auto st = reap_pending(replies, b); !st.is_ok()) return st;
 
       util::Result<std::vector<std::vector<std::byte>>> from_partner =
-          lo < primary_hi ? take_read_many(std::move(replies[b++]),
-                                           *lfs_[partner], mirror_.lfs_file_id)
+          lo < primary_hi ? take_read_many(std::move(replies[b++]))
                           : std::vector<std::vector<std::byte>>{};
       if (!from_partner.is_ok()) return from_partner.status();
       auto from_g = lo < mirror_hi
-                        ? take_read_many(std::move(replies[b++]), *lfs_[g],
-                                         primary_.lfs_file_id)
+                        ? take_read_many(std::move(replies[b++]))
                         : std::vector<std::vector<std::byte>>{};
       if (!from_g.is_ok()) return from_g.status();
 
@@ -522,17 +481,14 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
 
       batch = std::make_unique<sim::AsyncBatch>(*rpc_);
       if (!primary_payloads.empty()) {
-        pending.push_back({primary_.lfs_file_id, primary_payloads.size() > 1,
-                           primary_hi - lo});
+        pending.push_back(primary_hi - lo);
         issue_write_run(*batch, *lfs_[failed_idx], primary_.lfs_file_id,
-                        local_range(lo, primary_hi),
-                        std::move(primary_payloads));
+                        run_at(lo, std::move(primary_payloads)));
       }
       if (!mirror_payloads.empty()) {
-        pending.push_back({mirror_.lfs_file_id, mirror_payloads.size() > 1,
-                           mirror_hi - lo});
+        pending.push_back(mirror_hi - lo);
         issue_write_run(*batch, *lfs_[failed_idx], mirror_.lfs_file_id,
-                        local_range(lo, mirror_hi), std::move(mirror_payloads));
+                        run_at(lo, std::move(mirror_payloads)));
       }
       pending_lo = lo;
       if (lo + window < todo) issue_window_reads(*batch, lo + window);
@@ -576,20 +532,16 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
     for (std::size_t i = 0; i < primary_payloads.size() &&
                             write_status.is_ok();
          ++i) {
-      write_status = lfs_[failed_idx]
-                         ->write(primary_.lfs_file_id,
-                                 lo + static_cast<std::uint32_t>(i),
-                                 primary_payloads[i])
-                         .status();
+      write_status = lfs_[failed_idx]->write(
+          primary_.lfs_file_id, lo + static_cast<std::uint32_t>(i),
+          primary_payloads[i]);
     }
     for (std::size_t i = 0; i < mirror_payloads.size() &&
                             write_status.is_ok();
          ++i) {
-      write_status = lfs_[failed_idx]
-                         ->write(mirror_.lfs_file_id,
-                                 lo + static_cast<std::uint32_t>(i),
-                                 mirror_payloads[i])
-                         .status();
+      write_status = lfs_[failed_idx]->write(
+          mirror_.lfs_file_id, lo + static_cast<std::uint32_t>(i),
+          mirror_payloads[i]);
     }
     if (!write_status.is_ok()) {
       rollback_truncate(*lfs_[failed_idx], primary_.lfs_file_id, lo,
@@ -765,17 +717,7 @@ util::Status ParityFile::append_stripe(
   }
   issue_write(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id, stripe,
               std::move(parity_wrapped).value());
-  auto replies = batch.wait_all();
-  util::Status first_error = util::ok_status();
-  for (std::size_t b = 0; b < replies.size(); ++b) {
-    bool is_parity = b == blocks.size();
-    auto& lfs = is_parity ? *lfs_[parity_lfs_index()] : *lfs_[data_lfs[b]];
-    auto st = take_write(std::move(replies[b]), lfs,
-                         is_parity ? parity_.lfs_file_id : data_.lfs_file_id,
-                         /*vectored=*/false);
-    if (!st.is_ok() && first_error.is_ok()) first_error = st;
-  }
-  if (!first_error.is_ok()) {
+  if (auto first_error = batch.wait_all_ok(); !first_error.is_ok()) {
     // Compensate: every constituent of this stripe rolls back to `stripe`
     // local blocks — no torn stripe whose parity silently XORs garbage.
     for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -825,8 +767,7 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
   std::vector<std::byte> acc(efs::kUserDataBytes, std::byte{0});
   std::uint32_t length_xor = 0;
   for (std::size_t b = 0; b < sibling_lfs.size(); ++b) {
-    auto raw = take_read(std::move(replies[b]), *lfs_[sibling_lfs[b]],
-                         data_.lfs_file_id);
+    auto raw = take_read(std::move(replies[b]));
     if (!raw.is_ok()) {
       return util::unavailable("double failure: cannot reconstruct");
     }
@@ -836,8 +777,7 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
     for (std::size_t b2 = 0; b2 < payload.size(); ++b2) acc[b2] ^= payload[b2];
     length_xor ^= static_cast<std::uint32_t>(payload.size());
   }
-  auto parity_raw = take_read(std::move(replies[sibling_lfs.size()]),
-                              *lfs_[parity_lfs_index()], parity_.lfs_file_id);
+  auto parity_raw = take_read(std::move(replies[sibling_lfs.size()]));
   if (!parity_raw.is_ok()) return parity_raw.status();
   auto parity = unwrap_block(parity_raw.value());
   if (!parity.is_ok()) return parity.status();
@@ -977,7 +917,7 @@ util::Result<RebuildReport> ParityFile::rebuild_data_lfs(
     issue_reset(*batch, *lfs_[failed_idx], data_.lfs_file_id);
     std::vector<Source> sources = issue_window_reads(*batch, 0);
     bool reset_pending = true;
-    bool write_pending = false, write_vectored = false;
+    bool write_pending = false;
     std::uint32_t pending_lo = 0, pending_hi = 0;
 
     for (std::uint32_t lo = 0; lo < lost; lo += options.window_blocks) {
@@ -994,8 +934,7 @@ util::Result<RebuildReport> ParityFile::rebuild_data_lfs(
         reset_pending = false;
       }
       if (write_pending) {
-        auto st = take_write(std::move(replies[b++]), *lfs_[failed_idx],
-                             data_.lfs_file_id, write_vectored);
+        auto st = replies[b++].status();
         if (!st.is_ok()) {
           rollback_truncate(*lfs_[failed_idx], data_.lfs_file_id, pending_lo,
                             "ParityFile::rebuild_data_lfs");
@@ -1008,8 +947,7 @@ util::Result<RebuildReport> ParityFile::rebuild_data_lfs(
 
       reset_window(lo, hi);
       for (std::size_t i = 0; i < sources.size(); ++i) {
-        auto run = take_read_many(std::move(replies[b + i]),
-                                  *lfs_[sources[i].lfs], sources[i].id);
+        auto run = take_read_many(std::move(replies[b + i]));
         if (!run.is_ok()) return run.status();
         for (std::uint32_t s = lo; s < sources[i].sub_hi; ++s) {
           auto st = sources[i].o == width
@@ -1022,9 +960,8 @@ util::Result<RebuildReport> ParityFile::rebuild_data_lfs(
       if (!payloads.is_ok()) return payloads.status();
 
       batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-      write_vectored = payloads.value().size() > 1;
       issue_write_run(*batch, *lfs_[failed_idx], data_.lfs_file_id,
-                      local_range(lo, hi), std::move(payloads).value());
+                      run_at(lo, std::move(payloads).value()));
       write_pending = true;
       pending_lo = lo;
       pending_hi = hi;
@@ -1033,8 +970,7 @@ util::Result<RebuildReport> ParityFile::rebuild_data_lfs(
 
     // Drain the final window's write.
     auto replies = batch->wait_all();
-    auto st = take_write(std::move(replies[0]), *lfs_[failed_idx],
-                         data_.lfs_file_id, write_vectored);
+    auto st = replies[0].status();
     if (!st.is_ok()) {
       rollback_truncate(*lfs_[failed_idx], data_.lfs_file_id, pending_lo,
                         "ParityFile::rebuild_data_lfs");
@@ -1056,23 +992,21 @@ util::Result<RebuildReport> ParityFile::rebuild_data_lfs(
         auto raw = lfs_[(data_.start_lfs + o) % total]->read(
             data_.lfs_file_id, s);
         if (!raw.is_ok()) return raw.status();
-        if (auto st = fold_sibling(s, raw.value().data); !st.is_ok()) {
+        if (auto st = fold_sibling(s, raw.value()); !st.is_ok()) {
           return st;
         }
       }
       auto raw = lfs_[parity_lfs_index()]->read(parity_.lfs_file_id, s);
       if (!raw.is_ok()) return raw.status();
-      if (auto st = fold_parity(s, raw.value().data); !st.is_ok()) return st;
+      if (auto st = fold_parity(s, raw.value()); !st.is_ok()) return st;
     }
 
     auto payloads = wrap_window(lo, hi);
     if (!payloads.is_ok()) return payloads.status();
     util::Status write_status = util::ok_status();
     for (std::uint32_t s = lo; s < hi && write_status.is_ok(); ++s) {
-      write_status = lfs_[failed_idx]
-                         ->write(data_.lfs_file_id, s,
-                                 payloads.value()[s - lo])
-                         .status();
+      write_status = lfs_[failed_idx]->write(data_.lfs_file_id, s,
+                                             payloads.value()[s - lo]);
     }
     if (!write_status.is_ok()) {
       rollback_truncate(*lfs_[failed_idx], data_.lfs_file_id, lo,
@@ -1167,7 +1101,7 @@ util::Result<RebuildReport> ParityFile::rebuild_parity_lfs(
     issue_reset(*batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id);
     std::vector<Source> sources = issue_window_reads(*batch, 0);
     bool reset_pending = true;
-    bool write_pending = false, write_vectored = false;
+    bool write_pending = false;
     std::uint32_t pending_lo = 0, pending_hi = 0;
 
     for (std::uint32_t lo = 0; lo < stripes; lo += options.window_blocks) {
@@ -1185,9 +1119,7 @@ util::Result<RebuildReport> ParityFile::rebuild_parity_lfs(
         reset_pending = false;
       }
       if (write_pending) {
-        auto st = take_write(std::move(replies[b++]),
-                             *lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                             write_vectored);
+        auto st = replies[b++].status();
         if (!st.is_ok()) {
           rollback_truncate(*lfs_[parity_lfs_index()], parity_.lfs_file_id,
                             pending_lo, "ParityFile::rebuild_parity_lfs");
@@ -1200,8 +1132,7 @@ util::Result<RebuildReport> ParityFile::rebuild_parity_lfs(
 
       reset_window(lo, hi);
       for (std::size_t i = 0; i < sources.size(); ++i) {
-        auto run = take_read_many(std::move(replies[b + i]),
-                                  *lfs_[sources[i].lfs], data_.lfs_file_id);
+        auto run = take_read_many(std::move(replies[b + i]));
         if (!run.is_ok()) return run.status();
         for (std::uint32_t s = lo; s < sources[i].sub_hi; ++s) {
           if (auto st = fold(s, run.value()[s - lo]); !st.is_ok()) return st;
@@ -1211,9 +1142,8 @@ util::Result<RebuildReport> ParityFile::rebuild_parity_lfs(
       if (!payloads.is_ok()) return payloads.status();
 
       batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-      write_vectored = payloads.value().size() > 1;
       issue_write_run(*batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                      local_range(lo, hi), std::move(payloads).value());
+                      run_at(lo, std::move(payloads).value()));
       write_pending = true;
       pending_lo = lo;
       pending_hi = hi;
@@ -1222,8 +1152,7 @@ util::Result<RebuildReport> ParityFile::rebuild_parity_lfs(
 
     // Drain the final window's write.
     auto replies = batch->wait_all();
-    auto st = take_write(std::move(replies[0]), *lfs_[parity_lfs_index()],
-                         parity_.lfs_file_id, write_vectored);
+    auto st = replies[0].status();
     if (!st.is_ok()) {
       rollback_truncate(*lfs_[parity_lfs_index()], parity_.lfs_file_id,
                         pending_lo, "ParityFile::rebuild_parity_lfs");
@@ -1245,7 +1174,7 @@ util::Result<RebuildReport> ParityFile::rebuild_parity_lfs(
         auto raw = lfs_[(data_.start_lfs + o) % total]->read(
             data_.lfs_file_id, s);
         if (!raw.is_ok()) return raw.status();
-        if (auto st = fold(s, raw.value().data); !st.is_ok()) return st;
+        if (auto st = fold(s, raw.value()); !st.is_ok()) return st;
       }
     }
 
@@ -1253,10 +1182,8 @@ util::Result<RebuildReport> ParityFile::rebuild_parity_lfs(
     if (!payloads.is_ok()) return payloads.status();
     util::Status write_status = util::ok_status();
     for (std::uint32_t s = lo; s < hi && write_status.is_ok(); ++s) {
-      write_status = lfs_[parity_lfs_index()]
-                         ->write(parity_.lfs_file_id, s,
-                                 payloads.value()[s - lo])
-                         .status();
+      write_status = lfs_[parity_lfs_index()]->write(
+          parity_.lfs_file_id, s, payloads.value()[s - lo]);
     }
     if (!write_status.is_ok()) {
       rollback_truncate(*lfs_[parity_lfs_index()], parity_.lfs_file_id, lo,

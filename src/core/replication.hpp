@@ -20,7 +20,7 @@
 //    "no obvious way" to do this in 1988; this is the RAID-4 style answer.)
 //
 // Both run on the vectored I/O pipeline: appends fan one write per involved
-// LFS out concurrently (sim::AsyncBatch over kWrite/kWriteMany), degraded
+// LFS out concurrently (sim::AsyncBatch over kWriteMany), degraded
 // parity reads gather the whole surviving stripe in one round, and failed
 // appends are compensated with the EFS kTruncate op so no torn stripe or
 // half-mirrored block survives a mid-append fault.
@@ -29,7 +29,7 @@
 // held by streaming windows of surviving blocks/parity from the other LFSs
 // (kReadMany fan-out per window) and writing the reconstructed runs to the
 // repaired or spare LFS mounted at the same index (kWriteMany).  A
-// single-block reference mode exists for the recovery ablation bench.
+// one-block-per-RPC reference mode exists for the recovery ablation bench.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,7 @@ struct RebuildOptions {
   /// track-coalesced write overlaps the next window's reads.
   std::uint32_t window_blocks = 32;
   /// true: kReadMany/kWriteMany windows with all source LFSs in flight at
-  /// once.  false: the pre-pipeline reference path — one kRead/kWrite RPC
+  /// once.  false: the pre-pipeline reference path — one RPC (a run of one)
   /// per block, strictly sequential (kept for the ablation bench).
   bool vectored = true;
 };

@@ -56,10 +56,6 @@ void BridgeServer::start() {
 
 void BridgeServer::serve(sim::Context& ctx) {
   sim::RpcClient rpc(ctx);
-  lfs_clients_.clear();
-  for (const auto& service : lfs_services_) {
-    lfs_clients_.push_back(std::make_unique<efs::EfsClient>(rpc, service));
-  }
   Wire wire{ctx, rpc};
   std::string lane = "bridge.n" + std::to_string(node_);
   obs::Histogram& queue_us = rt_.metrics().histogram(lane + ".queue_us");
@@ -368,24 +364,16 @@ util::Result<std::vector<std::vector<std::byte>>> BridgeServer::read_run(
     group.local_blocks.push_back(placed.value().local_block);
   }
 
-  // Fan one request out per involved LFS, all in flight at once.  A
-  // single-block group uses the plain read op (same envelope as the old
-  // synchronous path); larger groups use the vectored op.
+  // Fan one vectored request out per involved LFS, all in flight at once
+  // (a single-block group is a run of one).
   sim::AsyncBatch batch(wire.rpc);
   std::vector<std::uint32_t> batch_lfs;
   for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
     auto& group = groups[lfs];
     if (group.local_blocks.empty()) continue;
-    efs::BlockAddr hint = lfs_clients_[lfs]->hint_for(record.lfs_file_id);
-    if (group.local_blocks.size() == 1) {
-      efs::ReadRequest req{record.lfs_file_id, group.local_blocks[0], hint};
-      batch.call(lfs_services_[lfs], msg(efs::MsgType::kRead),
-                 util::encode_to_bytes(req));
-    } else {
-      efs::ReadManyRequest req{record.lfs_file_id, hint, group.local_blocks};
-      batch.call(lfs_services_[lfs], msg(efs::MsgType::kReadMany),
-                 util::encode_to_bytes(req));
-    }
+    efs::ReadManyRequest req{record.lfs_file_id, group.local_blocks};
+    batch.call(lfs_services_[lfs], msg(efs::MsgType::kReadMany),
+               util::encode_to_bytes(req));
     batch_lfs.push_back(lfs);
   }
   if (count > 1) {
@@ -403,21 +391,10 @@ util::Result<std::vector<std::vector<std::byte>>> BridgeServer::read_run(
       if (first_error.is_ok()) first_error = replies[b].status();
       continue;
     }
-    std::uint32_t lfs = batch_lfs[b];
-    const auto& group = groups[lfs];
-    std::vector<std::vector<std::byte>> payloads;
-    efs::BlockAddr addr = efs::kNilAddr;
-    if (group.local_blocks.size() == 1) {
-      auto resp = util::decode_from_bytes<efs::ReadResponse>(replies[b].value());
-      addr = resp.addr;
-      payloads.push_back(std::move(resp.data));
-    } else {
-      auto resp =
-          util::decode_from_bytes<efs::ReadManyResponse>(replies[b].value());
-      addr = resp.addr;
-      payloads = std::move(resp.blocks);
-    }
-    lfs_clients_[lfs]->note_hint(record.lfs_file_id, addr);
+    const auto& group = groups[batch_lfs[b]];
+    auto payloads =
+        util::decode_from_bytes<efs::ReadManyResponse>(replies[b].value())
+            .blocks;
     if (payloads.size() != group.run_pos.size()) {
       if (first_error.is_ok()) {
         first_error = util::corrupt("LFS returned a short vectored read");
@@ -464,8 +441,7 @@ util::Status BridgeServer::write_run(
   // place, appends via append / linked scatter), wrapping payloads as we go.
   // Any failure here rolls the size bookkeeping straight back.
   struct LfsGroup {
-    std::vector<std::uint32_t> local_blocks;
-    std::vector<std::vector<std::byte>> wrapped;
+    std::vector<efs::BlockWrite> writes;  ///< (local block, wrapped payload)
     std::uint32_t appends = 0;  ///< blocks of this group that grow the file
   };
   std::vector<LfsGroup> groups(num_lfs());
@@ -507,8 +483,8 @@ util::Status BridgeServer::write_run(
       return wrapped.status();
     }
     auto& group = groups[placed.value().lfs_index];
-    group.local_blocks.push_back(placed.value().local_block);
-    group.wrapped.push_back(std::move(wrapped).value());
+    group.writes.push_back(
+        {placed.value().local_block, std::move(wrapped).value()});
     if (is_append) ++group.appends;
   }
 
@@ -523,7 +499,7 @@ util::Status BridgeServer::write_run(
   std::uint32_t involved = 0;
   bool grows = false;
   for (const auto& group : groups) {
-    if (!group.local_blocks.empty()) ++involved;
+    if (!group.writes.empty()) ++involved;
     if (group.appends > 0) grows = true;
   }
   if (grows && involved >= 2) {
@@ -553,29 +529,16 @@ util::Status BridgeServer::write_run(
     }
   }
 
-  // Stage 2: scatter — one concurrent request per involved LFS.  Singleton
-  // groups keep the plain write envelope; larger groups go vectored (the
-  // LFS preflights appends so an out-of-space run fails without leaving a
-  // partial tail behind).
+  // Stage 2: scatter — one concurrent vectored request per involved LFS
+  // (the LFS preflights runs of two or more so an out-of-space run fails
+  // without leaving a partial tail behind).
   sim::AsyncBatch batch(wire.rpc);
-  std::vector<std::uint32_t> batch_lfs;
   for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
-    auto& group = groups[lfs];
-    if (group.local_blocks.empty()) continue;
-    efs::BlockAddr hint = lfs_clients_[lfs]->hint_for(record.lfs_file_id);
-    if (group.local_blocks.size() == 1) {
-      efs::WriteRequest req{record.lfs_file_id, group.local_blocks[0], hint,
-                            std::move(group.wrapped[0])};
-      batch.call(lfs_services_[lfs], msg(efs::MsgType::kWrite),
-                 util::encode_to_bytes(req));
-    } else {
-      efs::WriteManyRequest req{record.lfs_file_id, hint,
-                                std::move(group.local_blocks),
-                                std::move(group.wrapped)};
-      batch.call(lfs_services_[lfs], msg(efs::MsgType::kWriteMany),
-                 util::encode_to_bytes(req));
-    }
-    batch_lfs.push_back(lfs);
+    if (groups[lfs].writes.empty()) continue;
+    efs::WriteManyRequest req{record.lfs_file_id,
+                              std::move(groups[lfs].writes)};
+    batch.call(lfs_services_[lfs], msg(efs::MsgType::kWriteMany),
+               util::encode_to_bytes(req));
   }
   if (user_blocks.size() > 1) {
     ++stats_.vectored_batches;
@@ -583,21 +546,9 @@ util::Status BridgeServer::write_run(
   }
 
   // Gather completions; one failed LFS fails the run whole.
-  auto replies = batch.wait_all();
-  util::Status first_error = util::ok_status();
-  for (std::size_t b = 0; b < replies.size(); ++b) {
-    if (!replies[b].is_ok()) {
-      if (first_error.is_ok()) first_error = replies[b].status();
-      continue;
-    }
-    std::uint32_t lfs = batch_lfs[b];
-    efs::BlockAddr addr =
-        util::decode_from_bytes<efs::WriteResponse>(replies[b].value()).addr;
-    lfs_clients_[lfs]->note_hint(record.lfs_file_id, addr);
-  }
-  if (!first_error.is_ok()) {
+  if (auto st = batch.wait_all_ok(); !st.is_ok()) {
     rollback();
-    return first_error;
+    return st;
   }
   wire.ctx.charge(config_.forward_cpu *
                   static_cast<std::int64_t>(user_blocks.size()));
@@ -889,16 +840,12 @@ void BridgeServer::handle_truncate(Wire& wire, const sim::Envelope& env) {
     return sim::send_reply(wire.ctx, env, st);
   }
 
-  // Commit: directory bookkeeping, hint hygiene (remembered tail addresses
-  // now point at freed blocks), and session cursors — write_run appends at
-  // the file size, so a cursor past the new end must be pulled back or the
-  // next sequential write would land far beyond EOF.
+  // Commit: directory bookkeeping and session cursors — write_run appends
+  // at the file size, so a cursor past the new end must be pulled back or
+  // the next sequential write would land far beyond EOF.
   BRIDGE_RACE_WRITE(wire.ctx, &kPlacementRaceAnchor, record->lfs_file_id,
                     "bridge.placement");
   record->placement.truncate(req.new_size_blocks);
-  for (std::uint32_t i : involved) {
-    lfs_clients_[i]->forget_hint(record->lfs_file_id);
-  }
   // NOLINT(bridge-unordered-iter): clamp-with-min is commutative and touches
   // each session independently — no observable effect of visit order.
   for (auto& [sid, session] : sessions_) {
@@ -924,7 +871,6 @@ void BridgeServer::handle_parallel_open(Wire& wire, const sim::Envelope& env) {
   job.name = it->second.name;
   job.workers = req.workers;
   job.cursor = 0;
-  job.lfs_hints.assign(num_lfs(), disk::kNilAddr);
   std::uint64_t job_id = next_job_++;
   jobs_[job_id] = std::move(job);
   ParallelOpenResponse resp{job_id};
@@ -961,7 +907,6 @@ void BridgeServer::handle_parallel_read(Wire& wire, const sim::Envelope& env) {
     struct Pending {
       std::uint64_t corr;
       std::uint64_t global_no;
-      std::uint32_t lfs;
       std::uint32_t worker;
     };
     std::vector<Pending> pending;
@@ -970,20 +915,22 @@ void BridgeServer::handle_parallel_read(Wire& wire, const sim::Envelope& env) {
       std::uint64_t n = job.cursor + i;
       auto placed = record->placement.place(n);
       if (!placed.is_ok()) return sim::send_reply(wire.ctx, env, placed.status());
-      efs::ReadRequest lfs_req{record->lfs_file_id, placed.value().local_block,
-                               job.lfs_hints[placed.value().lfs_index]};
+      efs::ReadManyRequest lfs_req{record->lfs_file_id,
+                                   {placed.value().local_block}};
       pending.push_back(Pending{
           wire.rpc.call_async(lfs_services_[placed.value().lfs_index],
-                              msg(efs::MsgType::kRead),
+                              msg(efs::MsgType::kReadMany),
                               util::encode_to_bytes(lfs_req)),
-          n, placed.value().lfs_index, delivered + i});
+          n, delivered + i});
     }
     for (const auto& item : pending) {
       auto reply = wire.rpc.wait_reply(item.corr);
       if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-      auto lfs_resp = util::decode_from_bytes<efs::ReadResponse>(reply.value());
-      job.lfs_hints[item.lfs] = lfs_resp.addr;
-      auto unwrapped = unwrap_block(lfs_resp.data);
+      auto block =
+          util::decode_from_bytes<efs::ReadManyResponse>(reply.value())
+              .take_one();
+      if (!block.is_ok()) return sim::send_reply(wire.ctx, env, block.status());
+      auto unwrapped = unwrap_block(block.value());
       if (!unwrapped.is_ok()) {
         return sim::send_reply(wire.ctx, env, unwrapped.status());
       }
@@ -1065,11 +1012,7 @@ void BridgeServer::handle_parallel_write(Wire& wire, const sim::Envelope& env) {
     }
     // Write the collected prefix; consecutive appends hit distinct LFSs
     // under round-robin, so fire them all then wait.
-    struct PendingWrite {
-      std::uint64_t corr;
-      std::uint32_t lfs;
-    };
-    std::vector<PendingWrite> writes;
+    std::vector<std::uint64_t> writes;
     writes.reserve(blocks.size());
     for (auto& data : blocks) {
       std::uint64_t n = record->placement.size_blocks();
@@ -1084,22 +1027,19 @@ void BridgeServer::handle_parallel_write(Wire& wire, const sim::Envelope& env) {
       if (!wrapped.is_ok()) {
         return sim::send_reply(wire.ctx, env, wrapped.status());
       }
-      efs::WriteRequest lfs_req{record->lfs_file_id, placed.value().local_block,
-                                job.lfs_hints[placed.value().lfs_index],
-                                std::move(wrapped).value()};
-      writes.push_back(PendingWrite{
+      auto lfs_req = efs::WriteManyRequest::one(record->lfs_file_id,
+                                                placed.value().local_block,
+                                                std::move(wrapped).value());
+      writes.push_back(
           wire.rpc.call_async(lfs_services_[placed.value().lfs_index],
-                              msg(efs::MsgType::kWrite),
-                              util::encode_to_bytes(lfs_req)),
-          placed.value().lfs_index});
+                              msg(efs::MsgType::kWriteMany),
+                              util::encode_to_bytes(lfs_req)));
       wire.ctx.charge(config_.forward_cpu);
       ++stats_.blocks_forwarded;
     }
-    for (const auto& item : writes) {
-      auto reply = wire.rpc.wait_reply(item.corr);
+    for (auto corr : writes) {
+      auto reply = wire.rpc.wait_reply(corr);
       if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-      auto lfs_resp = util::decode_from_bytes<efs::WriteResponse>(reply.value());
-      job.lfs_hints[item.lfs] = lfs_resp.addr;
     }
     written += static_cast<std::uint32_t>(blocks.size());
     next_worker += round;
@@ -1117,8 +1057,9 @@ void BridgeServer::handle_resolve(Wire& wire, const sim::Envelope& env) {
   }
   BRIDGE_RACE_READ(wire.ctx, &kPlacementRaceAnchor, record->lfs_file_id,
                    "bridge.placement");
+  // No reserve(req.count): the count is wire-supplied, and the loop stops
+  // at the first block past EOF.
   ResolveResponse resp;
-  resp.placements.reserve(req.count);
   for (std::uint32_t i = 0; i < req.count; ++i) {
     auto placed = record->placement.place(req.first_block + i);
     if (!placed.is_ok()) return sim::send_reply(wire.ctx, env, placed.status());

@@ -22,7 +22,7 @@
 
 #include "src/core/config.hpp"
 #include "src/core/protocol.hpp"
-#include "src/efs/client.hpp"
+#include "src/efs/protocol.hpp"
 #include "src/sim/rpc.hpp"
 #include "src/sim/runtime.hpp"
 
@@ -134,7 +134,6 @@ class BridgeServer {
     std::string name;
     std::vector<sim::Address> workers;
     std::uint64_t cursor = 0;
-    std::vector<disk::BlockAddr> lfs_hints;  ///< per LFS, for async rounds
     bool writers_drained = false;
   };
   /// A cross-server rename parked between prepare and ack.  The record is
@@ -221,8 +220,6 @@ class BridgeServer {
   std::unordered_map<BridgeFileId, std::string> id_index_;
   std::unordered_map<std::uint64_t, Session> sessions_;
   std::unordered_map<std::uint64_t, Job> jobs_;
-  /// Per-LFS hint tables for the synchronous (naive-view) data path.
-  std::vector<std::unique_ptr<efs::EfsClient>> lfs_clients_;
 
   /// Routed group, indexed by home.  Empty = standalone (single server).
   std::vector<sim::Address> peers_;

@@ -1,12 +1,10 @@
 // Typed EFS client.
 //
-// Wraps an RpcClient with the EFS protocol and keeps a per-file hint table:
-// after each read/write the returned block address is remembered and passed
-// as the hint on the next access to that file, which is how the Bridge
-// Server "softens the potential performance penalty of statelessness" (§4.3).
+// Wraps an RpcClient with the EFS protocol.  The client holds no per-file
+// state: every request names its file and block numbers, and the LFS's
+// extent maps locate the blocks.  Single-block read()/write() are runs of
+// one on the vectored ops, so there is one data path on the wire.
 #pragma once
-
-#include <unordered_map>
 
 #include "src/efs/protocol.hpp"
 #include "src/sim/rpc.hpp"
@@ -25,124 +23,74 @@ class EfsClient {
   [[nodiscard]] sim::Address service() const noexcept { return service_; }
 
   util::Status create(FileId id) {
-    CreateRequest req{id};
-    auto reply = rpc_->call(service_, static_cast<std::uint32_t>(MsgType::kCreate),
-                            util::encode_to_bytes(req));
-    return reply.status();
+    return call(MsgType::kCreate, CreateRequest{id}).status();
   }
 
   util::Status remove(FileId id) {
-    DeleteRequest req{id};
-    auto reply = rpc_->call(service_, static_cast<std::uint32_t>(MsgType::kDelete),
-                            util::encode_to_bytes(req));
-    hints_.erase(id);
-    return reply.status();
+    return call(MsgType::kDelete, DeleteRequest{id}).status();
   }
 
   util::Result<InfoResponse> info(FileId id) {
-    InfoRequest req{id};
-    auto reply = rpc_->call(service_, static_cast<std::uint32_t>(MsgType::kInfo),
-                            util::encode_to_bytes(req));
+    auto reply = call(MsgType::kInfo, InfoRequest{id});
     if (!reply.is_ok()) return reply.status();
     return util::decode_from_bytes<InfoResponse>(reply.value());
   }
 
-  /// Read with the remembered hint (or an explicit one).
-  util::Result<ReadResponse> read(FileId id, std::uint32_t block_no) {
-    return read_with_hint(id, block_no, hint_for(id));
-  }
-  util::Result<ReadResponse> read_with_hint(FileId id, std::uint32_t block_no,
-                                            BlockAddr hint) {
-    ReadRequest req{id, block_no, hint};
-    auto reply = rpc_->call(service_, static_cast<std::uint32_t>(MsgType::kRead),
-                            util::encode_to_bytes(req));
+  /// One block's payload (a vectored read of one).
+  util::Result<std::vector<std::byte>> read(FileId id, std::uint32_t block_no) {
+    auto reply = call(MsgType::kReadMany, ReadManyRequest{id, {block_no}});
     if (!reply.is_ok()) return reply.status();
-    auto resp = util::decode_from_bytes<ReadResponse>(reply.value());
-    hints_[id] = resp.addr;
-    return resp;
+    return util::decode_from_bytes<ReadManyResponse>(reply.value()).take_one();
   }
 
-  util::Result<WriteResponse> write(FileId id, std::uint32_t block_no,
-                                    std::span<const std::byte> data) {
-    return write_with_hint(id, block_no, data, hint_for(id));
-  }
-  util::Result<WriteResponse> write_with_hint(FileId id, std::uint32_t block_no,
-                                              std::span<const std::byte> data,
-                                              BlockAddr hint) {
-    WriteRequest req{id, block_no, hint,
-                     std::vector<std::byte>(data.begin(), data.end())};
-    auto reply = rpc_->call(service_, static_cast<std::uint32_t>(MsgType::kWrite),
-                            util::encode_to_bytes(req));
-    if (!reply.is_ok()) return reply.status();
-    auto resp = util::decode_from_bytes<WriteResponse>(reply.value());
-    hints_[id] = resp.addr;
-    return resp;
+  /// Write one block (a vectored write of one; the LFS writes it through).
+  util::Status write(FileId id, std::uint32_t block_no,
+                     std::span<const std::byte> data) {
+    return call(MsgType::kWriteMany,
+                WriteManyRequest::one(
+                    id, block_no, std::vector<std::byte>(data.begin(), data.end())))
+        .status();
   }
 
   /// Vectored read: fetch `block_nos` (request order preserved) in one
   /// round trip.
-  util::Result<ReadManyResponse> read_many(FileId id,
-                                           std::vector<std::uint32_t> block_nos) {
-    ReadManyRequest req{id, hint_for(id), std::move(block_nos)};
-    auto reply = rpc_->call(service_,
-                            static_cast<std::uint32_t>(MsgType::kReadMany),
-                            util::encode_to_bytes(req));
+  util::Result<std::vector<std::vector<std::byte>>> read_many(
+      FileId id, std::vector<std::uint32_t> block_nos) {
+    auto reply =
+        call(MsgType::kReadMany, ReadManyRequest{id, std::move(block_nos)});
     if (!reply.is_ok()) return reply.status();
-    auto resp = util::decode_from_bytes<ReadManyResponse>(reply.value());
-    hints_[id] = resp.addr;
-    return resp;
+    return util::decode_from_bytes<ReadManyResponse>(reply.value()).blocks;
   }
 
-  /// Vectored write: apply (block_nos[i], blocks[i]) in one round trip.
-  util::Result<WriteManyResponse> write_many(
-      FileId id, std::vector<std::uint32_t> block_nos,
-      std::vector<std::vector<std::byte>> blocks) {
-    WriteManyRequest req{id, hint_for(id), std::move(block_nos),
-                         std::move(blocks)};
-    auto reply = rpc_->call(service_,
-                            static_cast<std::uint32_t>(MsgType::kWriteMany),
-                            util::encode_to_bytes(req));
-    if (!reply.is_ok()) return reply.status();
-    auto resp = util::decode_from_bytes<WriteManyResponse>(reply.value());
-    hints_[id] = resp.addr;
-    return resp;
+  /// Vectored write: apply `writes` in order in one round trip.
+  util::Status write_many(FileId id, std::vector<BlockWrite> writes) {
+    return call(MsgType::kWriteMany, WriteManyRequest{id, std::move(writes)})
+        .status();
   }
 
   /// Truncate to `new_size_blocks` constituent blocks (the compensation op
-  /// for torn multi-LFS appends).  The remembered hint is dropped — it may
-  /// point at a freed tail block.
+  /// for torn multi-LFS appends).
   util::Result<TruncateResponse> truncate(FileId id,
                                           std::uint32_t new_size_blocks) {
-    TruncateRequest req{id, new_size_blocks};
-    auto reply = rpc_->call(service_,
-                            static_cast<std::uint32_t>(MsgType::kTruncate),
-                            util::encode_to_bytes(req));
-    hints_.erase(id);
+    auto reply = call(MsgType::kTruncate, TruncateRequest{id, new_size_blocks});
     if (!reply.is_ok()) return reply.status();
     return util::decode_from_bytes<TruncateResponse>(reply.value());
   }
 
   util::Status sync() {
-    auto reply = rpc_->call(service_, static_cast<std::uint32_t>(MsgType::kSync), {});
-    return reply.status();
+    return rpc_->call(service_, static_cast<std::uint32_t>(MsgType::kSync), {})
+        .status();
   }
-
-  [[nodiscard]] BlockAddr hint_for(FileId id) const {
-    auto it = hints_.find(id);
-    return it == hints_.end() ? kNilAddr : it->second;
-  }
-  /// Record a hint observed out of band (callers that issue raw async RPCs
-  /// — the Bridge Server's scatter-gather engine — feed replies back here).
-  void note_hint(FileId id, BlockAddr addr) { hints_[id] = addr; }
-  /// Drop one file's hint (after an out-of-band truncate: the remembered
-  /// address may point at a freed tail block).
-  void forget_hint(FileId id) { hints_.erase(id); }
-  void forget_hints() { hints_.clear(); }
 
  private:
+  template <typename Request>
+  util::Result<std::vector<std::byte>> call(MsgType type, const Request& req) {
+    return rpc_->call(service_, static_cast<std::uint32_t>(type),
+                      util::encode_to_bytes(req));
+  }
+
   sim::RpcClient* rpc_;
   sim::Address service_;
-  std::unordered_map<FileId, BlockAddr> hints_;
 };
 
 }  // namespace bridge::efs

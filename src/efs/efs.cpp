@@ -317,9 +317,7 @@ util::Result<FileInfo> EfsCore::info(sim::Context& ctx, FileId id) {
   if (slot < 0) return util::not_found("file " + std::to_string(id));
   BRIDGE_RACE_READ(ctx, &dir_, id, "efs.file");
   const DirEntry& e = dir_[static_cast<std::size_t>(slot)];
-  const FileMap& fm = maps_[static_cast<std::size_t>(slot)];
-  BlockAddr head = fm.extents.empty() ? kNilAddr : fm.extents.front().addr;
-  return FileInfo{id, e.size_blocks, head};
+  return FileInfo{id, e.size_blocks};
 }
 
 util::Result<BlockAddr> EfsCore::locate(sim::Context& ctx, std::uint32_t slot,
@@ -342,9 +340,9 @@ util::Result<BlockAddr> EfsCore::locate(sim::Context& ctx, std::uint32_t slot,
   return it->addr + (block_no - it->block_no);
 }
 
-util::Result<ReadResult> EfsCore::read(sim::Context& ctx, FileId id,
-                                       std::uint32_t block_no, BlockAddr hint) {
-  (void)hint;  // v2: the extent map answers lookups; hints are wire-compat only
+util::Result<std::vector<std::byte>> EfsCore::read(sim::Context& ctx,
+                                                   FileId id,
+                                                   std::uint32_t block_no) {
   // A dead drive takes the whole LFS out of service, even for cached blocks
   // — serving stale RAM copies of a failed device would mask the fault the
   // §6 discussion is about.
@@ -368,7 +366,7 @@ util::Result<ReadResult> EfsCore::read(sim::Context& ctx, FileId id,
   }
   ctx.charge(config_.record_cpu);
   ++stats_.reads;
-  return ReadResult{located.value(), payload_of(image.value())};
+  return payload_of(image.value());
 }
 
 std::uint32_t EfsCore::readahead_depth(FileId id, std::uint32_t block_no) {
@@ -521,21 +519,14 @@ util::Result<BlockAddr> EfsCore::write_one(sim::Context& ctx, FileId id,
   return located.value();
 }
 
-util::Result<BlockAddr> EfsCore::write(sim::Context& ctx, FileId id,
-                                       std::uint32_t block_no,
-                                       std::span<const std::byte> data,
-                                       BlockAddr hint) {
-  (void)hint;  // wire-compat only
-  return write_one(ctx, id, block_no, data, /*defer_data=*/false);
+util::Status EfsCore::write(sim::Context& ctx, FileId id,
+                            std::uint32_t block_no,
+                            std::span<const std::byte> data) {
+  return write_one(ctx, id, block_no, data, /*defer_data=*/false).status();
 }
 
-util::Result<BlockAddr> EfsCore::write_run(
-    sim::Context& ctx, FileId id, std::span<const std::uint32_t> block_nos,
-    std::span<const std::vector<std::byte>> blocks, BlockAddr hint) {
-  (void)hint;  // wire-compat only
-  if (block_nos.size() != blocks.size()) {
-    return util::invalid_argument("write_run length mismatch");
-  }
+util::Status EfsCore::write_run(sim::Context& ctx, FileId id,
+                                std::span<const BlockWrite> writes) {
   // Flush a track's worth of staged blocks as soon as the run moves past it
   // (not all at the end): staging more than the cache capacity would
   // otherwise evict dirty blocks one 15 ms write at a time, defeating the
@@ -550,10 +541,8 @@ util::Result<BlockAddr> EfsCore::write_run(
     return cache_.flush_track(ctx, addr);
   };
 
-  BlockAddr last = kNilAddr;
-  for (std::size_t i = 0; i < block_nos.size(); ++i) {
-    auto result =
-        write_one(ctx, id, block_nos[i], blocks[i], /*defer_data=*/true);
+  for (const auto& w : writes) {
+    auto result = write_one(ctx, id, w.block_no, w.data, /*defer_data=*/true);
     if (!result.is_ok()) {
       // Land the completed prefix so the disk matches the bookkeeping the
       // caller will roll back against (truncate frees exactly these blocks).
@@ -566,17 +555,15 @@ util::Result<BlockAddr> EfsCore::write_run(
                "not match bookkeeping for file " << id << ": "
             << st.to_string();
       }
-      return result;
+      return result.status();
     }
-    last = result.value();
-    std::uint32_t t = dev_.geometry().track_of(last);
+    std::uint32_t t = dev_.geometry().track_of(result.value());
     if (staged_track != kNoTrack && t != staged_track) {
       if (auto st = flush_staged(); !st.is_ok()) return st;
     }
     staged_track = t;
   }
-  if (auto st = flush_staged(); !st.is_ok()) return st;
-  return last;
+  return flush_staged();
 }
 
 util::Status EfsCore::truncate(sim::Context& ctx, FileId id,

@@ -4,8 +4,9 @@
 //  - file names are numbers hashed into a directory,
 //  - each file's placement is a sorted extent list (block_no, addr, len)
 //    persisted in extent-table blocks; locate() is an O(log extents) binary
-//    search instead of the paper's chain walk, so request hints are accepted
-//    on the wire for compatibility but no longer needed for lookup,
+//    search instead of the paper's chain walk, so the suggested disk
+//    addresses that shortened those walks (§4.3) are gone from the
+//    interface,
 //  - allocation is an FFS-style bitmap with nearest-to-goal placement:
 //    appends extend the file's last extent when the next disk block is free,
 //    keeping files contiguous and track-local,
@@ -27,6 +28,7 @@
 #include "src/disk/sched.hpp"
 #include "src/efs/cache.hpp"
 #include "src/efs/layout.hpp"
+#include "src/efs/protocol.hpp"
 #include "src/sim/runtime.hpp"
 #include "src/util/status.hpp"
 
@@ -63,12 +65,6 @@ struct EfsConfig {
 struct FileInfo {
   FileId id = kInvalidFileId;
   std::uint32_t size_blocks = 0;
-  BlockAddr head = kNilAddr;  ///< disk address of local block 0
-};
-
-struct ReadResult {
-  BlockAddr addr = kNilAddr;         ///< where the block lives (next hint)
-  std::vector<std::byte> data;       ///< kEfsDataBytes payload
 };
 
 struct EfsOpStats {
@@ -110,31 +106,26 @@ class EfsCore {
   util::Status remove(sim::Context& ctx, FileId id);
   util::Result<FileInfo> info(sim::Context& ctx, FileId id);
 
-  /// Read local block `block_no` of file `id`.  `hint` is accepted for wire
-  /// compatibility (§4.3) but unused: the extent map answers every lookup.
-  util::Result<ReadResult> read(sim::Context& ctx, FileId id,
-                                std::uint32_t block_no, BlockAddr hint);
+  /// Read local block `block_no` of file `id` (its kEfsDataBytes payload).
+  /// The extent map answers the lookup.
+  util::Result<std::vector<std::byte>> read(sim::Context& ctx, FileId id,
+                                            std::uint32_t block_no);
 
-  /// Write local block `block_no` (exactly kEfsDataBytes bytes).  Writing at
-  /// block_no == size appends; beyond it is an error.  Returns the block's
-  /// disk address (the natural hint for the next call).
-  util::Result<BlockAddr> write(sim::Context& ctx, FileId id,
-                                std::uint32_t block_no,
-                                std::span<const std::byte> data, BlockAddr hint);
+  /// Write local block `block_no` (exactly kEfsDataBytes bytes), through to
+  /// the disk.  Writing at block_no == size appends; beyond it is an error.
+  util::Status write(sim::Context& ctx, FileId id, std::uint32_t block_no,
+                     std::span<const std::byte> data);
 
-  /// Write a whole run of local blocks (the kWriteMany backend).  Each data
-  /// block is staged in the cache instead of written through, and every
-  /// touched track is then flushed in one positioning operation — the
-  /// write-side counterpart of full-track read buffering, so a contiguous
-  /// run costs ~one disk time per track instead of one per block.  Blocks
-  /// land with the same on-disk contents as the per-block path.  Returns
-  /// the last block's address (the hint for the next run); on error the
-  /// staged prefix is still flushed so the disk reflects every completed
-  /// block and the caller can compensate with truncate().
-  util::Result<BlockAddr> write_run(sim::Context& ctx, FileId id,
-                                    std::span<const std::uint32_t> block_nos,
-                                    std::span<const std::vector<std::byte>> blocks,
-                                    BlockAddr hint);
+  /// Write a run of local blocks (the kWriteMany backend for runs of two or
+  /// more).  Each data block is staged in the cache instead of written
+  /// through, and every touched track is then flushed in one positioning
+  /// operation — the write-side counterpart of full-track read buffering,
+  /// so a contiguous run costs ~one disk time per track instead of one per
+  /// block.  Blocks land with the same on-disk contents as write().  On
+  /// error the staged prefix is still flushed so the disk reflects every
+  /// completed block and the caller can compensate with truncate().
+  util::Status write_run(sim::Context& ctx, FileId id,
+                         std::span<const BlockWrite> writes);
 
   /// Truncate file `id` to `new_size_blocks` (<= current size; equal is a
   /// no-op).  Dropped tail blocks are O(extents) bitmap clears; a truncate

@@ -1,8 +1,10 @@
 // EFS wire protocol: request/response structs and their serialization.
 //
-// Every request is stateless and self-describing; reads and writes carry a
-// disk-address hint (§4.3).  Responses return the block's disk address so the
-// caller can pass it back as the hint for the next sequential access.
+// Every request is stateless and self-describing.  The paper's EFS took a
+// suggested disk address with each read and write to shorten its chain
+// walks (§4.3); the extent maps answer every lookup directly, so requests
+// name only (file, block numbers) and replies carry no disk addresses.  Data
+// moves through one pair of vectored ops; a single block is a run of one.
 #pragma once
 
 #include <cstdint>
@@ -17,13 +19,13 @@ enum class MsgType : std::uint32_t {
   kCreate = 0x100,
   kDelete = 0x101,
   kInfo = 0x102,
-  kRead = 0x103,
-  kWrite = 0x104,
+  // 0x103 and 0x104 (the paper's single-block read/write) stay unassigned
+  // and answer "unknown EFS message type": a single block is a run of one.
   kSync = 0x105,
-  /// Vectored ops: one envelope carries a whole run of block numbers, so the
-  /// per-message latency is paid once per run instead of once per block and
-  /// the server can feed back-to-back blocks straight out of the track
-  /// cache.  The single-block ops above remain and are wire-compatible.
+  /// The data path: one envelope carries a whole run of block numbers, so
+  /// the per-message latency is paid once per run instead of once per block
+  /// and the server can feed back-to-back blocks straight out of the track
+  /// cache.
   kReadMany = 0x106,
   kWriteMany = 0x107,
   /// Truncate a constituent file to a given block count, freeing the tail.
@@ -32,14 +34,12 @@ enum class MsgType : std::uint32_t {
   kTruncate = 0x108,
 };
 
-/// Stable op name for trace span labels ("efs.Read", ...).
+/// Stable op name for trace span labels ("efs.ReadMany", ...).
 constexpr const char* efs_msg_name(MsgType type) noexcept {
   switch (type) {
     case MsgType::kCreate: return "efs.Create";
     case MsgType::kDelete: return "efs.Delete";
     case MsgType::kInfo: return "efs.Info";
-    case MsgType::kRead: return "efs.Read";
-    case MsgType::kWrite: return "efs.Write";
     case MsgType::kSync: return "efs.Sync";
     case MsgType::kReadMany: return "efs.ReadMany";
     case MsgType::kWriteMany: return "efs.WriteMany";
@@ -68,99 +68,34 @@ struct InfoRequest {
 
 struct InfoResponse {
   std::uint32_t size_blocks = 0;
-  BlockAddr head = kNilAddr;
   std::uint32_t free_blocks = 0;  ///< whole-LFS free count (append preflight)
   void encode(util::Writer& w) const {
     w.u32(size_blocks);
-    w.u32(head);
     w.u32(free_blocks);
   }
   static InfoResponse decode(util::Reader& r) {
     InfoResponse resp;
     resp.size_blocks = r.u32();
-    resp.head = r.u32();
     resp.free_blocks = r.u32();
     return resp;
   }
 };
 
-struct ReadRequest {
-  FileId file_id = kInvalidFileId;
-  std::uint32_t block_no = 0;
-  BlockAddr hint = kNilAddr;
-  void encode(util::Writer& w) const {
-    w.u32(file_id);
-    w.u32(block_no);
-    w.u32(hint);
-  }
-  static ReadRequest decode(util::Reader& r) {
-    ReadRequest req;
-    req.file_id = r.u32();
-    req.block_no = r.u32();
-    req.hint = r.u32();
-    return req;
-  }
-};
-
-struct ReadResponse {
-  BlockAddr addr = kNilAddr;
-  std::vector<std::byte> data;  ///< kEfsDataBytes payload
-  void encode(util::Writer& w) const {
-    w.u32(addr);
-    w.bytes(data);
-  }
-  static ReadResponse decode(util::Reader& r) {
-    ReadResponse resp;
-    resp.addr = r.u32();
-    resp.data = r.bytes();
-    return resp;
-  }
-};
-
-struct WriteRequest {
-  FileId file_id = kInvalidFileId;
-  std::uint32_t block_no = 0;
-  BlockAddr hint = kNilAddr;
-  std::vector<std::byte> data;  ///< kEfsDataBytes payload
-  void encode(util::Writer& w) const {
-    w.u32(file_id);
-    w.u32(block_no);
-    w.u32(hint);
-    w.bytes(data);
-  }
-  static WriteRequest decode(util::Reader& r) {
-    WriteRequest req;
-    req.file_id = r.u32();
-    req.block_no = r.u32();
-    req.hint = r.u32();
-    req.data = r.bytes();
-    return req;
-  }
-};
-
-struct WriteResponse {
-  BlockAddr addr = kNilAddr;
-  void encode(util::Writer& w) const { w.u32(addr); }
-  static WriteResponse decode(util::Reader& r) { return {r.u32()}; }
-};
-
 /// Vectored read: fetch `block_nos` (any order, any gaps — true scatter) in
-/// one request.  The response returns the blocks in request order.
+/// one request.  The response returns the blocks in request order.  A
+/// single-block read is a run of one: 12 request bytes.
 struct ReadManyRequest {
   FileId file_id = kInvalidFileId;
-  BlockAddr hint = kNilAddr;  ///< starting hint, as for a single read
   std::vector<std::uint32_t> block_nos;
   void encode(util::Writer& w) const {
     w.u32(file_id);
-    w.u32(hint);
     w.u32(static_cast<std::uint32_t>(block_nos.size()));
     for (auto n : block_nos) w.u32(n);
   }
   static ReadManyRequest decode(util::Reader& r) {
     ReadManyRequest req;
     req.file_id = r.u32();
-    req.hint = r.u32();
-    std::uint32_t n = r.u32();
+    std::uint32_t n = r.count(4);
     req.block_nos.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) req.block_nos.push_back(r.u32());
     return req;
@@ -168,62 +103,70 @@ struct ReadManyRequest {
 };
 
 struct ReadManyResponse {
-  BlockAddr addr = kNilAddr;  ///< address of the last block (next hint)
   std::vector<std::vector<std::byte>> blocks;  ///< blocks[i] = block_nos[i]
   void encode(util::Writer& w) const {
-    w.u32(addr);
     w.u32(static_cast<std::uint32_t>(blocks.size()));
     for (const auto& b : blocks) w.bytes(b);
   }
   static ReadManyResponse decode(util::Reader& r) {
     ReadManyResponse resp;
-    resp.addr = r.u32();
-    std::uint32_t n = r.u32();
+    std::uint32_t n = r.count(4);
     resp.blocks.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) resp.blocks.push_back(r.bytes());
     return resp;
   }
+  /// The payload of a run-of-one reply (kCorrupt if it holds another count).
+  util::Result<std::vector<std::byte>> take_one() && {
+    if (blocks.size() != 1) {
+      return util::corrupt("LFS returned a short vectored read");
+    }
+    return std::move(blocks.front());
+  }
 };
 
-/// Vectored write: apply (block_nos[i], blocks[i]) pairs in order.  Appends
-/// are preflighted against the allocation bitmap (including any extent-table
-/// growth they would force) so an out-of-space run fails whole,
-/// leaving the constituent file untouched (no partial tail for the Bridge
-/// Server to roll back).
+/// One (block_no, payload) pair of a vectored write.
+struct BlockWrite {
+  std::uint32_t block_no = 0;
+  std::vector<std::byte> data;  ///< kEfsDataBytes payload
+};
+
+/// Vectored write: apply `writes` in order.  Each block number travels
+/// with its payload, so a request cannot carry more numbers than payloads.
+/// Appends are preflighted against the allocation bitmap (including any
+/// extent-table growth they would force) so an out-of-space run fails
+/// whole, leaving the constituent file untouched (no partial tail for the
+/// Bridge Server to roll back).  The reply is a bare status.
 struct WriteManyRequest {
   FileId file_id = kInvalidFileId;
-  BlockAddr hint = kNilAddr;
-  std::vector<std::uint32_t> block_nos;
-  std::vector<std::vector<std::byte>> blocks;  ///< kEfsDataBytes payloads
+  std::vector<BlockWrite> writes;
+  /// A run of one: the naive view's single-block write.
+  static WriteManyRequest one(FileId file_id, std::uint32_t block_no,
+                              std::vector<std::byte> data) {
+    WriteManyRequest req{file_id, {}};
+    req.writes.push_back({block_no, std::move(data)});
+    return req;
+  }
   void encode(util::Writer& w) const {
     w.u32(file_id);
-    w.u32(hint);
-    w.u32(static_cast<std::uint32_t>(block_nos.size()));
-    for (auto n : block_nos) w.u32(n);
-    // Payload count is carried separately so a malformed (mismatched)
-    // request survives the wire and is rejected by the server, not by the
-    // decoder.
-    w.u32(static_cast<std::uint32_t>(blocks.size()));
-    for (const auto& b : blocks) w.bytes(b);
+    w.u32(static_cast<std::uint32_t>(writes.size()));
+    for (const auto& b : writes) {
+      w.u32(b.block_no);
+      w.bytes(b.data);
+    }
   }
   static WriteManyRequest decode(util::Reader& r) {
     WriteManyRequest req;
     req.file_id = r.u32();
-    req.hint = r.u32();
-    std::uint32_t n = r.u32();
-    req.block_nos.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) req.block_nos.push_back(r.u32());
-    std::uint32_t m = r.u32();
-    req.blocks.reserve(m);
-    for (std::uint32_t i = 0; i < m; ++i) req.blocks.push_back(r.bytes());
+    std::uint32_t n = r.count(8);
+    req.writes.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      BlockWrite b;
+      b.block_no = r.u32();
+      b.data = r.bytes();
+      req.writes.push_back(std::move(b));
+    }
     return req;
   }
-};
-
-struct WriteManyResponse {
-  BlockAddr addr = kNilAddr;  ///< address of the last block written
-  void encode(util::Writer& w) const { w.u32(addr); }
-  static WriteManyResponse decode(util::Reader& r) { return {r.u32()}; }
 };
 
 /// Truncate `file_id` to `new_size_blocks` (must not exceed the current

@@ -88,9 +88,8 @@ void EfsServer::serve(sim::Context& ctx) {
 std::uint32_t EfsServer::estimate_track(const sim::Envelope& env) const {
   const auto& geom = disk_->geometry();
   // The RAM-resident extent maps answer "which track will this request
-  // seek to" exactly, for free — the scheduler no longer depends on the
-  // client's (possibly stale) hint.  Requests for appends or unknown files
-  // fall back to the file's first block, then to "no preference".
+  // seek to" exactly, for free.  Requests for appends or unknown files fall
+  // back to the file's first block, then to "no preference".
   auto track_of_block = [&](FileId file_id,
                             std::uint32_t block_no) -> std::uint32_t {
     BlockAddr addr = core_->peek_block_addr(file_id, block_no);
@@ -106,15 +105,10 @@ std::uint32_t EfsServer::estimate_track(const sim::Envelope& env) const {
   try {
     util::Reader r(env.payload);
     switch (static_cast<MsgType>(env.type)) {
-      case MsgType::kRead:
-      case MsgType::kWrite: {
-        FileId file_id = r.u32();
-        return track_of_block(file_id, r.u32());
-      }
       case MsgType::kReadMany:
       case MsgType::kWriteMany: {
+        // Both encode (file_id, count, first block_no, ...).
         FileId file_id = r.u32();
-        r.u32();  // hint (wire-compat, unused)
         std::uint32_t count = r.u32();
         return track_of_block(file_id, count > 0 ? r.u32() : 0);
       }
@@ -155,35 +149,8 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
           sim::send_reply(ctx, env, result.status());
           return;
         }
-        InfoResponse resp{result.value().size_blocks, result.value().head,
+        InfoResponse resp{result.value().size_blocks,
                           static_cast<std::uint32_t>(core_->free_block_count())};
-        sim::send_reply(ctx, env, util::ok_status(),
-                        util::encode_to_bytes(resp));
-        return;
-      }
-      case MsgType::kRead: {
-        Reader r(env.payload);
-        auto req = ReadRequest::decode(r);
-        auto result = core_->read(ctx, req.file_id, req.block_no, req.hint);
-        if (!result.is_ok()) {
-          sim::send_reply(ctx, env, result.status());
-          return;
-        }
-        ReadResponse resp{result.value().addr, std::move(result.value().data)};
-        sim::send_reply(ctx, env, util::ok_status(),
-                        util::encode_to_bytes(resp));
-        return;
-      }
-      case MsgType::kWrite: {
-        Reader r(env.payload);
-        auto req = WriteRequest::decode(r);
-        auto result =
-            core_->write(ctx, req.file_id, req.block_no, req.data, req.hint);
-        if (!result.is_ok()) {
-          sim::send_reply(ctx, env, result.status());
-          return;
-        }
-        WriteResponse resp{result.value()};
         sim::send_reply(ctx, env, util::ok_status(),
                         util::encode_to_bytes(resp));
         return;
@@ -193,17 +160,14 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
         auto req = ReadManyRequest::decode(r);
         ReadManyResponse resp;
         resp.blocks.reserve(req.block_nos.size());
-        BlockAddr hint = req.hint;
         for (auto block_no : req.block_nos) {
-          auto result = core_->read(ctx, req.file_id, block_no, hint);
+          auto result = core_->read(ctx, req.file_id, block_no);
           if (!result.is_ok()) {
             sim::send_reply(ctx, env, result.status());
             return;
           }
-          hint = result.value().addr;
-          resp.blocks.push_back(std::move(result.value().data));
+          resp.blocks.push_back(std::move(result).value());
         }
-        resp.addr = hint;
         sim::send_reply(ctx, env, util::ok_status(),
                         util::encode_to_bytes(resp));
         return;
@@ -211,38 +175,7 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
       case MsgType::kWriteMany: {
         Reader r(env.payload);
         auto req = WriteManyRequest::decode(r);
-        if (req.blocks.size() != req.block_nos.size()) {
-          sim::send_reply(ctx, env,
-                          util::invalid_argument("WriteMany length mismatch"));
-          return;
-        }
-        // Preflight appends against the allocation bitmap (counting
-        // worst-case extent-table growth) so an out-of-space run fails
-        // whole: the caller's bookkeeping rollback then matches the on-disk
-        // state exactly (no orphaned tail blocks).
-        auto info = core_->info(ctx, req.file_id);
-        if (!info.is_ok()) {
-          sim::send_reply(ctx, env, info.status());
-          return;
-        }
-        std::size_t appends = 0;
-        for (auto block_no : req.block_nos) {
-          if (block_no >= info.value().size_blocks) ++appends;
-        }
-        if (auto st = core_->preflight_appends(req.file_id, appends);
-            !st.is_ok()) {
-          sim::send_reply(ctx, env, st);
-          return;
-        }
-        auto result = core_->write_run(ctx, req.file_id, req.block_nos,
-                                       req.blocks, req.hint);
-        if (!result.is_ok()) {
-          sim::send_reply(ctx, env, result.status());
-          return;
-        }
-        WriteManyResponse resp{result.value()};
-        sim::send_reply(ctx, env, util::ok_status(),
-                        util::encode_to_bytes(resp));
+        sim::send_reply(ctx, env, write_many(ctx, req));
         return;
       }
       case MsgType::kTruncate: {
@@ -275,6 +208,31 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
     // Malformed payload (serde failure): report instead of dying.
     sim::send_reply(ctx, env, e.status());
   }
+}
+
+util::Status EfsServer::write_many(sim::Context& ctx,
+                                   const WriteManyRequest& req) {
+  // A run of one is a plain write-through: a single-block write either
+  // happens whole or not at all, so it needs neither the append preflight
+  // (nor the info() it costs) nor track staging.
+  if (req.writes.size() == 1) {
+    const BlockWrite& w = req.writes.front();
+    return core_->write(ctx, req.file_id, w.block_no, w.data);
+  }
+  // Preflight appends against the allocation bitmap (counting worst-case
+  // extent-table growth) so an out-of-space run fails whole: the caller's
+  // bookkeeping rollback then matches the on-disk state exactly (no
+  // orphaned tail blocks).
+  auto info = core_->info(ctx, req.file_id);
+  if (!info.is_ok()) return info.status();
+  std::size_t appends = 0;
+  for (const auto& w : req.writes) {
+    if (w.block_no >= info.value().size_blocks) ++appends;
+  }
+  if (auto st = core_->preflight_appends(req.file_id, appends); !st.is_ok()) {
+    return st;
+  }
+  return core_->write_run(ctx, req.file_id, req.writes);
 }
 
 }  // namespace bridge::efs

@@ -55,10 +55,10 @@ EcopyResult ecopy(sim::Context& ctx, const EcopyTask& task,
       result.message = read.status().message();
       return result;
     }
-    std::vector<std::vector<std::byte>> out_blocks;
+    std::vector<efs::BlockWrite> out_blocks;
     if (task.dst.id != 0) out_blocks.reserve(count);
     for (std::uint32_t j = 0; j < count; ++j) {
-      auto unwrapped = core::unwrap_block(read.value().blocks[j]);
+      auto unwrapped = core::unwrap_block(read.value()[j]);
       if (!unwrapped.is_ok()) {
         result.error = unwrapped.status().code();
         result.message = unwrapped.status().message();
@@ -79,16 +79,15 @@ EcopyResult ecopy(sim::Context& ctx, const EcopyTask& task,
           result.message = wrapped.status().message();
           return result;
         }
-        out_blocks.push_back(std::move(wrapped).value());
+        out_blocks.push_back({block_nos[j], std::move(wrapped).value()});
       }
       ++result.blocks;
     }
     if (task.dst.id != 0) {
-      auto write = efs.write_many(task.dst.lfs_file_id, block_nos,
-                                  std::move(out_blocks));
+      auto write = efs.write_many(task.dst.lfs_file_id, std::move(out_blocks));
       if (!write.is_ok()) {
-        result.error = write.status().code();
-        result.message = write.status().message();
+        result.error = write.code();
+        result.message = write.message();
         return result;
       }
     }

@@ -111,7 +111,7 @@ util::Result<ReorganizeReport> run_reorganize_tool(sim::Context& ctx,
             } else {
               ++result.remote_reads;
             }
-            auto unwrapped = core::unwrap_block(read.value().data);
+            auto unwrapped = core::unwrap_block(read.value());
             if (!unwrapped.is_ok()) {
               result.error = unwrapped.status().code();
               result.message = unwrapped.status().message();
@@ -133,8 +133,8 @@ util::Result<ReorganizeReport> run_reorganize_tool(sim::Context& ctx,
                 mine.write(dst_meta.lfs_file_id, task.dst_local,
                            wrapped.value());
             if (!write.is_ok()) {
-              result.error = write.status().code();
-              result.message = write.status().message();
+              result.error = write.code();
+              result.message = write.message();
               return result;
             }
           }

@@ -22,23 +22,17 @@ struct Run {
 /// Streaming reader over a temp run file (or the final run target).
 class RunReader {
  public:
-  RunReader(efs::EfsClient& efs, efs::FileId file, std::uint64_t count,
-            bool use_hints)
-      : efs_(efs), file_(file), count_(count), use_hints_(use_hints) {}
+  RunReader(efs::EfsClient& efs, efs::FileId file, std::uint64_t count)
+      : efs_(efs), file_(file), count_(count) {}
 
   [[nodiscard]] bool exhausted() const noexcept { return next_ >= count_; }
 
   /// Read the next record's user payload; advances the cursor.
   util::Result<std::vector<std::byte>> next() {
-    auto read = use_hints_
-                    ? efs_.read_with_hint(file_, static_cast<std::uint32_t>(next_),
-                                          hint_)
-                    : efs_.read_with_hint(file_, static_cast<std::uint32_t>(next_),
-                                          disk::kNilAddr);
+    auto read = efs_.read(file_, static_cast<std::uint32_t>(next_));
     if (!read.is_ok()) return read.status();
-    hint_ = read.value().addr;
     ++next_;
-    auto unwrapped = core::unwrap_block(read.value().data);
+    auto unwrapped = core::unwrap_block(read.value());
     if (!unwrapped.is_ok()) return unwrapped.status();
     return std::move(unwrapped.value().user_data);
   }
@@ -47,9 +41,7 @@ class RunReader {
   efs::EfsClient& efs_;
   efs::FileId file_;
   std::uint64_t count_;
-  bool use_hints_;
   std::uint64_t next_ = 0;
-  disk::BlockAddr hint_ = disk::kNilAddr;
 };
 
 struct Sink {
@@ -73,7 +65,7 @@ util::Status write_record(sim::Context& ctx, efs::EfsClient& efs, Sink& sink,
   ctx.charge(tuning.record_cpu);
   auto write = efs.write(sink.file, static_cast<std::uint32_t>(sink.written),
                          wrapped.value());
-  if (!write.is_ok()) return write.status();
+  if (!write.is_ok()) return write;
   ++sink.written;
   return util::ok_status();
 }
@@ -97,19 +89,16 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
   std::deque<Run> runs;
   std::uint64_t consumed = 0;
   bool single_run = task.local_count <= c;
-  disk::BlockAddr src_hint = disk::kNilAddr;
   while (consumed < task.local_count) {
     std::uint64_t batch =
         std::min<std::uint64_t>(c, task.local_count - consumed);
     std::vector<std::vector<std::byte>> records;
     records.reserve(batch);
     for (std::uint64_t i = 0; i < batch; ++i) {
-      auto read = efs.read_with_hint(
-          task.src.lfs_file_id, static_cast<std::uint32_t>(consumed + i),
-          src_hint);
+      auto read = efs.read(task.src.lfs_file_id,
+                           static_cast<std::uint32_t>(consumed + i));
       if (!read.is_ok()) return fail(read.status());
-      src_hint = read.value().addr;
-      auto unwrapped = core::unwrap_block(read.value().data);
+      auto unwrapped = core::unwrap_block(read.value());
       if (!unwrapped.is_ok()) return fail(unwrapped.status());
       records.push_back(std::move(unwrapped.value().user_data));
     }
@@ -154,7 +143,6 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
   // final width-1 run file. ---
   const std::uint32_t fanin =
       std::max<std::uint32_t>(2, task.tuning.local_merge_fanin);
-  const bool hints = task.tuning.hints_in_local_merge;
   while (runs.size() > 1) {
     std::deque<Run> next_runs;
     ++result.merge_passes;
@@ -189,8 +177,8 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
       std::vector<std::vector<std::byte>> heads(k);
       std::vector<bool> live(k, false);
       for (std::size_t i = 0; i < k; ++i) {
-        readers.push_back(std::make_unique<RunReader>(efs, group[i].file,
-                                                      group[i].records, hints));
+        readers.push_back(
+            std::make_unique<RunReader>(efs, group[i].file, group[i].records));
         if (group[i].records > 0) {
           auto first = readers[i]->next();
           if (!first.is_ok()) return fail(first.status());

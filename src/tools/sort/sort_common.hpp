@@ -25,12 +25,6 @@ inline std::uint64_t record_key(std::span<const std::byte> payload) {
 struct SortTuning {
   /// c: records the local sort can hold in core (the prototype used 512).
   std::uint32_t in_core_records = 512;
-  /// Pass hints to the LFS during local merge reads.  The prototype's local
-  /// merge constant was anomalously high (§5.2 reports super-linear total
-  /// speedup because of it); disabling hints reproduces that behaviour,
-  /// enabling them is the "faster local merge" the paper says would remove
-  /// the anomaly.  Default: paper behaviour.
-  bool hints_in_local_merge = false;
   /// Fan-in of the local merge passes.  The prototype used 2-way merges;
   /// §5.2 predicts "with a faster (e.g. multi-way) local merge, this
   /// [super-linear speedup] anomaly should disappear" — raise this to test

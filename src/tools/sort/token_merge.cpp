@@ -92,7 +92,7 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
                                  static_cast<std::uint32_t>(next_local));
             if (!read.is_ok()) return read.status();
             ++next_local;
-            auto unwrapped = core::unwrap_block(read.value().data);
+            auto unwrapped = core::unwrap_block(read.value());
             if (!unwrapped.is_ok()) return unwrapped.status();
             auto payload = std::move(unwrapped.value().user_data);
             cur = {record_key(payload), std::move(payload)};
@@ -233,7 +233,7 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
               auto write = efs.write(dst.lfs_file_id,
                                      static_cast<std::uint32_t>(next_local),
                                      wrapped.value());
-              if (!write.is_ok()) return fail(write.status());
+              if (!write.is_ok()) return fail(write);
               ++next_local;
               ++result.records;
             }

@@ -32,6 +32,14 @@ std::vector<std::byte> Reader::bytes() {
   return {span.begin(), span.end()};
 }
 
+std::uint32_t Reader::count(std::size_t min_elem_bytes) {
+  std::uint32_t n = u32();
+  if (static_cast<std::uint64_t>(n) * min_elem_bytes > remaining()) {
+    throw StatusError(corrupt("serde: element count exceeds payload"));
+  }
+  return n;
+}
+
 std::string Reader::str() {
   std::uint32_t n = u32();
   auto span = take(n);

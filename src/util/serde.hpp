@@ -78,6 +78,11 @@ class Reader {
   /// Raw bytes with no length prefix.
   std::span<const std::byte> raw(std::size_t n) { return take(n); }
 
+  /// Element count (u32) of a vector whose every element encodes to at
+  /// least `min_elem_bytes`.  A count the rest of the payload cannot hold
+  /// throws kCorrupt before the caller reserves memory for it.
+  std::uint32_t count(std::size_t min_elem_bytes);
+
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
   }

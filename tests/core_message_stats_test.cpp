@@ -70,19 +70,18 @@ TEST(MessageStats, VectoredOpsAccountExactBytes) {
 
     // Remote leg: the run grows the file across both LFSs, so the bridge
     // first runs the concurrent kInfo preflight (2 requests + 2 replies),
-    // then one kWriteMany per LFS (2 requests + 2 WriteResponse replies).
+    // then one kWriteMany per LFS (2 requests + 2 bare-status replies).
     EXPECT_EQ(wd.remote_messages, 8u);
     efs::InfoRequest info_req{};
     efs::InfoResponse info_resp{};
     efs::WriteManyRequest wm;
-    wm.block_nos.assign(4, 0);
-    wm.blocks.assign(4, std::vector<std::byte>(efs::kEfsDataBytes));
-    efs::WriteResponse wm_resp{};
+    wm.writes.assign(
+        4, efs::BlockWrite{0, std::vector<std::byte>(efs::kEfsDataBytes)});
     EXPECT_EQ(wd.remote_bytes,
               2 * wire_size(util::encode_to_bytes(info_req)) +
                   2 * reply_wire_size(util::encode_to_bytes(info_resp)) +
                   2 * wire_size(util::encode_to_bytes(wm)) +
-                  2 * reply_wire_size(util::encode_to_bytes(wm_resp)));
+                  2 * reply_wire_size({}));
 
     // Now the vectored read of the same 8 blocks through a fresh session.
     auto reopen = client.open("f");
@@ -113,6 +112,66 @@ TEST(MessageStats, VectoredOpsAccountExactBytes) {
   });
   inst.run();
   EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
+// Encoded body sizes of the naive view (one block per LFS message), pinned
+// by hand rather than re-derived from the structs, so a field added to the
+// wire or a run of one growing past the retired single-block ops fails
+// here.  The retired ops were kRead (file_id, block_no, hint: 12 B; reply
+// addr + length-prefixed block), kWrite (file_id, block_no, hint, block;
+// reply addr: 4 B) and an Info reply of (size, head, free: 12 B).  A run of
+// one spends the hint's 4 bytes on the count, and the deleted reply
+// addresses and Info head shrink their messages by 4 bytes each.
+constexpr std::size_t kBlockBytes = 4 + efs::kEfsDataBytes;  // length + data
+constexpr std::size_t kReadOneRequestBytes = 12;
+constexpr std::size_t kReadOneReplyBytes = 4 + kBlockBytes;
+constexpr std::size_t kWriteOneRequestBytes = 12 + kBlockBytes;
+constexpr std::size_t kWriteOneReplyBytes = 4 - 4;
+constexpr std::size_t kInfoReplyBytes = 12 - 4;
+
+TEST(MessageStats, NaiveViewWireSizesArePinned) {
+  efs::ReadManyRequest read_req{7, {3}};
+  EXPECT_EQ(util::encode_to_bytes(read_req).size(), kReadOneRequestBytes);
+  efs::ReadManyResponse read_resp;
+  read_resp.blocks.emplace_back(efs::kEfsDataBytes);
+  EXPECT_EQ(util::encode_to_bytes(read_resp).size(), kReadOneReplyBytes);
+  efs::WriteManyRequest write_req{7, {}};
+  write_req.writes.push_back({3, std::vector<std::byte>(efs::kEfsDataBytes)});
+  EXPECT_EQ(util::encode_to_bytes(write_req).size(), kWriteOneRequestBytes);
+  efs::InfoResponse info{};
+  EXPECT_EQ(util::encode_to_bytes(info).size(), kInfoReplyBytes);
+
+  // The same sizes on the modeled wire: a single-block append to and read
+  // from a one-LFS file is one request and one reply per leg.
+  BridgeInstance inst(SystemConfig::paper_profile(2, 256));
+  inst.start();
+  sim::Runtime& rt = inst.runtime();
+  rt.spawn(inst.bridge_address().node, "c", [&](sim::Context& ctx) {
+    BridgeClient client(ctx, inst.bridge_address());
+    CreateOptions options;
+    options.width = 1;
+    auto id = client.create("f", options);
+    ASSERT_TRUE(id.is_ok());
+    auto open = client.open("f");
+    ASSERT_TRUE(open.is_ok());
+
+    sim::MessageStats before = rt.message_stats();
+    ASSERT_TRUE(client.seq_write(open.value().session, record(1)).is_ok());
+    sim::MessageStats wd = rt.message_stats() - before;
+    EXPECT_EQ(wd.remote_messages, 2u);
+    EXPECT_EQ(wd.remote_bytes,
+              kWriteOneRequestBytes + sim::kEnvelopeOverheadBytes +
+                  reply_wire_size(std::vector<std::byte>(kWriteOneReplyBytes)));
+
+    before = rt.message_stats();
+    ASSERT_TRUE(client.random_read(id.value(), 0).is_ok());
+    sim::MessageStats rd = rt.message_stats() - before;
+    EXPECT_EQ(rd.remote_messages, 2u);
+    EXPECT_EQ(rd.remote_bytes,
+              kReadOneRequestBytes + sim::kEnvelopeOverheadBytes +
+                  reply_wire_size(std::vector<std::byte>(kReadOneReplyBytes)));
+  });
+  inst.run();
 }
 
 TEST(MessageStats, DeltaAndResetHelpers) {

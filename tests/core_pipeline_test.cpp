@@ -570,7 +570,7 @@ TEST(Pipeline, StreamMoveWriteRoundTrips) {
 
 TEST(Pipeline, EfsVectoredOpsRoundTrip) {
   // Tool-view coverage of the LFS-level vectored ops themselves: scrambled
-  // order, hint chaining, and the out-of-space preflight.
+  // order, a gap inside a run, and the out-of-space preflight.
   BridgeInstance inst(test_config(2, /*blocks=*/24));
   inst.run_client("tool", [&](sim::Context&, BridgeClient& client) {
     auto info = client.get_info();
@@ -578,36 +578,34 @@ TEST(Pipeline, EfsVectoredOpsRoundTrip) {
     efs::EfsClient lfs(client.rpc(), info.value().lfs_services[0]);
     ASSERT_TRUE(lfs.create(77).is_ok());
     // Vectored append of 6 blocks in one call.
-    std::vector<std::uint32_t> nos{0, 1, 2, 3, 4, 5};
-    std::vector<std::vector<std::byte>> blocks;
+    std::vector<efs::BlockWrite> blocks;
     for (std::uint32_t i = 0; i < 6; ++i) {
-      blocks.emplace_back(efs::kEfsDataBytes,
-                          std::byte(static_cast<std::uint8_t>(i)));
+      blocks.push_back({i, std::vector<std::byte>(
+                               efs::kEfsDataBytes,
+                               std::byte(static_cast<std::uint8_t>(i)))});
     }
-    auto w = lfs.write_many(77, nos, blocks);
-    ASSERT_TRUE(w.is_ok());
+    ASSERT_TRUE(lfs.write_many(77, blocks).is_ok());
     // Read them back in scrambled order: request order is preserved.
     std::vector<std::uint32_t> scrambled{4, 0, 5, 2, 1, 3};
     auto r = lfs.read_many(77, scrambled);
     ASSERT_TRUE(r.is_ok());
-    ASSERT_EQ(r.value().blocks.size(), 6u);
+    ASSERT_EQ(r.value().size(), 6u);
     for (std::size_t j = 0; j < scrambled.size(); ++j) {
-      EXPECT_EQ(r.value().blocks[j][0],
+      EXPECT_EQ(r.value()[j][0],
                 std::byte(static_cast<std::uint8_t>(scrambled[j])));
     }
-    // Mismatched lengths are rejected.
-    EXPECT_EQ(lfs.write_many(77, {6, 7}, {blocks[0]}).status().code(),
+    // A run that would leave a gap is rejected.
+    EXPECT_EQ(lfs.write_many(77, {{7, blocks[0].data}, {8, blocks[0].data}})
+                  .code(),
               util::ErrorCode::kInvalidArgument);
     // A vectored append beyond the free space fails whole: nothing written.
     std::uint64_t appends_before = inst.lfs(0).core().op_stats().appends;
-    std::vector<std::uint32_t> big_nos;
-    std::vector<std::vector<std::byte>> big_blocks;
+    std::vector<efs::BlockWrite> big;
     for (std::uint32_t i = 0; i < 40; ++i) {
-      big_nos.push_back(6 + i);
-      big_blocks.emplace_back(efs::kEfsDataBytes, std::byte{0x42});
+      big.push_back(
+          {6 + i, std::vector<std::byte>(efs::kEfsDataBytes, std::byte{0x42})});
     }
-    EXPECT_EQ(lfs.write_many(77, big_nos, big_blocks).status().code(),
-              util::ErrorCode::kOutOfSpace);
+    EXPECT_EQ(lfs.write_many(77, big).code(), util::ErrorCode::kOutOfSpace);
     EXPECT_EQ(inst.lfs(0).core().op_stats().appends, appends_before);
     auto after = lfs.info(77);
     ASSERT_TRUE(after.is_ok());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/instance.hpp"
+#include "src/efs/client.hpp"
 
 namespace bridge::core {
 namespace {
@@ -55,14 +56,77 @@ TEST(ProtocolRobustness, EfsServerSurvivesGarbage) {
                        [&](sim::Context& ctx) {
                          sim::RpcClient rpc(ctx);
                          std::vector<std::byte> junk(3, std::byte{0x77});
-                         for (std::uint32_t type = 0x100; type <= 0x105; ++type) {
+                         for (std::uint32_t type = 0x100; type <= 0x108; ++type) {
                            (void)rpc.call(lfs, type, junk);  // fuzzing: any non-crash reply (incl. errors) is a pass
+                         }
+                         // The retired single-block read/write types are
+                         // unknown now, not aliases of the vectored ops.
+                         for (std::uint32_t type : {0x103u, 0x104u}) {
+                           auto reply = rpc.call(lfs, type, junk);
+                           EXPECT_EQ(reply.status().code(),
+                                     util::ErrorCode::kInvalidArgument)
+                               << "type " << type;
                          }
                          efs::EfsClient efs(rpc, lfs);
                          alive = efs.create(12345).is_ok();
                        });
   inst.run();
   EXPECT_TRUE(alive);
+}
+
+/// 12-byte payload: `lead_bytes` of id/session fields, then a vector count
+/// of 0xFFFFFFFF, zero-padded.  Decoding it would ask for 16-96 GiB if the
+/// count were trusted.
+std::vector<std::byte> oversized_count(std::size_t lead_bytes) {
+  util::Writer w;
+  for (std::size_t i = 0; i < lead_bytes; ++i) w.u8(1);
+  w.u32(0xFFFFFFFFu);
+  while (w.size() < 12) w.u8(0);
+  return std::move(w).take();
+}
+
+TEST(ProtocolRobustness, OversizedVectorCountsAreCorrupt) {
+  BridgeInstance inst(cfg(2));
+  inst.start();
+  sim::Address lfs = inst.lfs(0).address();
+  sim::Address bridge = inst.bridge_address();
+  bool lfs_alive = false;
+  bool bridge_alive = false;
+  inst.runtime().spawn(
+      inst.config().client_node(), "attacker", [&](sim::Context& ctx) {
+        sim::RpcClient rpc(ctx);
+        for (auto type : {efs::MsgType::kReadMany, efs::MsgType::kWriteMany}) {
+          auto reply = rpc.call(lfs, static_cast<std::uint32_t>(type),
+                                oversized_count(4));
+          EXPECT_EQ(reply.status().code(), util::ErrorCode::kCorrupt)
+              << efs::efs_msg_name(type);
+        }
+        efs::EfsClient efs(rpc, lfs);
+        lfs_alive = efs.create(4242).is_ok();
+
+        // Bridge requests whose vector count follows a u64 session, and
+        // kDeleteMany, whose count leads the payload.
+        for (auto type : {BridgeMsg::kSeqWriteMany, BridgeMsg::kParallelOpen}) {
+          auto reply = rpc.call(bridge, static_cast<std::uint32_t>(type),
+                                oversized_count(8));
+          EXPECT_EQ(reply.status().code(), util::ErrorCode::kCorrupt)
+              << static_cast<std::uint32_t>(type);
+        }
+        auto reply = rpc.call(bridge,
+                              static_cast<std::uint32_t>(BridgeMsg::kDeleteMany),
+                              oversized_count(0));
+        EXPECT_EQ(reply.status().code(), util::ErrorCode::kCorrupt);
+        BridgeClient client(ctx, bridge);
+        auto id = client.create("after");
+        bridge_alive = id.is_ok();
+        // A resolve of 0xFFFFFFFF blocks of a real file fails at EOF
+        // without reserving room for the whole range first.
+        ASSERT_TRUE(id.is_ok());
+        EXPECT_FALSE(client.resolve(id.value(), 0, 0xFFFFFFFFu).is_ok());
+      });
+  inst.run();
+  EXPECT_TRUE(lfs_alive);
+  EXPECT_TRUE(bridge_alive);
 }
 
 TEST(ProtocolRobustness, SessionOutlivesFileDeletionGracefully) {

@@ -149,11 +149,11 @@ TEST(Allocator, InvariantsHoldAfterEveryOperation) {
       } else if (!sizes.empty()) {
         auto it = sizes.begin();
         std::advance(it, static_cast<long>(rng.next_below(sizes.size())));
-        auto w = fs.write(ctx, it->first, it->second, payload, kNilAddr);
+        auto w = fs.write(ctx, it->first, it->second, payload);
         if (w.is_ok()) {
           ++it->second;
         } else {
-          ASSERT_EQ(w.status().code(), util::ErrorCode::kOutOfSpace);
+          ASSERT_EQ(w.code(), util::ErrorCode::kOutOfSpace);
         }
       }
       ASSERT_TRUE(fs.verify_invariants().is_ok()) << "after op " << op;
@@ -183,7 +183,7 @@ TEST(Allocator, PreflightPredictsTheExactOutOfSpaceBoundary) {
 
     std::uint32_t written = 0;
     for (std::uint32_t i = 0; i < free; ++i) {
-      if (!fs.write(ctx, 1, i, payload, kNilAddr).is_ok()) break;
+      if (!fs.write(ctx, 1, i, payload).is_ok()) break;
       ++written;
     }
     EXPECT_EQ(written, free - 1);
@@ -221,13 +221,13 @@ std::string traced_alloc_run() {
     for (FileId f = 1; f <= 3; ++f) {
       ASSERT_TRUE(fs.create(ctx, f).is_ok());
       for (std::uint32_t i = 0; i < 20; ++i) {
-        ASSERT_TRUE(fs.write(ctx, f, i, payload, kNilAddr).is_ok());
+        ASSERT_TRUE(fs.write(ctx, f, i, payload).is_ok());
       }
     }
     ASSERT_TRUE(fs.truncate(ctx, 2, 7).is_ok());
     ASSERT_TRUE(fs.remove(ctx, 1).is_ok());
     for (std::uint32_t i = 0; i < 20; ++i) {
-      ASSERT_TRUE(fs.read(ctx, 3, i, kNilAddr).is_ok());
+      ASSERT_TRUE(fs.read(ctx, 3, i).is_ok());
     }
     ASSERT_TRUE(fs.sync(ctx).is_ok());
   });

@@ -39,12 +39,12 @@ void with_efs(std::function<void(sim::Context&, EfsCore&)> body,
 TEST(EfsCore, CreateWriteReadRoundTrip) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 42).is_ok());
-    auto w = efs.write(ctx, 42, 0, payload(1), kNilAddr);
+    auto w = efs.write(ctx, 42, 0, payload(1));
     ASSERT_TRUE(w.is_ok());
-    auto r = efs.read(ctx, 42, 0, kNilAddr);
+    auto r = efs.read(ctx, 42, 0);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(1));
-    EXPECT_EQ(r.value().addr, w.value());
+    EXPECT_EQ(r.value(), payload(1));
+    EXPECT_NE(efs.peek_block_addr(42, 0), kNilAddr);
   });
 }
 
@@ -52,15 +52,15 @@ TEST(EfsCore, SequentialAppendBuildsContiguousExtents) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 7).is_ok());
     for (std::uint32_t i = 0; i < 20; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 7, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 7, i, payload(i)).is_ok());
     }
     auto info = efs.info(ctx, 7);
     ASSERT_TRUE(info.is_ok());
     EXPECT_EQ(info.value().size_blocks, 20u);
     for (std::uint32_t i = 0; i < 20; ++i) {
-      auto r = efs.read(ctx, 7, i, kNilAddr);
+      auto r = efs.read(ctx, 7, i);
       ASSERT_TRUE(r.is_ok()) << "block " << i;
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
     // An uncontended sequential append never starts a second extent: the
     // file is one physically contiguous run.
@@ -76,12 +76,12 @@ TEST(EfsCore, OverwriteReplacesDataPreservingExtents) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 3).is_ok());
     for (std::uint32_t i = 0; i < 5; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 3, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 3, i, payload(i)).is_ok());
     }
-    ASSERT_TRUE(efs.write(ctx, 3, 2, payload(99), kNilAddr).is_ok());
-    auto r = efs.read(ctx, 3, 2, kNilAddr);
+    ASSERT_TRUE(efs.write(ctx, 3, 2, payload(99)).is_ok());
+    auto r = efs.read(ctx, 3, 2);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(99));
+    EXPECT_EQ(r.value(), payload(99));
     auto info = efs.info(ctx, 3);
     EXPECT_EQ(info.value().size_blocks, 5u);  // no growth
     EXPECT_TRUE(efs.verify_integrity().is_ok());
@@ -91,7 +91,7 @@ TEST(EfsCore, OverwriteReplacesDataPreservingExtents) {
 TEST(EfsCore, GapWriteRejected) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 1).is_ok());
-    EXPECT_EQ(efs.write(ctx, 1, 5, payload(0), kNilAddr).status().code(),
+    EXPECT_EQ(efs.write(ctx, 1, 5, payload(0)).code(),
               util::ErrorCode::kInvalidArgument);
   });
 }
@@ -99,15 +99,15 @@ TEST(EfsCore, GapWriteRejected) {
 TEST(EfsCore, ReadPastEofRejected) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 1).is_ok());
-    ASSERT_TRUE(efs.write(ctx, 1, 0, payload(0), kNilAddr).is_ok());
-    EXPECT_EQ(efs.read(ctx, 1, 1, kNilAddr).status().code(),
+    ASSERT_TRUE(efs.write(ctx, 1, 0, payload(0)).is_ok());
+    EXPECT_EQ(efs.read(ctx, 1, 1).status().code(),
               util::ErrorCode::kInvalidArgument);
   });
 }
 
 TEST(EfsCore, MissingFileIsNotFound) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
-    EXPECT_EQ(efs.read(ctx, 9, 0, kNilAddr).status().code(),
+    EXPECT_EQ(efs.read(ctx, 9, 0).status().code(),
               util::ErrorCode::kNotFound);
     EXPECT_EQ(efs.info(ctx, 9).status().code(), util::ErrorCode::kNotFound);
     EXPECT_EQ(efs.remove(ctx, 9).code(), util::ErrorCode::kNotFound);
@@ -132,7 +132,7 @@ TEST(EfsCore, DeleteFreesEveryBlock) {
     std::size_t free_before = efs.free_block_count();
     ASSERT_TRUE(efs.create(ctx, 11).is_ok());
     for (std::uint32_t i = 0; i < 30; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 11, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 11, i, payload(i)).is_ok());
     }
     // 30 data blocks plus the file's one extent-table block.
     EXPECT_EQ(efs.free_block_count(), free_before - 31);
@@ -147,16 +147,16 @@ TEST(EfsCore, DeletedBlocksAreReusable) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 1).is_ok());
     for (std::uint32_t i = 0; i < 10; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 1, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 1, i, payload(i)).is_ok());
     }
     ASSERT_TRUE(efs.remove(ctx, 1).is_ok());
     ASSERT_TRUE(efs.create(ctx, 2).is_ok());
     for (std::uint32_t i = 0; i < 10; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 2, i, payload(100 + i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 2, i, payload(100 + i)).is_ok());
     }
-    auto r = efs.read(ctx, 2, 9, kNilAddr);
+    auto r = efs.read(ctx, 2, 9);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(109));
+    EXPECT_EQ(r.value(), payload(109));
     EXPECT_TRUE(efs.verify_integrity().is_ok());
   });
 }
@@ -169,9 +169,9 @@ TEST(EfsCore, OutOfSpaceSurfaces) {
         ASSERT_TRUE(efs.create(ctx, 1).is_ok());
         std::uint32_t written = 0;
         while (true) {
-          auto w = efs.write(ctx, 1, written, payload(written), kNilAddr);
+          auto w = efs.write(ctx, 1, written, payload(written));
           if (!w.is_ok()) {
-            EXPECT_EQ(w.status().code(), util::ErrorCode::kOutOfSpace);
+            EXPECT_EQ(w.code(), util::ErrorCode::kOutOfSpace);
             break;
           }
           ++written;
@@ -185,15 +185,16 @@ TEST(EfsCore, OutOfSpaceSurfaces) {
 
 TEST(EfsCore, ExtentLookupsStayFlatWithoutHints) {
   // The chain era needed client hints to keep sequential reads O(1); the
-  // extent map answers every lookup in one binary search regardless.
+  // extent map answers every lookup in one binary search, and requests
+  // carry no hint at all.
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 4).is_ok());
     for (std::uint32_t i = 0; i < 200; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 4, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 4, i, payload(i)).is_ok());
     }
     std::uint64_t lookups_before = efs.op_stats().extent_lookups;
     for (std::uint32_t i = 0; i < 200; ++i) {
-      auto r = efs.read(ctx, 4, i, kNilAddr);
+      auto r = efs.read(ctx, 4, i);
       ASSERT_TRUE(r.is_ok());
     }
     // Exactly one map lookup per read — no walking, no hint dependence.
@@ -205,30 +206,15 @@ TEST(EfsCore, RandomReadCostsOneLookupNotAWalk) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 4).is_ok());
     for (std::uint32_t i = 0; i < 100; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 4, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 4, i, payload(i)).is_ok());
     }
     std::uint64_t lookups_before = efs.op_stats().extent_lookups;
     // Deep into the file: the chain era walked ~97 pointer blocks to get
     // here without a hint; the extent map resolves it in one lookup.
-    auto r = efs.read(ctx, 4, 97, kNilAddr);
+    auto r = efs.read(ctx, 4, 97);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(97));
+    EXPECT_EQ(r.value(), payload(97));
     EXPECT_EQ(efs.op_stats().extent_lookups - lookups_before, 1u);
-  });
-}
-
-TEST(EfsCore, StaleHintFromWrongFileIsHarmless) {
-  with_efs([](sim::Context& ctx, EfsCore& efs) {
-    ASSERT_TRUE(efs.create(ctx, 1).is_ok());
-    ASSERT_TRUE(efs.create(ctx, 2).is_ok());
-    ASSERT_TRUE(efs.write(ctx, 1, 0, payload(1), kNilAddr).is_ok());
-    auto w2 = efs.write(ctx, 2, 0, payload(2), kNilAddr);
-    ASSERT_TRUE(w2.is_ok());
-    // Hints remain on the wire for protocol compatibility but are ignored:
-    // a hint pointing into another file cannot misdirect the lookup.
-    auto r = efs.read(ctx, 1, 0, w2.value());
-    ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(1));
   });
 }
 
@@ -239,7 +225,7 @@ TEST(EfsCore, DeleteCostIsFlatInFileSize) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 1).is_ok());
     for (std::uint32_t i = 0; i < 60; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 1, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 1, i, payload(i)).is_ok());
     }
     auto before = ctx.now();
     ASSERT_TRUE(efs.remove(ctx, 1).is_ok());
@@ -258,7 +244,7 @@ TEST(EfsCore, DirtyMountRebuildsBitmapFromExtentTables) {
   rt.spawn(0, "t", [&](sim::Context& ctx) {
     ASSERT_TRUE(efs.create(ctx, 5).is_ok());
     for (std::uint32_t i = 0; i < 17; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 5, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 5, i, payload(i)).is_ok());
     }
     // No sync: the superblock stays dirty.
   });
@@ -287,14 +273,14 @@ TEST(EfsCore, ManyFilesStayDisjoint) {
     }
     for (std::uint32_t i = 0; i < 15; ++i) {
       for (FileId f = 1; f <= 12; ++f) {
-        ASSERT_TRUE(efs.write(ctx, f, i, payload(f * 1000 + i), kNilAddr).is_ok());
+        ASSERT_TRUE(efs.write(ctx, f, i, payload(f * 1000 + i)).is_ok());
       }
     }
     for (FileId f = 1; f <= 12; ++f) {
       for (std::uint32_t i = 0; i < 15; ++i) {
-        auto r = efs.read(ctx, f, i, kNilAddr);
+        auto r = efs.read(ctx, f, i);
         ASSERT_TRUE(r.is_ok());
-        EXPECT_EQ(r.value().data, payload(f * 1000 + i));
+        EXPECT_EQ(r.value(), payload(f * 1000 + i));
       }
     }
     EXPECT_EQ(efs.file_count(), 12u);
@@ -310,7 +296,7 @@ TEST(EfsCore, SyncThenRemountPreservesEverything) {
   rt.spawn(0, "t", [&](sim::Context& ctx) {
     ASSERT_TRUE(efs.create(ctx, 21).is_ok());
     for (std::uint32_t i = 0; i < 25; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 21, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 21, i, payload(i)).is_ok());
     }
     ASSERT_TRUE(efs.sync(ctx).is_ok());
   });
@@ -327,9 +313,9 @@ TEST(EfsCore, SyncThenRemountPreservesEverything) {
     ASSERT_TRUE(info.is_ok());
     EXPECT_EQ(info.value().size_blocks, 25u);
     for (std::uint32_t i = 0; i < 25; ++i) {
-      auto r = efs2.read(ctx, 21, i, kNilAddr);
+      auto r = efs2.read(ctx, 21, i);
       ASSERT_TRUE(r.is_ok());
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
   });
   rt2.run();
@@ -340,7 +326,7 @@ TEST(EfsCore, WrongPayloadSizeRejected) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 1).is_ok());
     std::vector<std::byte> bad(100);
-    EXPECT_EQ(efs.write(ctx, 1, 0, bad, kNilAddr).status().code(),
+    EXPECT_EQ(efs.write(ctx, 1, 0, bad).code(),
               util::ErrorCode::kInvalidArgument);
   });
 }
@@ -352,11 +338,11 @@ TEST(EfsCore, AppendCostMatchesPaperWriteRegime) {
     ASSERT_TRUE(efs.create(ctx, 8).is_ok());
     // Warm up.
     for (std::uint32_t i = 0; i < 64; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 8, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 8, i, payload(i)).is_ok());
     }
     auto before = ctx.now();
     for (std::uint32_t i = 64; i < 192; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 8, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 8, i, payload(i)).is_ok());
     }
     double per_write_ms = (ctx.now() - before).ms() / 128.0;
     EXPECT_GT(per_write_ms, 15.0);
@@ -372,22 +358,14 @@ TEST(EfsCore, WriteRunCoalescesTrackFlushes) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 8).is_ok());
     // Warm up past the allocation of the directory-adjacent tracks.
-    std::vector<std::uint32_t> warm_nos;
-    std::vector<std::vector<std::byte>> warm_blocks;
-    for (std::uint32_t i = 0; i < 64; ++i) {
-      warm_nos.push_back(i);
-      warm_blocks.push_back(payload(i));
-    }
-    ASSERT_TRUE(efs.write_run(ctx, 8, warm_nos, warm_blocks, kNilAddr).is_ok());
+    std::vector<BlockWrite> warm;
+    for (std::uint32_t i = 0; i < 64; ++i) warm.push_back({i, payload(i)});
+    ASSERT_TRUE(efs.write_run(ctx, 8, warm).is_ok());
 
-    std::vector<std::uint32_t> nos;
-    std::vector<std::vector<std::byte>> blocks;
-    for (std::uint32_t i = 64; i < 192; ++i) {
-      nos.push_back(i);
-      blocks.push_back(payload(i));
-    }
+    std::vector<BlockWrite> writes;
+    for (std::uint32_t i = 64; i < 192; ++i) writes.push_back({i, payload(i)});
     auto before = ctx.now();
-    auto run = efs.write_run(ctx, 8, nos, blocks, kNilAddr);
+    auto run = efs.write_run(ctx, 8, writes);
     ASSERT_TRUE(run.is_ok());
     double per_write_ms = (ctx.now() - before).ms() / 128.0;
     // One 15ms positioning per 4-block track plus transfers: well under the
@@ -396,9 +374,9 @@ TEST(EfsCore, WriteRunCoalescesTrackFlushes) {
     EXPECT_GT(efs.cache_stats().coalesced_flush_blocks, 0u);
 
     for (std::uint32_t i = 0; i < 192; ++i) {
-      auto r = efs.read(ctx, 8, i, kNilAddr);
+      auto r = efs.read(ctx, 8, i);
       ASSERT_TRUE(r.is_ok()) << "block " << i;
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
     EXPECT_TRUE(efs.verify_integrity().is_ok());
   });
@@ -411,24 +389,22 @@ TEST(EfsCore, WriteRunAndPerBlockWritesProduceIdenticalBlocks) {
   auto collect = [&](bool vectored, std::vector<std::vector<std::byte>>& out) {
     with_efs([&](sim::Context& ctx, EfsCore& efs) {
       ASSERT_TRUE(efs.create(ctx, 4).is_ok());
-      std::vector<std::uint32_t> nos;
-      std::vector<std::vector<std::byte>> blocks;
+      std::vector<BlockWrite> writes;
       for (std::uint32_t i = 0; i < 23; ++i) {
-        nos.push_back(i);
-        blocks.push_back(payload(200 + i));
+        writes.push_back({i, payload(200 + i)});
       }
       if (vectored) {
-        ASSERT_TRUE(efs.write_run(ctx, 4, nos, blocks, kNilAddr).is_ok());
+        ASSERT_TRUE(efs.write_run(ctx, 4, writes).is_ok());
       } else {
-        for (std::uint32_t i = 0; i < 23; ++i) {
-          ASSERT_TRUE(efs.write(ctx, 4, i, blocks[i], kNilAddr).is_ok());
+        for (const auto& w : writes) {
+          ASSERT_TRUE(efs.write(ctx, 4, w.block_no, w.data).is_ok());
         }
       }
       ASSERT_TRUE(efs.sync(ctx).is_ok());
       for (std::uint32_t i = 0; i < 23; ++i) {
-        auto r = efs.read(ctx, 4, i, kNilAddr);
+        auto r = efs.read(ctx, 4, i);
         ASSERT_TRUE(r.is_ok());
-        out.push_back(r.value().data);
+        out.push_back(r.value());
       }
       EXPECT_TRUE(efs.verify_integrity().is_ok());
     });
@@ -444,14 +420,11 @@ TEST(EfsCore, SequentialReadCostBeatsDiskLatency) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 8).is_ok());
     for (std::uint32_t i = 0; i < 256; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 8, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 8, i, payload(i)).is_ok());
     }
     auto before = ctx.now();
-    BlockAddr hint = kNilAddr;
     for (std::uint32_t i = 0; i < 256; ++i) {
-      auto r = efs.read(ctx, 8, i, hint);
-      ASSERT_TRUE(r.is_ok());
-      hint = r.value().addr;
+      ASSERT_TRUE(efs.read(ctx, 8, i).is_ok());
     }
     double per_read_ms = (ctx.now() - before).ms() / 256.0;
     EXPECT_LT(per_read_ms, 15.0);
@@ -464,7 +437,7 @@ TEST(EfsCore, TruncateFreesTailAndKeepsPrefix) {
     ASSERT_TRUE(efs.create(ctx, 11).is_ok());
     std::size_t free_before = efs.free_block_count();
     for (std::uint32_t i = 0; i < 12; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 11, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 11, i, payload(i)).is_ok());
     }
     ASSERT_TRUE(efs.truncate(ctx, 11, 5).is_ok());
     auto info = efs.info(ctx, 11);
@@ -473,11 +446,11 @@ TEST(EfsCore, TruncateFreesTailAndKeepsPrefix) {
     // 5 surviving data blocks plus the file's extent-table block.
     EXPECT_EQ(efs.free_block_count(), free_before - 6);
     for (std::uint32_t i = 0; i < 5; ++i) {
-      auto r = efs.read(ctx, 11, i, kNilAddr);
+      auto r = efs.read(ctx, 11, i);
       ASSERT_TRUE(r.is_ok()) << "block " << i;
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
-    EXPECT_EQ(efs.read(ctx, 11, 5, kNilAddr).status().code(),
+    EXPECT_EQ(efs.read(ctx, 11, 5).status().code(),
               util::ErrorCode::kInvalidArgument);
     EXPECT_TRUE(efs.verify_integrity().is_ok());
     EXPECT_EQ(efs.op_stats().truncates, 1u);
@@ -489,17 +462,17 @@ TEST(EfsCore, TruncateToZeroThenReappend) {
     ASSERT_TRUE(efs.create(ctx, 4).is_ok());
     std::size_t free_before = efs.free_block_count();
     for (std::uint32_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 4, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 4, i, payload(i)).is_ok());
     }
     ASSERT_TRUE(efs.truncate(ctx, 4, 0).is_ok());
     EXPECT_EQ(efs.free_block_count(), free_before);
     EXPECT_EQ(efs.info(ctx, 4).value().size_blocks, 0u);
     // The extent map must be re-growable from empty.
     for (std::uint32_t i = 0; i < 3; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 4, i, payload(40 + i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 4, i, payload(40 + i)).is_ok());
     }
     for (std::uint32_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(efs.read(ctx, 4, i, kNilAddr).value().data, payload(40 + i));
+      EXPECT_EQ(efs.read(ctx, 4, i).value(), payload(40 + i));
     }
     EXPECT_TRUE(efs.verify_integrity().is_ok());
   });
@@ -509,15 +482,15 @@ TEST(EfsCore, TruncateAfterTruncateAppendsAtBoundary) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 6).is_ok());
     for (std::uint32_t i = 0; i < 8; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 6, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 6, i, payload(i)).is_ok());
     }
     ASSERT_TRUE(efs.truncate(ctx, 6, 3).is_ok());
     // Appending at the new boundary continues the file; one past rejects.
-    EXPECT_EQ(efs.write(ctx, 6, 4, payload(0), kNilAddr).status().code(),
+    EXPECT_EQ(efs.write(ctx, 6, 4, payload(0)).code(),
               util::ErrorCode::kInvalidArgument);
-    ASSERT_TRUE(efs.write(ctx, 6, 3, payload(33), kNilAddr).is_ok());
+    ASSERT_TRUE(efs.write(ctx, 6, 3, payload(33)).is_ok());
     EXPECT_EQ(efs.info(ctx, 6).value().size_blocks, 4u);
-    EXPECT_EQ(efs.read(ctx, 6, 3, kNilAddr).value().data, payload(33));
+    EXPECT_EQ(efs.read(ctx, 6, 3).value(), payload(33));
     EXPECT_TRUE(efs.verify_integrity().is_ok());
   });
 }
@@ -526,7 +499,7 @@ TEST(EfsCore, TruncateErrors) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     EXPECT_EQ(efs.truncate(ctx, 9, 0).code(), util::ErrorCode::kNotFound);
     ASSERT_TRUE(efs.create(ctx, 9).is_ok());
-    ASSERT_TRUE(efs.write(ctx, 9, 0, payload(0), kNilAddr).is_ok());
+    ASSERT_TRUE(efs.write(ctx, 9, 0, payload(0)).is_ok());
     // Growing is not truncation.
     EXPECT_EQ(efs.truncate(ctx, 9, 2).code(),
               util::ErrorCode::kInvalidArgument);
@@ -544,7 +517,7 @@ TEST(EfsCore, TruncatePersistsAcrossRemount) {
   rt.spawn(0, "t", [&](sim::Context& ctx) {
     ASSERT_TRUE(efs.create(ctx, 2).is_ok());
     for (std::uint32_t i = 0; i < 9; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 2, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 2, i, payload(i)).is_ok());
     }
     ASSERT_TRUE(efs.truncate(ctx, 2, 4).is_ok());
     ASSERT_TRUE(efs.sync(ctx).is_ok());
@@ -557,7 +530,7 @@ TEST(EfsCore, TruncatePersistsAcrossRemount) {
   rt2.spawn(0, "t2", [&](sim::Context& ctx) {
     EXPECT_EQ(efs2.info(ctx, 2).value().size_blocks, 4u);
     for (std::uint32_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(efs2.read(ctx, 2, i, kNilAddr).value().data, payload(i));
+      EXPECT_EQ(efs2.read(ctx, 2, i).value(), payload(i));
     }
   });
   rt2.run();
@@ -572,14 +545,14 @@ TEST(EfsCore, AdaptiveReadaheadDeepensWithRunLength) {
       [](sim::Context& ctx, EfsCore& efs) {
         ASSERT_TRUE(efs.create(ctx, 1).is_ok());
         for (std::uint32_t i = 0; i < 24; ++i) {
-          ASSERT_TRUE(efs.write(ctx, 1, i, payload(i), kNilAddr).is_ok());
+          ASSERT_TRUE(efs.write(ctx, 1, i, payload(i)).is_ok());
         }
         // Sequential scan: depth starts at 1 and deepens one track per
         // blocks_per_track (=4) of observed run, clamping at max_tracks.
-        EXPECT_EQ(efs.read(ctx, 1, 0, kNilAddr).is_ok(), true);
+        EXPECT_EQ(efs.read(ctx, 1, 0).is_ok(), true);
         EXPECT_EQ(efs.op_stats().last_readahead_depth, 1u);
         for (std::uint32_t i = 1; i < 24; ++i) {
-          ASSERT_TRUE(efs.read(ctx, 1, i, kNilAddr).is_ok());
+          ASSERT_TRUE(efs.read(ctx, 1, i).is_ok());
         }
         // run_len at block 23 is 23: min(1 + 23/4, 4) = 4.
         EXPECT_EQ(efs.op_stats().last_readahead_depth, 4u);
@@ -596,19 +569,19 @@ TEST(EfsCore, RandomAccessShutsReadaheadOff) {
       [](sim::Context& ctx, EfsCore& efs) {
         ASSERT_TRUE(efs.create(ctx, 1).is_ok());
         for (std::uint32_t i = 0; i < 32; ++i) {
-          ASSERT_TRUE(efs.write(ctx, 1, i, payload(i), kNilAddr).is_ok());
+          ASSERT_TRUE(efs.write(ctx, 1, i, payload(i)).is_ok());
         }
         // A hostile stride: every read breaks the sequential prediction.
         const std::uint32_t jumps[] = {20, 4, 28, 12, 24, 8};
         for (std::uint32_t b : jumps) {
-          ASSERT_TRUE(efs.read(ctx, 1, b, kNilAddr).is_ok());
+          ASSERT_TRUE(efs.read(ctx, 1, b).is_ok());
         }
         // After random_cutoff misses the detector calls the file random and
         // drops to single-block fetches (depth 0).
         EXPECT_EQ(efs.op_stats().last_readahead_depth, 0u);
         // Resuming a sequential run re-arms it.
-        ASSERT_TRUE(efs.read(ctx, 1, 9, kNilAddr).is_ok());
-        ASSERT_TRUE(efs.read(ctx, 1, 10, kNilAddr).is_ok());
+        ASSERT_TRUE(efs.read(ctx, 1, 9).is_ok());
+        ASSERT_TRUE(efs.read(ctx, 1, 10).is_ok());
         EXPECT_GE(efs.op_stats().last_readahead_depth, 1u);
       },
       cfg);
@@ -618,10 +591,10 @@ TEST(EfsCore, AdaptiveOffKeepsSeedReadahead) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 1).is_ok());
     for (std::uint32_t i = 0; i < 16; ++i) {
-      ASSERT_TRUE(efs.write(ctx, 1, i, payload(i), kNilAddr).is_ok());
+      ASSERT_TRUE(efs.write(ctx, 1, i, payload(i)).is_ok());
     }
     for (std::uint32_t i = 0; i < 16; ++i) {
-      ASSERT_TRUE(efs.read(ctx, 1, i, kNilAddr).is_ok());
+      ASSERT_TRUE(efs.read(ctx, 1, i).is_ok());
     }
     EXPECT_EQ(efs.op_stats().last_readahead_depth, 1u);
     EXPECT_EQ(efs.op_stats().deep_readahead_tracks, 0u);

@@ -37,12 +37,12 @@ TEST(EfsDirectory, CollidingIdsCoexist) {
     ASSERT_TRUE(fs.create(ctx, a).is_ok());
     ASSERT_TRUE(fs.create(ctx, b).is_ok());
     ASSERT_TRUE(fs.create(ctx, c).is_ok());
-    ASSERT_TRUE(fs.write(ctx, a, 0, payload(1), disk::kNilAddr).is_ok());
-    ASSERT_TRUE(fs.write(ctx, b, 0, payload(2), disk::kNilAddr).is_ok());
-    ASSERT_TRUE(fs.write(ctx, c, 0, payload(3), disk::kNilAddr).is_ok());
-    EXPECT_EQ(fs.read(ctx, a, 0, disk::kNilAddr).value().data, payload(1));
-    EXPECT_EQ(fs.read(ctx, b, 0, disk::kNilAddr).value().data, payload(2));
-    EXPECT_EQ(fs.read(ctx, c, 0, disk::kNilAddr).value().data, payload(3));
+    ASSERT_TRUE(fs.write(ctx, a, 0, payload(1)).is_ok());
+    ASSERT_TRUE(fs.write(ctx, b, 0, payload(2)).is_ok());
+    ASSERT_TRUE(fs.write(ctx, c, 0, payload(3)).is_ok());
+    EXPECT_EQ(fs.read(ctx, a, 0).value(), payload(1));
+    EXPECT_EQ(fs.read(ctx, b, 0).value(), payload(2));
+    EXPECT_EQ(fs.read(ctx, c, 0).value(), payload(3));
   });
   rt.run();
   EXPECT_TRUE(fs.verify_integrity().is_ok());
@@ -58,12 +58,12 @@ TEST(EfsDirectory, DeleteInMiddleOfProbeChainKeepsLaterEntriesFindable) {
     ASSERT_TRUE(fs.create(ctx, a).is_ok());
     ASSERT_TRUE(fs.create(ctx, b).is_ok());
     ASSERT_TRUE(fs.create(ctx, c).is_ok());
-    ASSERT_TRUE(fs.write(ctx, c, 0, payload(3), disk::kNilAddr).is_ok());
+    ASSERT_TRUE(fs.write(ctx, c, 0, payload(3)).is_ok());
     // Deleting b leaves a tombstone; c (probed past b's slot) must survive.
     ASSERT_TRUE(fs.remove(ctx, b).is_ok());
-    auto r = fs.read(ctx, c, 0, disk::kNilAddr);
+    auto r = fs.read(ctx, c, 0);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(3));
+    EXPECT_EQ(r.value(), payload(3));
     // And b's slot is reusable.
     ASSERT_TRUE(fs.create(ctx, b).is_ok());
     EXPECT_EQ(fs.file_count(), 3u);
@@ -83,7 +83,7 @@ TEST(EfsDirectory, RepeatedCreateDeleteCycleDoesNotLeak) {
       FileId id = 100 + (cycle % 3);
       ASSERT_TRUE(fs.create(ctx, id).is_ok());
       for (std::uint32_t i = 0; i < 5; ++i) {
-        ASSERT_TRUE(fs.write(ctx, id, i, payload(i), disk::kNilAddr).is_ok());
+        ASSERT_TRUE(fs.write(ctx, id, i, payload(i)).is_ok());
       }
       ASSERT_TRUE(fs.remove(ctx, id).is_ok());
     }
@@ -124,8 +124,8 @@ TEST(EfsDirectory, PersistsThroughSyncAndRemountWithCollisions) {
     FileId a = 3, b = 3 + kDirCapacity;
     ASSERT_TRUE(fs.create(ctx, a).is_ok());
     ASSERT_TRUE(fs.create(ctx, b).is_ok());
-    ASSERT_TRUE(fs.write(ctx, a, 0, payload(10), disk::kNilAddr).is_ok());
-    ASSERT_TRUE(fs.write(ctx, b, 0, payload(20), disk::kNilAddr).is_ok());
+    ASSERT_TRUE(fs.write(ctx, a, 0, payload(10)).is_ok());
+    ASSERT_TRUE(fs.write(ctx, b, 0, payload(20)).is_ok());
     ASSERT_TRUE(fs.remove(ctx, a).is_ok());  // tombstone persists too
     ASSERT_TRUE(fs.sync(ctx).is_ok());
   });
@@ -136,10 +136,10 @@ TEST(EfsDirectory, PersistsThroughSyncAndRemountWithCollisions) {
   EXPECT_EQ(remounted.file_count(), 1u);
   sim::Runtime rt2(1);
   rt2.spawn(0, "t", [&](sim::Context& ctx) {
-    auto r = remounted.read(ctx, 3 + kDirCapacity, 0, disk::kNilAddr);
+    auto r = remounted.read(ctx, 3 + kDirCapacity, 0);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(20));
-    EXPECT_EQ(remounted.read(ctx, 3, 0, disk::kNilAddr).status().code(),
+    EXPECT_EQ(r.value(), payload(20));
+    EXPECT_EQ(remounted.read(ctx, 3, 0).status().code(),
               util::ErrorCode::kNotFound);
   });
   rt2.run();

@@ -37,7 +37,7 @@ void populate(disk::SimDisk& dev, std::uint32_t files, std::uint32_t blocks) {
     for (FileId f = 1; f <= files; ++f) {
       ASSERT_TRUE(fs.create(ctx, f).is_ok());
       for (std::uint32_t i = 0; i < blocks; ++i) {
-        ASSERT_TRUE(fs.write(ctx, f, i, payload(f * 100 + i), disk::kNilAddr)
+        ASSERT_TRUE(fs.write(ctx, f, i, payload(f * 100 + i))
                         .is_ok());
       }
     }
@@ -146,9 +146,9 @@ TEST(Fsck, GarbageDataBlockTruncatesFile) {
     ASSERT_TRUE(info.is_ok());
     EXPECT_EQ(info.value().size_blocks, 5u);
     for (std::uint32_t i = 0; i < 5; ++i) {
-      auto r = fs.read(ctx, 1, i, disk::kNilAddr);
+      auto r = fs.read(ctx, 1, i);
       ASSERT_TRUE(r.is_ok());
-      EXPECT_EQ(r.value().data, payload(100 + i));
+      EXPECT_EQ(r.value(), payload(100 + i));
     }
   });
   rt.run();
@@ -175,7 +175,7 @@ TEST(Fsck, DestroyedExtentTableIsSalvagedFromDataHeaders) {
     EXPECT_EQ(fs.info(ctx, 1).value().size_blocks, 8u);
     EXPECT_EQ(fs.info(ctx, 2).value().size_blocks, 8u);
     for (std::uint32_t i = 0; i < 8; ++i) {
-      EXPECT_EQ(fs.read(ctx, 2, i, disk::kNilAddr).value().data,
+      EXPECT_EQ(fs.read(ctx, 2, i).value(),
                 payload(200 + i));
     }
   });
@@ -271,7 +271,7 @@ TEST(Fsck, CrossLinkedTableTruncatesAtForeignBlock) {
     EXPECT_EQ(fs.info(ctx, 1).value().size_blocks, 6u);
     EXPECT_EQ(fs.info(ctx, 2).value().size_blocks, 6u);
     for (std::uint32_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(fs.read(ctx, 1, i, disk::kNilAddr).value().data,
+      EXPECT_EQ(fs.read(ctx, 1, i).value(),
                 payload(100 + i));
     }
   });
@@ -290,7 +290,7 @@ TEST(Fsck, DirtyFlagAloneIsNotARepair) {
       ASSERT_TRUE(fs.create(ctx, 1).is_ok());
       for (std::uint32_t i = 0; i < 5; ++i) {
         ASSERT_TRUE(
-            fs.write(ctx, 1, i, payload(i), disk::kNilAddr).is_ok());
+            fs.write(ctx, 1, i, payload(i)).is_ok());
       }
     });
     rt.run();

@@ -77,11 +77,11 @@ TEST_P(EfsRandomOps, MatchesReferenceModel) {
         std::uint64_t tag = next_tag++;
         auto result = fs.write(ctx, it->first,
                                static_cast<std::uint32_t>(it->second.size()),
-                               payload_for(tag), disk::kNilAddr);
+                               payload_for(tag));
         if (result.is_ok()) {
           it->second.push_back(tag);
         } else {
-          EXPECT_EQ(result.status().code(), util::ErrorCode::kOutOfSpace);
+          EXPECT_EQ(result.code(), util::ErrorCode::kOutOfSpace);
         }
       } else if (action < 68 && !model.empty()) {
         // Truncate a random file to a random smaller size.
@@ -99,8 +99,7 @@ TEST_P(EfsRandomOps, MatchesReferenceModel) {
           auto block = static_cast<std::uint32_t>(
               rng.next_below(it->second.size()));
           std::uint64_t tag = next_tag++;
-          ASSERT_TRUE(fs.write(ctx, it->first, block, payload_for(tag),
-                               disk::kNilAddr)
+          ASSERT_TRUE(fs.write(ctx, it->first, block, payload_for(tag))
                           .is_ok());
           it->second[block] = tag;
         }
@@ -111,9 +110,9 @@ TEST_P(EfsRandomOps, MatchesReferenceModel) {
         if (!it->second.empty()) {
           auto block = static_cast<std::uint32_t>(
               rng.next_below(it->second.size()));
-          auto result = fs.read(ctx, it->first, block, disk::kNilAddr);
+          auto result = fs.read(ctx, it->first, block);
           ASSERT_TRUE(result.is_ok());
-          EXPECT_EQ(result.value().data, payload_for(it->second[block]))
+          EXPECT_EQ(result.value(), payload_for(it->second[block]))
               << "file " << it->first << " block " << block;
         }
       }
@@ -131,9 +130,9 @@ TEST_P(EfsRandomOps, MatchesReferenceModel) {
       EXPECT_EQ(info.value().size_blocks, blocks.size());
       allocated += blocks.size();
       for (std::uint32_t b = 0; b < blocks.size(); ++b) {
-        auto result = fs.read(ctx, id, b, disk::kNilAddr);
+        auto result = fs.read(ctx, id, b);
         ASSERT_TRUE(result.is_ok());
-        EXPECT_EQ(result.value().data, payload_for(blocks[b]));
+        EXPECT_EQ(result.value(), payload_for(blocks[b]));
       }
     }
     // Allocated space = model data blocks + the extent-table blocks backing

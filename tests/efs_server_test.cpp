@@ -42,7 +42,7 @@ TEST(EfsServer, RemoteCreateWriteReadDelete) {
     for (std::uint32_t i = 0; i < 10; ++i) {
       auto r = efs.read(31, i);
       ASSERT_TRUE(r.is_ok());
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
     ASSERT_TRUE(efs.remove(31).is_ok());
     EXPECT_EQ(efs.info(31).status().code(), util::ErrorCode::kNotFound);
@@ -69,8 +69,8 @@ TEST(EfsServer, ExtentMapKeepsLookupsFlat) {
     }
   });
   rt.run();
-  // One map lookup per read, none per append: no chain walking, no hint
-  // table needed on either side of the wire.
+  // One map lookup per read, none per append: no chain walking, and no
+  // per-file state on either side of the wire.
   EXPECT_EQ(server.core().op_stats().extent_lookups, 120u);
   // A contiguous sequential file stays one extent.
   EXPECT_EQ(server.core().op_stats().extents_allocated, 1u);
@@ -108,7 +108,7 @@ TEST(EfsServer, TwoClientsShareOneServer) {
       for (std::uint32_t i = 0; i < 20; ++i) {
         auto r = efs.read(id, i);
         ASSERT_TRUE(r.is_ok());
-        EXPECT_EQ(r.value().data, payload(c * 50 + i));
+        EXPECT_EQ(r.value(), payload(c * 50 + i));
       }
       ++completed;
     });
@@ -132,10 +132,10 @@ TEST(EfsServer, TruncateOverRpc) {
     auto t = efs.truncate(17, 6);
     ASSERT_TRUE(t.is_ok());
     EXPECT_EQ(t.value().size_blocks, 6u);
-    // The dropped hint must not poison the next access.
+    // The kept prefix still reads back.
     auto r = efs.read(17, 5);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(5));
+    EXPECT_EQ(r.value(), payload(5));
     EXPECT_EQ(efs.read(17, 6).status().code(),
               util::ErrorCode::kInvalidArgument);
     EXPECT_EQ(efs.truncate(17, 9).status().code(),

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/core/instance.hpp"
+#include "src/efs/client.hpp"
 
 namespace bridge::core {
 namespace {

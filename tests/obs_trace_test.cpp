@@ -98,7 +98,7 @@ TEST(Tracer, DifferentSeedsStillProduceValidSpans) {
   std::string b = traced_run(/*seed=*/2);
   for (const auto* name :
        {"\"bridge.Create\"", "\"bridge.SeqWrite\"", "\"bridge.SeqReadMany\"",
-        "\"bridge.queue\"", "\"efs.Write\"", "\"efs.queue\"", "\"disk.write\"",
+        "\"bridge.queue\"", "\"efs.WriteMany\"", "\"efs.queue\"", "\"disk.write\"",
         "\"rpc.call\""}) {
     EXPECT_NE(a.find(name), std::string::npos) << name;
     EXPECT_NE(b.find(name), std::string::npos) << name;

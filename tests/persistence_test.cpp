@@ -36,7 +36,7 @@ TEST(DiskImage, SaveAndLoadRoundTrip) {
     rt.spawn(0, "w", [&](sim::Context& ctx) {
       ASSERT_TRUE(fs.create(ctx, 9).is_ok());
       for (std::uint32_t i = 0; i < 12; ++i) {
-        ASSERT_TRUE(fs.write(ctx, 9, i, payload(i), disk::kNilAddr).is_ok());
+        ASSERT_TRUE(fs.write(ctx, 9, i, payload(i)).is_ok());
       }
       ASSERT_TRUE(fs.sync(ctx).is_ok());
     });
@@ -53,9 +53,9 @@ TEST(DiskImage, SaveAndLoadRoundTrip) {
     EXPECT_TRUE(fs.verify_integrity().is_ok());
     rt.spawn(0, "r", [&](sim::Context& ctx) {
       for (std::uint32_t i = 0; i < 12; ++i) {
-        auto r = fs.read(ctx, 9, i, disk::kNilAddr);
+        auto r = fs.read(ctx, 9, i);
         ASSERT_TRUE(r.is_ok());
-        EXPECT_EQ(r.value().data, payload(i));
+        EXPECT_EQ(r.value(), payload(i));
       }
     });
     rt.run();
@@ -100,7 +100,7 @@ TEST(CrashRecovery, UnsyncedCacheLossIsRepairedByFsck) {
     rt.spawn(0, "w", [&](sim::Context& ctx) {
       ASSERT_TRUE(fs.create(ctx, 5).is_ok());
       for (std::uint32_t i = 0; i < 20; ++i) {
-        ASSERT_TRUE(fs.write(ctx, 5, i, payload(i), disk::kNilAddr).is_ok());
+        ASSERT_TRUE(fs.write(ctx, 5, i, payload(i)).is_ok());
       }
       // NO sync: the superblock stays dirty, so the next mount must go
       // through fsck / rebuild rather than trusting the on-disk tables.

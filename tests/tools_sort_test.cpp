@@ -85,7 +85,6 @@ struct SortCase {
   std::uint32_t p;
   std::uint32_t records;
   std::uint32_t in_core;
-  bool hints;
   std::uint32_t fanin = 2;
 };
 
@@ -101,7 +100,6 @@ TEST_P(SortProperty, SortsToPermutation) {
   inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
     SortOptions options;
     options.tuning.in_core_records = param.in_core;
-    options.tuning.hints_in_local_merge = param.hints;
     options.tuning.local_merge_fanin = param.fanin;
     auto result = run_sort_tool(ctx, client, "input", "sorted", options);
     ASSERT_TRUE(result.is_ok()) << result.status().to_string();
@@ -118,18 +116,17 @@ TEST_P(SortProperty, SortsToPermutation) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, SortProperty,
     ::testing::Values(
-        SortCase{2, 64, 8, false},    // several local merge passes
-        SortCase{2, 64, 8, true},     // hinted local merges (ablation)
-        SortCase{4, 100, 16, false},  // non-multiple of p
-        SortCase{4, 16, 64, false},   // in-core only (no local merges)
-        SortCase{8, 128, 8, false},   // deep global merge tree
-        SortCase{3, 50, 8, false},    // non-power-of-two p
-        SortCase{1, 20, 4, false},    // degenerate single LFS
-        SortCase{8, 8, 16, false},      // one record per node
-        SortCase{4, 3, 16, false},      // fewer records than nodes
-        SortCase{2, 120, 8, false, 8},  // 8-way local merges (§5.2 fix)
-        SortCase{4, 90, 8, true, 4},    // 4-way + hints
-        SortCase{2, 64, 8, false, 16}));  // fan-in exceeds run count
+        SortCase{2, 64, 8},       // several local merge passes
+        SortCase{4, 100, 16},     // non-multiple of p
+        SortCase{4, 16, 64},      // in-core only (no local merges)
+        SortCase{8, 128, 8},      // deep global merge tree
+        SortCase{3, 50, 8},       // non-power-of-two p
+        SortCase{1, 20, 4},       // degenerate single LFS
+        SortCase{8, 8, 16},       // one record per node
+        SortCase{4, 3, 16},       // fewer records than nodes
+        SortCase{2, 120, 8, 8},   // 8-way local merges (§5.2 fix)
+        SortCase{4, 90, 8, 4},    // 4-way local merges
+        SortCase{2, 64, 8, 16}));  // fan-in exceeds run count
 
 TEST(SortTool, DuplicateKeysSurvive) {
   BridgeInstance inst(cfg(4));

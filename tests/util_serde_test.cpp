@@ -82,6 +82,29 @@ TEST(Serde, RemainingTracksCursor) {
   EXPECT_EQ(r.remaining(), 8u);
 }
 
+TEST(Serde, CountRejectsWhatThePayloadCannotHold) {
+  Writer w;
+  w.u32(3);
+  w.u32(10);
+  w.u32(20);
+  w.u32(30);
+  Reader ok(w.buffer());
+  EXPECT_EQ(ok.count(4), 3u);  // exactly fits
+  Reader tight(w.buffer());
+  EXPECT_THROW((void)tight.count(5), StatusError);  // 15 bytes > 12 left
+
+  Writer huge;
+  huge.u32(0xFFFFFFFFu);
+  huge.u64(0);
+  Reader r(huge.buffer());
+  try {
+    (void)r.count(4);  // throws before any caller could reserve 16 GiB
+    FAIL() << "oversized count accepted";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code(), ErrorCode::kCorrupt);
+  }
+}
+
 TEST(Status, ToStringFormats) {
   EXPECT_EQ(Status::ok().to_string(), "OK");
   EXPECT_EQ(not_found("file 3").to_string(), "NOT_FOUND: file 3");
