@@ -115,12 +115,17 @@ class JsonReporter {
   /// previous emit (or construction): "wall_ms", the host wall-clock time
   /// spent producing this row, and "events_executed", scheduler events
   /// dispatched in that window (Scheduler::lifetime_events_dispatched
-  /// deltas).  These track simulator overhead — they are the only
-  /// nondeterministic fields in BENCH_results.json.
+  /// deltas).  These track simulator overhead.
+  ///
+  /// `host_fields` names the row's own fields that measure the host rather
+  /// than the simulation (a bench timing the simulator itself).  The row
+  /// lists them as "host_fields", and tools/bench_diff compares them as
+  /// fresh/committed ratios like wall_ms instead of requiring equality.
   void emit(const std::string& bench,
             std::initializer_list<std::pair<const char*, double>> fields,
             const std::string& metrics_json = "",
-            const std::string& timeseries_json = "") {
+            const std::string& timeseries_json = "",
+            std::initializer_list<const char*> host_fields = {}) {
     if (path_.empty()) return;
     std::FILE* f = std::fopen(path_.c_str(), "a");
     if (f == nullptr) {
@@ -142,6 +147,15 @@ class JsonReporter {
       } else {
         std::fprintf(f, ",\"%s\":null", key);
       }
+    }
+    if (host_fields.size() != 0) {
+      const char* sep = "";
+      std::fprintf(f, ",\"host_fields\":[");
+      for (const char* name : host_fields) {
+        std::fprintf(f, "%s\"%s\"", sep, name);
+        sep = ",";
+      }
+      std::fprintf(f, "]");
     }
     std::fprintf(f, ",\"wall_ms\":%.3f,\"events_executed\":%llu", wall_ms,
                  static_cast<unsigned long long>(events));

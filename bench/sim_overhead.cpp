@@ -148,14 +148,18 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
             {{"fibers", fibers ? 1.0 : 0.0},
              {"procs", static_cast<double>(spawn_n)},
              {"total_ms", row.spawn_run_ms},
-             {"spawn_us_per_proc", spawn_us}});
+             {"spawn_us_per_proc", spawn_us}},
+            /*metrics_json=*/"", /*timeseries_json=*/"",
+            /*host_fields=*/{"total_ms", "spawn_us_per_proc"});
   json.emit("sim_overhead_switch",
             {{"fibers", fibers ? 1.0 : 0.0},
              {"procs", static_cast<double>(switch_procs)},
              {"events", static_cast<double>(row.switch_events)},
              {"run_ms", row.switch_run_ms},
              {"events_per_sec", events_per_sec},
-             {"switches_per_sec", switches_per_sec}});
+             {"switches_per_sec", switches_per_sec}},
+            /*metrics_json=*/"", /*timeseries_json=*/"",
+            /*host_fields=*/{"run_ms", "events_per_sec", "switches_per_sec"});
   json.emit("sim_overhead_churn",
             {{"fibers", fibers ? 1.0 : 0.0},
              {"procs_total", static_cast<double>(churn_total)},
@@ -165,7 +169,9 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
               static_cast<double>(row.churn_stacks_allocated)},
              {"stacks_reused", static_cast<double>(row.churn_stacks_reused)},
              {"stack_live_peak",
-              static_cast<double>(row.churn_stack_live_peak)}});
+              static_cast<double>(row.churn_stack_live_peak)}},
+            /*metrics_json=*/"", /*timeseries_json=*/"",
+            /*host_fields=*/{"total_ms", "procs_per_sec"});
 }
 
 }  // namespace

@@ -26,10 +26,10 @@ struct BridgeConfig {
   /// Create: fixed directory/bookkeeping work (Chrysalis object management
   /// was expensive; the paper measured 145 ms + 17.5 ms per node).
   sim::SimTime create_base_cpu = sim::msec(136.0);
-  /// Create: per-LFS sequential initiation (§4.5: "the initiation and
-  /// termination are sequential").
+  /// Create: sequential initiation per LFS the file spans (§4.5: "the
+  /// initiation and termination are sequential").
   sim::SimTime create_dispatch_cpu = sim::msec(9.0);
-  /// Create: per-LFS sequential completion processing.
+  /// Create: sequential completion processing per LFS the file spans.
   sim::SimTime create_reply_cpu = sim::msec(8.0);
   /// If true, Create fans out through an embedded binary tree instead of the
   /// sequential loop — the improvement §4.5 suggests (startup ablation).

@@ -29,6 +29,16 @@ PlacementMap::PlacementMap(Distribution dist, std::uint32_t width,
   }
 }
 
+std::vector<std::uint32_t> PlacementMap::span() const {
+  std::uint32_t w = dist_ == Distribution::kLinked ? total_lfs_ : width_;
+  std::vector<std::uint32_t> lfs;
+  lfs.reserve(w);
+  for (std::uint32_t i = 0; i < total_lfs_; ++i) {
+    if ((i + total_lfs_ - start_lfs_) % total_lfs_ < w) lfs.push_back(i);
+  }
+  return lfs;
+}
+
 util::Result<Placement> PlacementMap::place(std::uint64_t n) const {
   if (n >= size_) return util::invalid_argument("block beyond EOF");
   switch (dist_) {

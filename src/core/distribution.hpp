@@ -46,6 +46,12 @@ class PlacementMap {
   }
   [[nodiscard]] std::uint64_t size_blocks() const noexcept { return size_; }
 
+  /// The LFS indices this file can hold blocks on, ascending: the `width`
+  /// LFSs `(start_lfs + i) mod total_lfs` for round-robin, chunked and
+  /// hashed files; every LFS for a linked file, which may scatter anywhere.
+  /// Create, Delete and Open touch exactly these constituents.
+  [[nodiscard]] std::vector<std::uint32_t> span() const;
+
   /// Placement of existing global block `n` (n < size_blocks()).
   [[nodiscard]] util::Result<Placement> place(std::uint64_t n) const;
 

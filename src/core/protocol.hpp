@@ -165,7 +165,7 @@ struct FileMeta {
   std::uint32_t start_lfs = 0;
   std::uint32_t chunk_blocks = 0;
   std::uint64_t size_blocks = 0;
-  std::uint32_t lfs_file_id = 0;  ///< constituent file id on every LFS
+  std::uint32_t lfs_file_id = 0;  ///< constituent file id on each LFS it spans
 
   void encode(util::Writer& w) const {
     w.u32(id);

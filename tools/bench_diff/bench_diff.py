@@ -7,8 +7,10 @@ rows), so a bench that emits one row per p lines up p-for-p.
 
 Every field is a virtual-time (or configuration) field and must match
 exactly, except:
-  - wall_ms, which measures the host and is reported as a fresh/committed
-    ratio instead;
+  - host-clock fields, which are reported as fresh/committed ratios
+    instead: wall_ms on every row, plus each field a row names in its
+    "host_fields" list (a bench that times the simulator itself, such as
+    sim_overhead, marks its wall-clock fields this way);
   - fields named by --allow BENCH:FIELD=REASON.  BENCH and FIELD are
     fnmatch globs; FIELD matches the flattened path of a leaf
     ("metrics.disk_util[1]") or any prefix of it ("metrics").  The reason
@@ -32,6 +34,14 @@ import statistics
 import sys
 
 WALL_FIELDS = frozenset({"wall_ms"})
+
+
+def host_fields(*rows):
+    """wall_ms plus every field the rows list under "host_fields"."""
+    fields = set(WALL_FIELDS)
+    for row in rows:
+        fields.update(row.get("host_fields", []))
+    return fields
 
 
 def load_rows(path):
@@ -93,14 +103,14 @@ def allowed_reason(allows, bench, path):
 def diff(committed, fresh, allows, subset=False):
     """Compare two row maps.
 
-    Returns (lines, moved, unexplained, wall_ratios): report lines, the
+    Returns (lines, moved, unexplained, host_ratios): report lines, the
     count of fields whose value moved, the count of differences no --allow
-    covers, and the fresh/committed wall_ms ratios.
+    covers, and {host field name: [fresh/committed ratios]}.
     """
     lines = []
     moved = 0
     unexplained = 0
-    wall_ratios = []
+    host_ratios = {}
     for key in sorted(fresh):
         if key not in committed:
             lines.append(f"{key[0]}#{key[1]}: new row, not in committed file")
@@ -113,17 +123,17 @@ def diff(committed, fresh, allows, subset=False):
                 lines.append(f"{label}: missing from fresh file")
                 unexplained += 1
             continue
+        host = host_fields(committed[key], fresh[key])
         old = dict(flatten(committed[key]))
         new = dict(flatten(fresh[key]))
         for path in sorted(old.keys() | new.keys()):
-            if path in WALL_FIELDS:
-                a, b = old.get(path), new.get(path)
-                if isinstance(a, (int, float)) and a > 0 and \
-                        isinstance(b, (int, float)):
-                    wall_ratios.append(b / a)
-                continue
             a = old.get(path, "<absent>")
             b = new.get(path, "<absent>")
+            if path in host and isinstance(a, (int, float)) and \
+                    isinstance(b, (int, float)):
+                if a > 0:
+                    host_ratios.setdefault(path, []).append(b / a)
+                continue
             if a == b:
                 continue
             moved += 1
@@ -133,7 +143,7 @@ def diff(committed, fresh, allows, subset=False):
                 lines.append(f"{label}: {path} {a} -> {b}  [UNEXPLAINED]")
             else:
                 lines.append(f"{label}: {path} {a} -> {b}  [{reason}]")
-    return lines, moved, unexplained, wall_ratios
+    return lines, moved, unexplained, host_ratios
 
 
 def main(argv=None):
@@ -162,10 +172,11 @@ def main(argv=None):
           f"({len(committed)} committed, {len(fresh)} fresh)")
     for line in lines:
         print("  " + line)
-    if ratios:
-        print(f"wall_ms fresh/committed over {len(ratios)} rows: "
-              f"median {statistics.median(ratios):.3f}, "
-              f"min {min(ratios):.3f}, max {max(ratios):.3f}")
+    for field in sorted(ratios, key=lambda f: (f not in WALL_FIELDS, f)):
+        r = ratios[field]
+        print(f"{field} fresh/committed over {len(r)} rows: "
+              f"median {statistics.median(r):.3f}, "
+              f"min {min(r):.3f}, max {max(r):.3f}")
     print(f"{moved} fields moved, {unexplained} unexplained differences")
     return 1 if unexplained else 0
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Unit tests for bench_diff.py: row keying, exact field comparison,
---allow globs, wall_ms ratios and --subset.
+--allow globs, wall_ms and host_fields ratios and --subset.
 
 Run directly or through ctest (test `tools_bench_diff_py`):
 
@@ -92,6 +92,40 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(status, 1)
         self.assertIn("sort#0: sort_sec 263.0 -> <absent>", out)
         self.assertIn("sort#0: merge_sec <absent> -> 1.0", out)
+
+    def test_host_fields_compare_as_ratios(self):
+        overhead = {"bench": "sim_overhead_switch", "procs": 4,
+                    "events": 100, "run_ms": 10.0, "events_per_sec": 1e4,
+                    "host_fields": ["run_ms", "events_per_sec"],
+                    "wall_ms": 1.0}
+        committed = self.write("committed.json", ROWS + [overhead])
+        fresh_row = dict(overhead, run_ms=20.0, events_per_sec=5e3)
+        fresh = self.write("fresh.json", ROWS + [fresh_row])
+        out = io.StringIO()
+        with redirect_stdout(out):
+            status = bench_diff.main([committed, fresh])
+        self.assertEqual(status, 0)
+        self.assertIn("run_ms fresh/committed over 1 rows: median 2.000",
+                      out.getvalue())
+        self.assertIn("events_per_sec fresh/committed over 1 rows: "
+                      "median 0.500", out.getvalue())
+        self.assertIn("0 fields moved, 0 unexplained", out.getvalue())
+
+        # Only the listed fields are host clock: the row's simulated event
+        # count, and the same field name on a row without the list, must
+        # still match exactly.
+        fresh_rows = json.loads(json.dumps(ROWS)) + [dict(fresh_row,
+                                                          events=101)]
+        fresh_rows[2]["run_ms"] = 1.0
+        fresh = self.write("fresh.json", fresh_rows)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            status = bench_diff.main([committed, fresh])
+        self.assertEqual(status, 1)
+        self.assertIn("sim_overhead_switch#0: events 100 -> 101  "
+                      "[UNEXPLAINED]", out.getvalue())
+        self.assertIn("sort#0: run_ms <absent> -> 1.0  [UNEXPLAINED]",
+                      out.getvalue())
 
     def test_missing_rows_fail_unless_subset(self):
         status, out = self.run_diff(ROWS[:1])
