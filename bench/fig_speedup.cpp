@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   auto c = static_cast<std::uint32_t>(
       flag_value(argc, argv, "in-core", records / 20 + 16));
   // --max-p caps the processor sweep (CI perf-smoke runs p<=16 so the
-  // threads-backend A/B pass stays fast); default covers the full figure.
+  // ucontext-switch comparison stays fast); default covers the full figure.
   auto max_p = static_cast<std::uint32_t>(flag_value(argc, argv, "max-p", 64));
   JsonReporter json(argc, argv);
   ObsOptions trace(argc, argv);

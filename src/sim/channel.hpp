@@ -31,9 +31,8 @@ class Channel {
   /// Undelivered items still hold race-detector clock snapshots; release
   /// them so tearing down an abandoned channel does not leak tokens.
   ~Channel() {
-    auto lock = sched_.lock();
     while (!items_.empty()) {
-      sched_.race_on_drop_locked(items_.top().race_token);
+      sched_.race_on_drop(items_.top().race_token);
       items_.pop();
     }
   }
@@ -48,7 +47,6 @@ class Channel {
   /// (smaller payloads would otherwise leapfrog large ones, which real
   /// per-source FIFO links do not do).
   void send(T value, SimTime latency = SimTime(0)) {
-    auto lock = sched_.lock();
     SimTime at = sched_.now() + latency;
     Process* sender = sched_.current();
     ProcessId sender_id = sender == nullptr ? 0 : sender->id();
@@ -59,32 +57,31 @@ class Channel {
     }
     // Happens-before edge for the race detector: the item carries a snapshot
     // of the sender's vector clock, joined into the receiver's on delivery.
-    std::uint64_t race_token = sched_.race_on_send_locked();
+    std::uint64_t race_token = sched_.race_on_send();
     items_.push(Item{at, next_seq_++, std::move(value), race_token});
     // Wake every parked receiver at the delivery time; stale-epoch filtering
     // makes redundant wakes harmless.
     for (Process* waiter : waiters_) {
-      sched_.schedule_wake_locked(*waiter, at);
+      sched_.schedule_wake(*waiter, at);
     }
   }
 
   /// Block until an item is available, then return it.
   T recv() {
-    auto lock = sched_.lock();
     Process* self = sched_.current();
     while (true) {
       if (!items_.empty() && items_.top().at <= sched_.now()) {
         T value = std::move(items_.top().value);
-        sched_.race_on_recv_locked(items_.top().race_token);
+        sched_.race_on_recv(items_.top().race_token);
         items_.pop();
         return value;
       }
       waiters_.push_back(self);
       if (!items_.empty()) {
         // An item is in flight; make sure somebody wakes us when it lands.
-        sched_.schedule_wake_locked(*self, items_.top().at);
+        sched_.schedule_wake(*self, items_.top().at);
       }
-      sched_.park_current(lock);
+      sched_.park_current();
       remove_waiter(self);
     }
   }
@@ -94,13 +91,12 @@ class Channel {
   /// timeout.  Used by workers that must not park forever when a controller
   /// abandons them.
   std::optional<T> recv_for(SimTime timeout) {
-    auto lock = sched_.lock();
     Process* self = sched_.current();
     SimTime deadline = sched_.now() + timeout;
     while (true) {
       if (!items_.empty() && items_.top().at <= sched_.now()) {
         T value = std::move(items_.top().value);
-        sched_.race_on_recv_locked(items_.top().race_token);
+        sched_.race_on_recv(items_.top().race_token);
         items_.pop();
         return value;
       }
@@ -111,18 +107,17 @@ class Channel {
       if (!items_.empty() && items_.top().at < wake_at) {
         wake_at = items_.top().at;
       }
-      sched_.schedule_wake_locked(*self, wake_at);
-      sched_.park_current(lock);
+      sched_.schedule_wake(*self, wake_at);
+      sched_.park_current();
       remove_waiter(self);
     }
   }
 
   /// Non-blocking receive of an already-delivered item.
   std::optional<T> try_recv() {
-    auto lock = sched_.lock();
     if (!items_.empty() && items_.top().at <= sched_.now()) {
       T value = std::move(items_.top().value);
-      sched_.race_on_recv_locked(items_.top().race_token);
+      sched_.race_on_recv(items_.top().race_token);
       items_.pop();
       return value;
     }
@@ -130,10 +125,7 @@ class Channel {
   }
 
   /// Number of items enqueued (delivered or still in flight).
-  [[nodiscard]] std::size_t pending() {
-    auto lock = sched_.lock();
-    return items_.size();
-  }
+  [[nodiscard]] std::size_t pending() const { return items_.size(); }
 
  private:
   struct Item {

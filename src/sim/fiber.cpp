@@ -11,11 +11,6 @@
 #include <sanitizer/asan_interface.h>
 #endif
 
-// The fiber entry point, defined by the execution backend
-// (src/sim/exec_backend.cpp).  Extern "C" so the assembly thunk and
-// makecontext can both reach it without mangling.
-extern "C" void bridge_fiber_entry(void* arg);
-
 #if !defined(BRIDGE_FIBER_UCONTEXT)
 extern "C" {
 void bridge_fiber_switch(void** save_sp, void* restore_sp);

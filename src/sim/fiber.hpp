@@ -1,4 +1,4 @@
-// Stackful-fiber primitives for the simulation's fiber execution backend:
+// Stackful-fiber primitives the scheduler runs every simulated process on:
 // a minimal context-switch abstraction and a pool of lazily-grown, guarded
 // stacks.
 //
@@ -6,9 +6,11 @@
 // saves exactly the callee-saved register state the System V ABI requires
 // and nothing else.  glibc's swapcontext(3) would additionally save and
 // restore the signal mask — one or two rt_sigprocmask syscalls per switch,
-// i.e. per simulated event — which is most of the overhead the fiber
-// backend exists to remove.  Other architectures fall back to ucontext,
-// trading those syscalls for portability.
+// i.e. per simulated event — which is most of the cost fibers exist to
+// remove.  Other architectures fall back to ucontext, trading those
+// syscalls for portability.  Defining BRIDGE_FIBER_UCONTEXT selects the
+// ucontext switch on x86-64 too: it is the reference the assembly switch is
+// checked against (same-seed traces must be byte-identical).
 //
 // Stacks are mmap'd with a PROT_NONE guard page below the usable region, so
 // an overflowing simulated process faults loudly instead of corrupting a
@@ -20,8 +22,10 @@
 #include <cstdint>
 #include <vector>
 
-#if !defined(__x86_64__)
+#if !defined(__x86_64__) && !defined(BRIDGE_FIBER_UCONTEXT)
 #define BRIDGE_FIBER_UCONTEXT 1
+#endif
+#if defined(BRIDGE_FIBER_UCONTEXT)
 #include <ucontext.h>
 #endif
 
@@ -32,6 +36,11 @@
 #define BRIDGE_ASAN_FIBERS 1
 #endif
 #endif
+
+// The fiber entry point, defined by the scheduler (scheduler.cpp).  Extern
+// "C" so the assembly thunk and makecontext can both reach it without
+// mangling.
+extern "C" void bridge_fiber_entry(void* arg);
 
 namespace bridge::sim {
 

@@ -10,9 +10,9 @@ namespace bridge::util {
 
 namespace {
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-// NOLINT(bridge-fiber-thread-primitive): stderr is host-side, shared by the
-// threads backend's real concurrency; the mutex only orders log lines and is
-// never contended on the single-threaded fiber backend (no fiber can block).
+// NOLINT(bridge-fiber-thread-primitive): stderr is host-side and may be shared
+// with host threads outside the simulation; the mutex only orders log lines
+// and is never contended by fibers, which all run on one thread.
 std::mutex g_mutex;
 
 thread_local std::string (*t_context_provider)(void*) = nullptr;
@@ -51,7 +51,7 @@ std::string thread_log_context() {
 void log_line(LogLevel level, std::string_view component, std::string_view message) {
   std::string context = thread_log_context();
   // NOLINT(bridge-fiber-thread-primitive): see g_mutex above — host-side
-  // log-line ordering only, uncontended under the fiber backend.
+  // log-line ordering only, never contended by fibers.
   std::lock_guard<std::mutex> lock(g_mutex);
   if (context.empty()) {
     std::fprintf(stderr, "[%s] %.*s: %.*s\n", level_name(level),

@@ -1,12 +1,12 @@
-// Execution-backend A/B guarantees: the fiber and thread backends must be
-// observably identical except for wall-clock cost.  Same-seed Chrome traces
-// and obs documents byte-match across backends for a routed-namespace
-// workload and a replication/rebuild workload; scheduler statistics match;
-// fiber-specific machinery (stack pooling, teardown of parked daemons with
-// undelivered channel items, 10k-process churn) behaves.
+// Fiber-scheduler guarantees: a workload run twice in one process yields
+// byte-identical Chrome traces, obs documents and scheduler statistics, for
+// a routed-namespace workload and a replication/rebuild workload — so no
+// scheduler or stack-pool state leaks between Scheduler lifetimes.  (The
+// same-seed identity across the assembly and ucontext fiber switches is a
+// CI cmp of two builds.)  Stack pooling, teardown of parked daemons with
+// undelivered channel items and 10k-process churn behave.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -19,31 +19,6 @@
 namespace bridge {
 namespace {
 
-/// Scoped BRIDGE_SIM_BACKEND override; the backend is read once per
-/// Scheduler construction, so setting it around instance creation is enough.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(const char* backend) {
-    const char* old = std::getenv("BRIDGE_SIM_BACKEND");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    setenv("BRIDGE_SIM_BACKEND", backend, 1);
-  }
-  ~ScopedBackend() {
-    if (had_old_) {
-      setenv("BRIDGE_SIM_BACKEND", old_.c_str(), 1);
-    } else {
-      unsetenv("BRIDGE_SIM_BACKEND");
-    }
-  }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
 std::vector<std::byte> record(std::uint32_t tag) {
   std::vector<std::byte> data(efs::kUserDataBytes);
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -52,7 +27,7 @@ std::vector<std::byte> record(std::uint32_t tag) {
   return data;
 }
 
-/// What a backend must reproduce exactly: the full trace, the obs document,
+/// What a rerun must reproduce exactly: the full trace, the obs document,
 /// and the scheduler's event accounting.
 struct RunFingerprint {
   std::string trace;
@@ -65,12 +40,10 @@ struct RunFingerprint {
 
 /// Routed-namespace workload: two clients race rename/open/remove across
 /// four servers (the PR-5 determinism suite's racing schedule).
-RunFingerprint routed_workload(const char* backend) {
-  ScopedBackend scoped(backend);
+RunFingerprint routed_workload() {
   auto config = core::SystemConfig::paper_profile(4, 2048);
   config.num_bridge_servers = 4;
   core::BridgeInstance inst(config);
-  EXPECT_STREQ(inst.runtime().scheduler().backend_name(), backend);
   inst.runtime().tracer().enable();
   auto workload = [](std::uint32_t base) {
     return [base](sim::Context&, core::RoutedBridgeClient& client) {
@@ -80,13 +53,13 @@ RunFingerprint routed_workload(const char* backend) {
         if (!client.create(from).is_ok()) continue;
         auto open = client.open(from);
         if (open.is_ok()) {
-          (void)client.seq_write(open.value().session, record(base + i));  // workload body; backends are compared by trace digest
+          (void)client.seq_write(open.value().session, record(base + i));  // workload body; runs are compared by trace digest
         }
         auto renamed = client.rename(from, to);
         if (renamed.is_ok()) {
-          (void)client.random_read(renamed.value(), 0);  // workload body; backends are compared by trace digest
+          (void)client.random_read(renamed.value(), 0);  // workload body; runs are compared by trace digest
         } else {
-          (void)client.remove(from);  // workload body; backends are compared by trace digest
+          (void)client.remove(from);  // workload body; runs are compared by trace digest
         }
       }
     };
@@ -107,10 +80,8 @@ RunFingerprint routed_workload(const char* backend) {
 
 /// Replication workload: write a mirrored file, fail + repair an LFS,
 /// rebuild it, and re-read everything.
-RunFingerprint rebuild_workload(const char* backend) {
-  ScopedBackend scoped(backend);
+RunFingerprint rebuild_workload() {
   core::BridgeInstance inst(core::SystemConfig::paper_profile(4, 1024));
-  EXPECT_STREQ(inst.runtime().scheduler().backend_name(), backend);
   inst.runtime().tracer().enable();
   inst.run_client("writer", [&](sim::Context& ctx, core::BridgeClient& client) {
     auto file = core::MirroredFile::open(ctx, client, "m");
@@ -152,57 +123,36 @@ RunFingerprint rebuild_workload(const char* backend) {
   return fp;
 }
 
-void expect_identical(const RunFingerprint& fibers,
-                      const RunFingerprint& threads) {
-  EXPECT_EQ(fibers.trace, threads.trace) << "same-seed trace diverged";
-  EXPECT_EQ(fibers.obs, threads.obs) << "same-seed obs document diverged";
-  EXPECT_EQ(fibers.events_dispatched, threads.events_dispatched);
-  EXPECT_EQ(fibers.wakes_scheduled, threads.wakes_scheduled);
-  EXPECT_EQ(fibers.stale_wakes_skipped, threads.stale_wakes_skipped);
-  EXPECT_EQ(fibers.processes_spawned, threads.processes_spawned);
+void expect_identical(const RunFingerprint& first,
+                      const RunFingerprint& second) {
+  EXPECT_EQ(first.trace, second.trace) << "same-seed trace diverged";
+  EXPECT_EQ(first.obs, second.obs) << "same-seed obs document diverged";
+  EXPECT_EQ(first.events_dispatched, second.events_dispatched);
+  EXPECT_EQ(first.wakes_scheduled, second.wakes_scheduled);
+  EXPECT_EQ(first.stale_wakes_skipped, second.stale_wakes_skipped);
+  EXPECT_EQ(first.processes_spawned, second.processes_spawned);
 }
 
-TEST(SimBackend, DefaultIsFibersAndEnvSelectsThreads) {
-  {
-    ScopedBackend scoped("fibers");
-    sim::Scheduler sched;
-    EXPECT_STREQ(sched.backend_name(), "fibers");
-  }
-  {
-    ScopedBackend scoped("threads");
-    sim::Scheduler sched;
-    EXPECT_STREQ(sched.backend_name(), "threads");
-  }
-  {
-    // Unset / unknown values fall back to the fiber default.
-    ScopedBackend scoped("fibers");
-    unsetenv("BRIDGE_SIM_BACKEND");
-    sim::Scheduler sched;
-    EXPECT_STREQ(sched.backend_name(), "fibers");
-  }
+TEST(SimBackend, RoutedWorkloadIsByteIdenticalAcrossReruns) {
+  RunFingerprint first = routed_workload();
+  RunFingerprint second = routed_workload();
+  ASSERT_FALSE(first.trace.empty());
+  expect_identical(first, second);
 }
 
-TEST(SimBackend, RoutedWorkloadIsByteIdenticalAcrossBackends) {
-  RunFingerprint fibers = routed_workload("fibers");
-  RunFingerprint threads = routed_workload("threads");
-  ASSERT_FALSE(fibers.trace.empty());
-  expect_identical(fibers, threads);
+TEST(SimBackend, RebuildWorkloadIsByteIdenticalAcrossReruns) {
+  RunFingerprint first = rebuild_workload();
+  RunFingerprint second = rebuild_workload();
+  ASSERT_FALSE(first.trace.empty());
+  expect_identical(first, second);
 }
 
-TEST(SimBackend, RebuildWorkloadIsByteIdenticalAcrossBackends) {
-  RunFingerprint fibers = rebuild_workload("fibers");
-  RunFingerprint threads = rebuild_workload("threads");
-  ASSERT_FALSE(fibers.trace.empty());
-  expect_identical(fibers, threads);
-}
-
-// Mirror of the PR-5 DroppedChannelItemsReleaseSnapshots semantics under the
-// fiber backend, with the extra twist that teardown must also unwind a
-// parked daemon fiber: its stack unwinds via ProcessKilled, the abandoned
-// channel's destructor drops the undelivered items, and the race detector
-// ends with zero outstanding tokens.
+// Mirror of RaceDetectorSim.DroppedChannelItemsReleaseSnapshots, with the
+// extra twist that teardown must also unwind a parked daemon fiber: its
+// stack unwinds via ProcessKilled, the abandoned channel's destructor drops
+// the undelivered items, and the race detector ends with zero outstanding
+// tokens.
 TEST(SimBackend, FiberTeardownDropsParkedDaemonsAndUndeliveredItems) {
-  ScopedBackend scoped("fibers");
   sim::Runtime rt(/*num_nodes=*/1);
   rt.enable_race_check();
   ASSERT_NE(rt.race(), nullptr);
@@ -227,31 +177,9 @@ TEST(SimBackend, FiberTeardownDropsParkedDaemonsAndUndeliveredItems) {
   SUCCEED();
 }
 
-TEST(SimBackend, ThreadsTeardownDropsParkedDaemonsAndUndeliveredItems) {
-  ScopedBackend scoped("threads");
-  sim::Runtime rt(/*num_nodes=*/1);
-  rt.enable_race_check();
-  ASSERT_NE(rt.race(), nullptr);
-  {
-    auto abandoned = rt.make_channel<int>(/*node=*/0);
-    auto idle = rt.make_channel<int>(/*node=*/0);
-    rt.spawn(0, "fire-and-forget", [&](sim::Context& ctx) {
-      ctx.send(*abandoned, 1, /*payload_bytes=*/4);
-    });
-    rt.spawn(0, "parked-daemon", [&](sim::Context& ctx) {
-      ctx.set_daemon();
-      (void)idle->recv();  // rendezvous only; payload is untested
-    });
-    rt.run();
-    EXPECT_EQ(rt.race()->outstanding_tokens(), 1u);
-  }
-  SUCCEED();
-}
-
 // Sequential (non-overlapping) process lifetimes must share one pooled
 // stack: the pool allocates on first dispatch and recycles on exit.
 TEST(SimBackend, StackPoolReusesStacksAfterProcessExit) {
-  ScopedBackend scoped("fibers");
   sim::Scheduler sched;
   for (int i = 0; i < 50; ++i) {
     // Staggered starts, no parking: lifetimes never overlap.
@@ -268,7 +196,6 @@ TEST(SimBackend, StackPoolReusesStacksAfterProcessExit) {
 // Overlapping lifetimes need distinct stacks; the pool's peak tracks the
 // true concurrency, not the total spawn count.
 TEST(SimBackend, StackPoolPeakTracksConcurrentProcesses) {
-  ScopedBackend scoped("fibers");
   sim::Scheduler sched;
   for (int i = 0; i < 8; ++i) {
     sched.spawn(0, "olap" + std::to_string(i), [&sched] {
@@ -280,11 +207,9 @@ TEST(SimBackend, StackPoolPeakTracksConcurrentProcesses) {
   EXPECT_EQ(sched.stats().fiber_stack_live_peak, 8u);
 }
 
-// The load the thread backend could not carry: 10k short-lived processes
-// churning through the scheduler.  Must complete, and must do it with a
+// 10k short-lived processes churning through the scheduler.  Must complete, and must do it with a
 // bounded stack pool (one wave's worth), not 10k stacks.
 TEST(SimBackend, TenThousandProcessChurn) {
-  ScopedBackend scoped("fibers");
   sim::Scheduler sched;
   std::uint64_t completed = 0;
   constexpr std::uint64_t kWaves = 100;

@@ -1,8 +1,7 @@
-// Stack-safety guarantees of the execution backends:
+// Stack-safety guarantees of the fiber stacks:
 //
-//  1. A runaway call chain in a process body must FAULT on the guard page
-//     (fibers) or the OS stack guard (threads) — never silently corrupt a
-//     neighbouring stack.  This is the runtime backstop behind the static
+//  1. A runaway call chain in a process body must FAULT on the guard page —
+//     never silently corrupt a neighbouring stack.  This is the runtime backstop behind the static
 //     budget enforced by tools/analysis/stack_audit.py.
 //  2. With BRIDGE_SIM_STACK_WATERMARK=1 the fiber stack pool measures the
 //     deepest stack use actually reached, exposed via
@@ -21,7 +20,7 @@
 namespace bridge {
 namespace {
 
-/// Scoped env override (same idiom as sim_backend_test).
+/// Scoped env override.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -59,8 +58,7 @@ __attribute__((noinline)) int runaway(int depth, volatile std::byte* parent) {
   return below + static_cast<int>(frame[1]);
 }
 
-void run_runaway_process(const char* backend) {
-  ScopedEnv scoped("BRIDGE_SIM_BACKEND", backend);
+void run_runaway_process() {
   sim::Runtime rt(/*num_nodes=*/1);
   rt.spawn(0, "runaway", [](sim::Context&) {
     (void)runaway(0, nullptr);  // never returns; dies on the stack guard
@@ -83,16 +81,10 @@ TEST(SimStackGuardDeathTest, FiberRunawayRecursionFaultsOnGuardPage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // Any death is a pass: plain builds die with SIGSEGV on the PROT_NONE
   // guard page; ASan builds die with its stack-overflow report instead.
-  EXPECT_DEATH(run_runaway_process("fibers"), "");
-}
-
-TEST(SimStackGuardDeathTest, ThreadsRunawayRecursionFaultsOnOsGuard) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(run_runaway_process("threads"), "");
+  EXPECT_DEATH(run_runaway_process(), "");
 }
 
 TEST(SimStackWatermark, HighWaterTracksDeepestFiberStackUse) {
-  ScopedEnv backend("BRIDGE_SIM_BACKEND", "fibers");
   ScopedEnv watermark("BRIDGE_SIM_STACK_WATERMARK", "1");
   sim::Scheduler sched;
   constexpr int kLevels = 16;  // ~64 KiB of recursion frames
@@ -107,7 +99,6 @@ TEST(SimStackWatermark, HighWaterTracksDeepestFiberStackUse) {
 }
 
 TEST(SimStackWatermark, DisabledByDefaultAndReportsZero) {
-  ScopedEnv backend("BRIDGE_SIM_BACKEND", "fibers");
   unsetenv("BRIDGE_SIM_STACK_WATERMARK");
   sim::Scheduler sched;
   sched.spawn(0, "deep", [] { consume_stack(8); });

@@ -82,7 +82,7 @@ CALL_OVERHEAD_BYTES = 8
 
 DEFAULT_CONFIG = {
     # Budget = budget_fraction * stack bytes.  stack_kb mirrors the fiber
-    # backend's default (exec_backend.cpp); override with --stack-kb to audit
+    # stack default (scheduler.cpp); override with --stack-kb to audit
     # against a different BRIDGE_SIM_STACK_KB deployment.
     "stack_kb": 512,
     "budget_fraction": 0.25,
@@ -140,7 +140,7 @@ DEFAULT_CONFIG = {
     # but is not an error.
     "harness_chain": [
         r"\bbridge_fiber_entry\b",
-        r"bridge::sim::FiberBackend::entry",
+        r"bridge::sim::Scheduler::fiber_entry",
         r"bridge::sim::Scheduler::run_process_body",
         r"_Functor = bridge::sim::Runtime::spawn",
     ],

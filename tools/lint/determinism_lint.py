@@ -35,11 +35,10 @@ version of that check):
 
   bridge-fiber-thread-primitive
                          std::mutex / condition_variable / std::(j)thread /
-                         pthread_* in simulation code.  Only the scheduler +
-                         execution backend (src/sim/scheduler.*,
-                         exec_backend.*, fiber.*) may touch OS threading;
-                         everything else coordinates through sim channels
-                         and events.
+                         pthread_* anywhere in the scanned tree, scheduler
+                         and fiber code included: every process runs on the
+                         one controller thread and coordinates through sim
+                         channels and events.
   bridge-fiber-blocking  Blocking host calls (sleep/usleep/nanosleep,
                          std::this_thread::*, poll/select/epoll_wait,
                          sem_wait, fsync...).  Simulated waiting is
@@ -87,18 +86,6 @@ PROTOCOL_HEADERS = {
 }
 
 NOLINT_RE = re.compile(r"//\s*NOLINT\((bridge-[a-z-]+)\)\s*(?::\s*(.*))?")
-
-# The only files allowed to touch OS threading primitives: the execution
-# backends themselves (which implement fibers / thread-per-process) and the
-# scheduler core they share.  Everything else runs *on* those fibers.
-FIBER_BACKEND_FILES = {
-    os.path.join("src", "sim", "scheduler.hpp"),
-    os.path.join("src", "sim", "scheduler.cpp"),
-    os.path.join("src", "sim", "exec_backend.hpp"),
-    os.path.join("src", "sim", "exec_backend.cpp"),
-    os.path.join("src", "sim", "fiber.hpp"),
-    os.path.join("src", "sim", "fiber.cpp"),
-}
 
 
 @dataclass
@@ -384,8 +371,6 @@ class Linter:
     ]
 
     def lint_fiber_hazards(self, sf: SourceFile) -> None:
-        if os.path.normpath(sf.path) in FIBER_BACKEND_FILES:
-            return
         for lineno, line in enumerate(sf.code_lines, start=1):
             for pat, what in self.THREAD_PRIMITIVE_PATTERNS:
                 if pat.search(line):
@@ -393,10 +378,9 @@ class Linter:
                         sf,
                         lineno,
                         "bridge-fiber-thread-primitive",
-                        f"{what} in code that runs on a cooperative fiber; OS "
-                        "threading lives only in src/sim/{scheduler,"
-                        "exec_backend,fiber}.* — coordinate through sim "
-                        "channels/events instead",
+                        f"{what} in code that runs on a cooperative fiber; "
+                        "the simulation has no OS threads — coordinate "
+                        "through sim channels/events instead",
                     )
             for pat, what in self.BLOCKING_PATTERNS:
                 if pat.search(line):
