@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
   using namespace bridge::bench;
   std::uint64_t records = flag_value(argc, argv, "records", 512);
   std::uint32_t p = static_cast<std::uint32_t>(flag_value(argc, argv, "p", 8));
+  JsonReporter json(argc, argv);
 
   print_header("Ablation A2: parallel open - workers vs LFS count");
   std::printf("p = %u LFS nodes, %llu records; sweep worker count t\n\n", p,
@@ -74,6 +75,12 @@ int main(int argc, char** argv) {
                                   : "virtual parallelism";
     std::printf("%4u | %8.2f s | %10.0f | %8.2fx | %s\n", t, sec,
                 static_cast<double>(records) / sec, base / sec, regime);
+    json.emit("ablation_parallel_open",
+              {{"p", p},
+               {"records", static_cast<double>(records)},
+               {"t", t},
+               {"time_sec", sec},
+               {"speedup", base / sec}});
   }
   std::printf(
       "\nshape checks: throughput grows until t = p, then flattens - extra\n"

@@ -14,6 +14,15 @@ constexpr std::uint32_t msg(BridgeMsg m) { return static_cast<std::uint32_t>(m);
 constexpr std::uint32_t msg(efs::MsgType m) {
   return static_cast<std::uint32_t>(m);
 }
+
+/// One-way delivery to a parallel-open worker.
+void post_worker_data(const sim::Context& ctx, const sim::Address& worker,
+                      const WorkerData& delivery) {
+  sim::Envelope note;
+  note.type = msg(BridgeMsg::kWorkerData);
+  note.payload = util::encode_to_bytes(delivery);
+  sim::post(ctx, worker, std::move(note));
+}
 }  // namespace
 
 void BridgeServerStats::publish(obs::MetricsRegistry& registry,
@@ -199,40 +208,32 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   // them, but the initiation and termination are sequential" (§4.5).  Each
   // disk here is one the file spans: a width-w file costs 145 + 17.5w ms,
   // the paper's 145 + 17.5p for the width-p files it measured.
+  //
+  // Every reply is waited for, even after an error, so none is left behind
+  // in the server's reply stash.
   efs::CreateRequest lfs_req{record.lfs_file_id};
   auto payload = util::encode_to_bytes(lfs_req);
   auto span = record.placement.span();
+  // Embedded-binary-tree fan-out: dispatch and reply cost one charge per
+  // tree level rather than one per node.
+  auto levels = static_cast<std::int64_t>(
+      std::ceil(std::log2(double(span.size()) + 1.0)));
+  if (config_.tree_create) wire.ctx.charge(config_.create_dispatch_cpu * levels);
   std::vector<std::uint64_t> pending;
   pending.reserve(span.size());
-  if (config_.tree_create) {
-    // Embedded-binary-tree fan-out: initiation cost is one dispatch charge
-    // per tree level rather than one per node.
-    auto levels = static_cast<std::int64_t>(
-        std::ceil(std::log2(double(span.size()) + 1.0)));
-    wire.ctx.charge(config_.create_dispatch_cpu * levels);
-    for (auto lfs : span) {
-      pending.push_back(
-          wire.rpc.call_async(lfs_services_[lfs], msg(efs::MsgType::kCreate),
-                              payload));
-    }
-    for (auto corr : pending) {
-      auto reply = wire.rpc.wait_reply(corr);
-      if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-    }
-    wire.ctx.charge(config_.create_reply_cpu * levels);
-  } else {
-    for (auto lfs : span) {
-      wire.ctx.charge(config_.create_dispatch_cpu);
-      pending.push_back(
-          wire.rpc.call_async(lfs_services_[lfs], msg(efs::MsgType::kCreate),
-                              payload));
-    }
-    for (auto corr : pending) {
-      auto reply = wire.rpc.wait_reply(corr);
-      if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-      wire.ctx.charge(config_.create_reply_cpu);
-    }
+  for (auto lfs : span) {
+    if (!config_.tree_create) wire.ctx.charge(config_.create_dispatch_cpu);
+    pending.push_back(wire.rpc.call_async(
+        lfs_services_[lfs], msg(efs::MsgType::kCreate), payload));
   }
+  util::Status first_error = util::ok_status();
+  for (auto corr : pending) {
+    auto reply = wire.rpc.wait_reply(corr);
+    if (!reply.is_ok() && first_error.is_ok()) first_error = reply.status();
+    if (!config_.tree_create) wire.ctx.charge(config_.create_reply_cpu);
+  }
+  if (config_.tree_create) wire.ctx.charge(config_.create_reply_cpu * levels);
+  if (!first_error.is_ok()) return sim::send_reply(wire.ctx, env, first_error);
 
   BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
   id_index_[record.id] = record.name;
@@ -244,77 +245,59 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_delete(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = DeleteFileRequest::decode(r);
-  FileRecord* record = find_by_name(req.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env, util::not_found("file " + req.name));
-  }
-  // "The Delete operation runs in parallel on all instances of the LFS"
-  // (§4.5): dispatch to every LFS the file spans, then wait.
-  efs::DeleteRequest lfs_req{record->lfs_file_id};
-  auto payload = util::encode_to_bytes(lfs_req);
-  std::vector<std::uint64_t> pending;
-  for (auto lfs : record->placement.span()) {
-    pending.push_back(wire.rpc.call_async(
-        lfs_services_[lfs], msg(efs::MsgType::kDelete), payload));
-  }
-  for (auto corr : pending) {
-    auto reply = wire.rpc.wait_reply(corr);
-    if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-  }
-  BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
-  id_index_.erase(record->id);
-  directory_.erase(req.name);
-  sim::send_reply(wire.ctx, env, util::ok_status());
+  sim::send_reply(wire.ctx, env, delete_files(wire, {&req.name, 1}));
 }
 
 void BridgeServer::handle_delete_many(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = DeleteManyRequest::decode(r);
-  // Dispatch the LFS deletes for EVERY file before waiting for any, so the
-  // per-LFS work of different files overlaps (each LFS serves its queue
-  // back to back instead of idling between sequential Delete commands).
-  std::vector<std::uint64_t> pending;
-  for (const auto& name : req.names) {
-    FileRecord* record = find_by_name(name);
-    if (record == nullptr) {
-      return sim::send_reply(wire.ctx, env, util::not_found("file " + name));
-    }
-    efs::DeleteRequest lfs_req{record->lfs_file_id};
-    auto payload = util::encode_to_bytes(lfs_req);
+  sim::send_reply(wire.ctx, env, delete_files(wire, req.names));
+}
+
+util::Status BridgeServer::delete_files(Wire& wire,
+                                        std::span<const std::string> names) {
+  std::vector<const FileRecord*> records;
+  records.reserve(names.size());
+  for (const auto& name : names) {
+    const FileRecord* record = find_by_name(name);
+    if (record == nullptr) return util::not_found("file " + name);
+    records.push_back(record);
+  }
+  // "The Delete operation runs in parallel on all instances of the LFS"
+  // (§4.5): dispatch to every LFS each file spans, for EVERY file before
+  // waiting for any, so the per-LFS work of different files overlaps (each
+  // LFS serves its queue back to back instead of idling between sequential
+  // Delete commands).
+  sim::AsyncBatch batch(wire.rpc);
+  for (const FileRecord* record : records) {
+    auto payload = util::encode_to_bytes(efs::DeleteRequest{record->lfs_file_id});
     for (auto lfs : record->placement.span()) {
-      pending.push_back(wire.rpc.call_async(
-          lfs_services_[lfs], msg(efs::MsgType::kDelete), payload));
+      batch.call(lfs_services_[lfs], msg(efs::MsgType::kDelete), payload);
     }
   }
-  for (auto corr : pending) {
-    auto reply = wire.rpc.wait_reply(corr);
-    if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-  }
+  if (auto st = batch.wait_all_ok(); !st.is_ok()) return st;
   BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
-  for (const auto& name : req.names) {
+  for (const auto& name : names) {
     FileRecord* record = find_by_name(name);
     if (record != nullptr) {
       id_index_.erase(record->id);
       directory_.erase(name);
     }
   }
-  sim::send_reply(wire.ctx, env, util::ok_status());
+  return util::ok_status();
 }
 
 util::Status BridgeServer::refresh_size(Wire& wire, FileRecord& record) {
   // Tools append to LFS files directly, so the authoritative size is the sum
   // of the constituent sizes ("initial reads of file header and directory
   // information" are part of what Open pays for, §4.5).
-  efs::InfoRequest info_req{record.lfs_file_id};
-  auto payload = util::encode_to_bytes(info_req);
-  std::vector<std::uint64_t> pending;
+  auto payload = util::encode_to_bytes(efs::InfoRequest{record.lfs_file_id});
+  sim::AsyncBatch batch(wire.rpc);
   for (auto lfs : record.placement.span()) {
-    pending.push_back(wire.rpc.call_async(
-        lfs_services_[lfs], msg(efs::MsgType::kInfo), payload));
+    batch.call(lfs_services_[lfs], msg(efs::MsgType::kInfo), payload);
   }
   std::uint64_t total = 0;
-  for (auto corr : pending) {
-    auto reply = wire.rpc.wait_reply(corr);
+  for (auto& reply : batch.wait_all()) {
     if (!reply.is_ok()) return reply.status();
     total += util::decode_from_bytes<efs::InfoResponse>(reply.value()).size_blocks;
   }
@@ -559,80 +542,129 @@ util::Status BridgeServer::write_run(
   return util::ok_status();
 }
 
-util::Result<std::vector<std::byte>> BridgeServer::read_block(
-    Wire& wire, FileRecord& record, std::uint64_t n) {
-  auto run = read_run(wire, record, n, 1);
-  if (!run.is_ok()) return run.status();
-  return std::move(run.value()[0]);
+util::Result<BridgeServer::SessionFile> BridgeServer::session_file(
+    std::uint64_t session) {
+  auto it = sessions_.find(session);
+  if (it == sessions_.end()) return util::not_found("no such session");
+  FileRecord* record = find_by_name(it->second.name);
+  if (record == nullptr) {
+    return util::not_found("file deleted: " + it->second.name);
+  }
+  return SessionFile{&it->second, record};
 }
 
-util::Status BridgeServer::write_block(Wire& wire, FileRecord& record,
-                                       std::uint64_t n,
-                                       std::span<const std::byte> user_data) {
-  std::vector<std::vector<std::byte>> one;
-  one.emplace_back(user_data.begin(), user_data.end());
-  return write_run(wire, record, n, one);
+util::Result<SeqReadManyResponse> BridgeServer::seq_read(
+    Wire& wire, std::uint64_t session, std::uint32_t max_blocks) {
+  auto open = session_file(session);
+  if (!open.is_ok()) return open.status();
+  if (max_blocks == 0) return util::invalid_argument("empty read run");
+  auto [s, record] = open.value();
+  SeqReadManyResponse resp;
+  resp.first_block_no = s->read_cursor;
+  std::uint64_t size = record->placement.size_blocks();
+  if (s->read_cursor >= size) {
+    resp.eof = true;
+    return resp;
+  }
+  auto count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      std::min(max_blocks, kMaxRunBlocks), size - s->read_cursor));
+  auto run = read_run(wire, *record, s->read_cursor, count);
+  // On any failure the cursor is untouched: the client can fall back to
+  // single-block reads from exactly where it stood.
+  if (!run.is_ok()) return run.status();
+  resp.blocks = std::move(run).value();
+  s->read_cursor += count;
+  resp.eof = s->read_cursor >= size;
+  return resp;
+}
+
+util::Result<std::uint64_t> BridgeServer::seq_write(
+    Wire& wire, std::uint64_t session,
+    std::span<const std::vector<std::byte>> blocks) {
+  auto open = session_file(session);
+  if (!open.is_ok()) return open.status();
+  if (blocks.empty() || blocks.size() > kMaxRunBlocks) {
+    return util::invalid_argument("write run must move 1..256 blocks");
+  }
+  Session& s = *open.value().session;
+  std::uint64_t first = s.write_cursor;
+  // write_run rolls the file size back on failure; the cursor stays put too.
+  if (auto st = write_run(wire, *open.value().record, first, blocks);
+      !st.is_ok()) {
+    return st;
+  }
+  s.write_cursor += blocks.size();
+  return first;
+}
+
+util::Result<std::vector<std::vector<std::byte>>> BridgeServer::random_read(
+    Wire& wire, BridgeFileId id, std::uint64_t first, std::uint32_t count) {
+  FileRecord* record = find_by_id(id);
+  if (record == nullptr) return util::not_found("no such file id");
+  if (count == 0 || count > kMaxRunBlocks) {
+    return util::invalid_argument("read run must move 1..256 blocks");
+  }
+  return read_run(wire, *record, first, count);
 }
 
 void BridgeServer::handle_seq_read(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqReadRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
+  auto run = seq_read(wire, req.session, 1);
+  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
   SeqReadResponse resp;
-  if (session.read_cursor >= record->placement.size_blocks()) {
-    resp.eof = true;
-    resp.block_no = session.read_cursor;
-    return sim::send_reply(wire.ctx, env, util::ok_status(),
-                           util::encode_to_bytes(resp));
-  }
-  auto data = read_block(wire, *record, session.read_cursor);
-  if (!data.is_ok()) return sim::send_reply(wire.ctx, env, data.status());
-  resp.block_no = session.read_cursor++;
-  resp.data = std::move(data).value();
+  resp.eof = run.value().blocks.empty();
+  resp.block_no = run.value().first_block_no;
+  if (!resp.eof) resp.data = std::move(run.value().blocks[0]);
+  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
+}
+
+void BridgeServer::handle_seq_read_many(Wire& wire, const sim::Envelope& env) {
+  util::Reader r(env.payload);
+  auto req = SeqReadManyRequest::decode(r);
+  auto run = seq_read(wire, req.session, req.max_blocks);
+  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
+  sim::send_reply(wire.ctx, env, util::ok_status(),
+                  util::encode_to_bytes(run.value()));
+}
+
+void BridgeServer::handle_seq_write(Wire& wire, const sim::Envelope& env) {
+  util::Reader r(env.payload);
+  auto req = SeqWriteRequest::decode(r);
+  std::vector<std::vector<std::byte>> one;
+  one.push_back(std::move(req.data));
+  auto first = seq_write(wire, req.session, one);
+  if (!first.is_ok()) return sim::send_reply(wire.ctx, env, first.status());
+  SeqWriteResponse resp{first.value()};
+  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
+}
+
+void BridgeServer::handle_seq_write_many(Wire& wire, const sim::Envelope& env) {
+  util::Reader r(env.payload);
+  auto req = SeqWriteManyRequest::decode(r);
+  auto first = seq_write(wire, req.session, req.blocks);
+  if (!first.is_ok()) return sim::send_reply(wire.ctx, env, first.status());
+  SeqWriteManyResponse resp{first.value(),
+                            static_cast<std::uint32_t>(req.blocks.size())};
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
 
 void BridgeServer::handle_random_read(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = RandomReadRequest::decode(r);
-  FileRecord* record = find_by_id(req.id);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such file id"));
-  }
-  auto data = read_block(wire, *record, req.block_no);
-  if (!data.is_ok()) return sim::send_reply(wire.ctx, env, data.status());
-  RandomReadResponse resp{std::move(data).value()};
+  auto run = random_read(wire, req.id, req.block_no, 1);
+  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
+  RandomReadResponse resp{std::move(run.value()[0])};
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
 
-void BridgeServer::handle_seq_write(Wire& wire, const sim::Envelope& env) {
+void BridgeServer::handle_random_read_many(Wire& wire,
+                                           const sim::Envelope& env) {
   util::Reader r(env.payload);
-  auto req = SeqWriteRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
-  std::uint64_t n = session.write_cursor;
-  if (auto st = write_block(wire, *record, n, req.data); !st.is_ok()) {
-    return sim::send_reply(wire.ctx, env, st);
-  }
-  ++session.write_cursor;
-  SeqWriteResponse resp{n};
+  auto req = RandomReadManyRequest::decode(r);
+  auto run = random_read(wire, req.id, req.first_block, req.count);
+  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
+  RandomReadManyResponse resp{std::move(run).value()};
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
 
@@ -647,115 +679,22 @@ void BridgeServer::handle_random_write(Wire& wire, const sim::Envelope& env) {
     return sim::send_reply(wire.ctx, env,
                            util::invalid_argument("write would leave a gap"));
   }
-  if (auto st = write_block(wire, *record, req.block_no, req.data);
-      !st.is_ok()) {
-    return sim::send_reply(wire.ctx, env, st);
-  }
-  sim::send_reply(wire.ctx, env, util::ok_status());
-}
-
-void BridgeServer::handle_seq_read_many(Wire& wire, const sim::Envelope& env) {
-  util::Reader r(env.payload);
-  auto req = SeqReadManyRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
-  if (req.max_blocks == 0) {
-    return sim::send_reply(wire.ctx, env,
-                           util::invalid_argument("empty read run"));
-  }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
-  SeqReadManyResponse resp;
-  std::uint64_t size = record->placement.size_blocks();
-  if (session.read_cursor >= size) {
-    resp.eof = true;
-    resp.first_block_no = session.read_cursor;
-    return sim::send_reply(wire.ctx, env, util::ok_status(),
-                           util::encode_to_bytes(resp));
-  }
-  std::uint32_t count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      std::min<std::uint64_t>(req.max_blocks, kMaxRunBlocks),
-      size - session.read_cursor));
-  auto run = read_run(wire, *record, session.read_cursor, count);
-  // On any failure the cursor is untouched: the client can fall back to
-  // single-block reads from exactly where it stood.
-  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
-  resp.first_block_no = session.read_cursor;
-  resp.blocks = std::move(run).value();
-  session.read_cursor += count;
-  resp.eof = session.read_cursor >= size;
-  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
-}
-
-void BridgeServer::handle_seq_write_many(Wire& wire, const sim::Envelope& env) {
-  util::Reader r(env.payload);
-  auto req = SeqWriteManyRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
-  if (req.blocks.empty() || req.blocks.size() > kMaxRunBlocks) {
-    return sim::send_reply(
-        wire.ctx, env, util::invalid_argument("write run must move 1..256 blocks"));
-  }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
-  std::uint64_t first = session.write_cursor;
-  if (auto st = write_run(wire, *record, first, req.blocks); !st.is_ok()) {
-    // write_run rolled the file size back; the cursor stays put too.
-    return sim::send_reply(wire.ctx, env, st);
-  }
-  session.write_cursor += req.blocks.size();
-  SeqWriteManyResponse resp{first, static_cast<std::uint32_t>(req.blocks.size())};
-  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
-}
-
-void BridgeServer::handle_random_read_many(Wire& wire,
-                                           const sim::Envelope& env) {
-  util::Reader r(env.payload);
-  auto req = RandomReadManyRequest::decode(r);
-  FileRecord* record = find_by_id(req.id);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such file id"));
-  }
-  if (req.count == 0 || req.count > kMaxRunBlocks) {
-    return sim::send_reply(
-        wire.ctx, env, util::invalid_argument("read run must move 1..256 blocks"));
-  }
-  auto run = read_run(wire, *record, req.first_block, req.count);
-  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
-  RandomReadManyResponse resp{std::move(run).value()};
-  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
+  std::vector<std::vector<std::byte>> one;
+  one.push_back(std::move(req.data));
+  sim::send_reply(wire.ctx, env, write_run(wire, *record, req.block_no, one));
 }
 
 void BridgeServer::handle_seq_seek(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqSeekRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
+  auto open = session_file(req.session);
+  if (!open.is_ok()) return sim::send_reply(wire.ctx, env, open.status());
+  auto [s, record] = open.value();
   // Clamp instead of failing: seeking to (or past) EOF is how a reader
   // positions for "read returns eof", mirroring lseek semantics.
-  session.read_cursor =
+  s->read_cursor =
       std::min<std::uint64_t>(req.block_no, record->placement.size_blocks());
-  SeqSeekResponse resp{session.read_cursor};
+  SeqSeekResponse resp{s->read_cursor};
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
 
@@ -901,52 +840,19 @@ void BridgeServer::handle_parallel_read(Wire& wire, const sim::Envelope& env) {
 
   // "If the width of a parallel open is greater than p, the server will
   // perform groups of p disk accesses in parallel until the high-level
-  // request is satisfied" (§4.1).
+  // request is satisfied" (§4.1).  Each group is one read_run; its blocks
+  // go to the workers only once the whole round has checked out.
   while (delivered < t && job.cursor < size) {
     std::uint32_t round =
         std::min<std::uint32_t>(std::min<std::uint64_t>(t - delivered, p),
                                 size - job.cursor);
     ++stats_.parallel_rounds;
-    struct Pending {
-      std::uint64_t corr;
-      std::uint64_t global_no;
-      std::uint32_t worker;
-    };
-    std::vector<Pending> pending;
-    pending.reserve(round);
+    auto blocks = read_run(wire, *record, job.cursor, round);
+    if (!blocks.is_ok()) return sim::send_reply(wire.ctx, env, blocks.status());
     for (std::uint32_t i = 0; i < round; ++i) {
-      std::uint64_t n = job.cursor + i;
-      auto placed = record->placement.place(n);
-      if (!placed.is_ok()) return sim::send_reply(wire.ctx, env, placed.status());
-      efs::ReadManyRequest lfs_req{record->lfs_file_id,
-                                   {placed.value().local_block}};
-      pending.push_back(Pending{
-          wire.rpc.call_async(lfs_services_[placed.value().lfs_index],
-                              msg(efs::MsgType::kReadMany),
-                              util::encode_to_bytes(lfs_req)),
-          n, delivered + i});
-    }
-    for (const auto& item : pending) {
-      auto reply = wire.rpc.wait_reply(item.corr);
-      if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-      auto block =
-          util::decode_from_bytes<efs::ReadManyResponse>(reply.value())
-              .take_one();
-      if (!block.is_ok()) return sim::send_reply(wire.ctx, env, block.status());
-      auto unwrapped = unwrap_block(block.value());
-      if (!unwrapped.is_ok()) {
-        return sim::send_reply(wire.ctx, env, unwrapped.status());
-      }
-      wire.ctx.charge(config_.forward_cpu);
-      ++stats_.blocks_forwarded;
-      WorkerData delivery;
-      delivery.eof = false;
-      delivery.global_block_no = item.global_no;
-      delivery.data = std::move(unwrapped.value().user_data);
-      sim::Envelope note;
-      note.type = msg(BridgeMsg::kWorkerData);
-      note.payload = util::encode_to_bytes(delivery);
-      sim::post(wire.ctx, job.workers[item.worker], std::move(note));
+      post_worker_data(wire.ctx, job.workers[delivered + i],
+                       WorkerData{false, job.cursor + i,
+                                  std::move(blocks.value()[i])});
     }
     delivered += round;
     job.cursor += round;
@@ -956,13 +862,8 @@ void BridgeServer::handle_parallel_read(Wire& wire, const sim::Envelope& env) {
   if (eof) {
     // Lock-step: every worker gets an EOF marker once the file is exhausted
     // (ordered after any data it just received) so receive loops terminate.
-    for (std::uint32_t i = 0; i < t; ++i) {
-      WorkerData delivery;
-      delivery.eof = true;
-      sim::Envelope note;
-      note.type = msg(BridgeMsg::kWorkerData);
-      note.payload = util::encode_to_bytes(delivery);
-      sim::post(wire.ctx, job.workers[i], std::move(note));
+    for (const auto& worker : job.workers) {
+      post_worker_data(wire.ctx, worker, WorkerData{true, 0, {}});
     }
   }
   ParallelReadResponse resp{delivered, eof};
@@ -991,58 +892,31 @@ void BridgeServer::handle_parallel_write(Wire& wire, const sim::Envelope& env) {
   while (next_worker < t && !job.writers_drained) {
     std::uint32_t round = std::min(t - next_worker, p);
     ++stats_.parallel_rounds;
-    // Solicit one block from each worker in this round.
-    std::vector<std::uint64_t> solicitations;
-    solicitations.reserve(round);
+    // Solicit one block from each worker in this round, all at once.
+    std::uint64_t first = record->placement.size_blocks();
+    sim::AsyncBatch solicitations(wire.rpc);
     for (std::uint32_t i = 0; i < round; ++i) {
-      WorkerGiveRequest give{record->placement.size_blocks() + i};
-      solicitations.push_back(
-          wire.rpc.call_async(job.workers[next_worker + i],
-                              msg(BridgeMsg::kWorkerGive),
-                              util::encode_to_bytes(give)));
+      solicitations.call(job.workers[next_worker + i],
+                         msg(BridgeMsg::kWorkerGive),
+                         util::encode_to_bytes(WorkerGiveRequest{first + i}));
     }
+    // Keep the gap-free prefix: stop at the first drained worker.  Every
+    // reply has been drained by now, including the ones past the stop.
     std::vector<std::vector<std::byte>> blocks;
-    for (auto corr : solicitations) {
-      auto reply = wire.rpc.wait_reply(corr);
+    for (auto& reply : solicitations.wait_all()) {
       if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
       auto give = util::decode_from_bytes<WorkerGiveResponse>(reply.value());
       if (!give.has_data) {
-        // Stop at the first drained worker to keep block order gap-free.
         job.writers_drained = true;
         break;
       }
       blocks.push_back(std::move(give.data));
     }
-    // Write the collected prefix; consecutive appends hit distinct LFSs
-    // under round-robin, so fire them all then wait.
-    std::vector<std::uint64_t> writes;
-    writes.reserve(blocks.size());
-    for (auto& data : blocks) {
-      std::uint64_t n = record->placement.size_blocks();
-      auto placed = record->placement.append();
-      if (!placed.is_ok()) return sim::send_reply(wire.ctx, env, placed.status());
-      BridgeBlockHeader header;
-      header.file_id = record->lfs_file_id;
-      header.global_block_no = n;
-      header.width = record->placement.width();
-      header.start_lfs = record->placement.start_lfs();
-      auto wrapped = wrap_block(header, data);
-      if (!wrapped.is_ok()) {
-        return sim::send_reply(wire.ctx, env, wrapped.status());
-      }
-      auto lfs_req = efs::WriteManyRequest::one(record->lfs_file_id,
-                                                placed.value().local_block,
-                                                std::move(wrapped).value());
-      writes.push_back(
-          wire.rpc.call_async(lfs_services_[placed.value().lfs_index],
-                              msg(efs::MsgType::kWriteMany),
-                              util::encode_to_bytes(lfs_req)));
-      wire.ctx.charge(config_.forward_cpu);
-      ++stats_.blocks_forwarded;
-    }
-    for (auto corr : writes) {
-      auto reply = wire.rpc.wait_reply(corr);
-      if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
+    if (blocks.empty()) break;
+    // The round commits whole or not at all: write_run rolls the file size
+    // back if any LFS fails.
+    if (auto st = write_run(wire, *record, first, blocks); !st.is_ok()) {
+      return sim::send_reply(wire.ctx, env, st);
     }
     written += static_cast<std::uint32_t>(blocks.size());
     next_worker += round;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -181,10 +182,14 @@ class BridgeServer {
   void handle_rename_ack(Wire& wire, const sim::Envelope& env);
   void handle_list(Wire& wire, const sim::Envelope& env);
 
+  /// read_run and write_run are the server's only block path: the naive
+  /// view's handlers and every parallel-open round go through them.
+  ///
   /// Scatter-gather read engine: place global blocks `first..first+count-1`,
   /// fan one vectored request out to every involved LFS concurrently, and
-  /// reassemble the unwrapped user payloads in global-block order.  All
-  /// outstanding replies are drained even on error.
+  /// reassemble the unwrapped user payloads in global-block order.  A block
+  /// whose header names another file or block is kCorrupt.  All outstanding
+  /// replies are drained even on error.
   util::Result<std::vector<std::vector<std::byte>>> read_run(
       Wire& wire, FileRecord& record, std::uint64_t first,
       std::uint32_t count);
@@ -194,17 +199,32 @@ class BridgeServer {
   util::Status write_run(Wire& wire, FileRecord& record, std::uint64_t first,
                          std::span<const std::vector<std::byte>> user_blocks);
 
-  /// Read global block `n` of `record` (single-block wrapper over read_run).
-  util::Result<std::vector<std::byte>> read_block(Wire& wire,
-                                                  FileRecord& record,
-                                                  std::uint64_t n);
-  /// Write user payload as global block `n` (append or overwrite;
-  /// single-block wrapper over write_run).
-  util::Status write_block(Wire& wire, FileRecord& record, std::uint64_t n,
-                           std::span<const std::byte> user_data);
+  /// The naive view's three routines, shared by each single-block handler
+  /// and its `*Many` twin (a single block is a run of one).
+  /// Sequential read of up to `max_blocks` blocks from the session's read
+  /// cursor; at end of file the run is empty and `eof` is set.
+  util::Result<SeqReadManyResponse> seq_read(Wire& wire, std::uint64_t session,
+                                             std::uint32_t max_blocks);
+  /// Append `blocks` at the session's write cursor; returns the first block
+  /// number.  The run commits whole or the cursor stays put.
+  util::Result<std::uint64_t> seq_write(
+      Wire& wire, std::uint64_t session,
+      std::span<const std::vector<std::byte>> blocks);
+  /// Read `count` blocks of file `id` from `first`.
+  util::Result<std::vector<std::vector<std::byte>>> random_read(
+      Wire& wire, BridgeFileId id, std::uint64_t first, std::uint32_t count);
+  /// Delete `names` from every LFS they span, then from the directory.  All
+  /// names are looked up before any LFS is touched.
+  util::Status delete_files(Wire& wire, std::span<const std::string> names);
   /// Refresh a record's size from the LFS instances (used by Open).
   util::Status refresh_size(Wire& wire, FileRecord& record);
 
+  /// The open file behind a session, or the not-found status to reply with.
+  struct SessionFile {
+    Session* session;
+    FileRecord* record;
+  };
+  util::Result<SessionFile> session_file(std::uint64_t session);
   FileRecord* find_by_name(const std::string& name);
   FileRecord* find_by_id(BridgeFileId id);
   FileMeta meta_of(const FileRecord& record) const;

@@ -68,16 +68,10 @@ sim::SimTime SimDisk::positioning_cost(BlockAddr addr) const {
 }
 
 void SimDisk::charge_positioning(sim::Context& ctx, BlockAddr addr) {
-  bool sequential = latency_.sequential_discount && last_addr_ != kNilAddr &&
-                    addr == last_addr_ + 1 &&
-                    geometry_.track_of(addr) == geometry_.track_of(last_addr_);
-  sim::SimTime seek{0};
-  if (!sequential) {
-    seek = positioning_cost(addr);
-    ++stats_.positioning_ops;
-    stats_.busy_time += seek;
-    ctx.charge(seek);
-  }
+  sim::SimTime seek = positioning_cost(addr);
+  ++stats_.positioning_ops;
+  stats_.busy_time += seek;
+  ctx.charge(seek);
   stats_.busy_time += latency_.transfer_per_block;
   ctx.charge(latency_.transfer_per_block);
   charge_stage_split(ctx, seek, latency_.transfer_per_block);

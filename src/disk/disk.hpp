@@ -44,9 +44,6 @@ struct Geometry {
 struct LatencyModel {
   sim::SimTime access_latency = sim::msec(15.0);       ///< seek + rotation
   sim::SimTime transfer_per_block = sim::msec(0.5);    ///< media transfer
-  /// If true, an access to the block immediately following the previous one
-  /// on the same track skips the positioning delay (head is already there).
-  bool sequential_discount = false;
   /// Distance-dependent seek component added on top of access_latency:
   /// seek_per_track * |track - previous track|.  Zero (the default) keeps
   /// the paper's flat positioning charge; the scheduling ablation enables it

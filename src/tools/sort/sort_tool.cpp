@@ -93,29 +93,9 @@ util::Result<SortReport> run_sort_tool(sim::Context& ctx,
   sim::SimTime merge_start = ctx.now();
   std::uint32_t pass = 0;
   if (runs.size() == 1) {
-    // Degenerate p=1 "sort": the single run IS the result; rename by copy of
-    // metadata is not supported, so merge-with-empty is avoided by creating
-    // dst as the run directly.  We instead handle it by a trivial merge
-    // below only when >= 2 runs; for 1 run, create dst and stream it over.
-    // (Rare path: only for width-1 sources.)
-    auto created = client.create(dst, [&] {
-      core::CreateOptions create;
-      create.width = 1;
-      create.start_lfs = runs[0].start_lfs;
-      return create;
-    }());
-    if (!created.is_ok()) return created.status();
-    auto dst_open = client.open(dst);
-    if (!dst_open.is_ok()) return dst_open.status();
-    auto src_session = client.open(runs[0].name);
-    if (!src_session.is_ok()) return src_session.status();
-    for (std::uint64_t i = 0; i < runs[0].size_blocks; ++i) {
-      auto r = client.seq_read(src_session.value().session);
-      if (!r.is_ok()) return r.status();
-      auto written = client.seq_write(dst_open.value().session, r.value().data);
-      if (!written.is_ok()) return written.status();
-    }
-    if (auto st = client.remove(runs[0].name); !st.is_ok()) return st;
+    // A width-1 source sorts into a single run: that run is the result.
+    auto renamed = client.rename(runs[0].name, dst);
+    if (!renamed.is_ok()) return renamed.status();
   }
   while (runs.size() > 1) {
     ++pass;

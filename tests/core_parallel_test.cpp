@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
+#include <optional>
 
+#include "src/core/bridge_block.hpp"
 #include "src/core/instance.hpp"
+#include "src/efs/client.hpp"
 
 namespace bridge::core {
 namespace {
@@ -184,6 +188,156 @@ TEST(ParallelOpen, ParallelWriteCollectsFromWorkers) {
   inst.run();
   EXPECT_EQ(verified, 12);
   EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
+/// Spawn one daemon write worker per entry of `addrs` (which must outlive
+/// `inst`) and store its address there.  Worker w of t answers its r-th
+/// solicitation with record(r * t + w) while `gives(w, r)` holds, and
+/// reports itself drained otherwise.
+void spawn_writers(BridgeInstance& inst, std::vector<sim::Address>& addrs,
+                   std::function<bool(std::uint32_t, std::uint32_t)> gives) {
+  auto t = static_cast<std::uint32_t>(addrs.size());
+  for (std::uint32_t w = 0; w < t; ++w) {
+    inst.runtime().spawn(w % inst.num_lfs(), "wworker" + std::to_string(w),
+                         [&addrs, t, w, gives](sim::Context& ctx) {
+                           ctx.set_daemon();
+                           ParallelWorker worker(ctx);
+                           addrs[w] = worker.address();
+                           for (std::uint32_t r = 0;; ++r) {
+                             worker.serve_give([&] {
+                               return gives(w, r)
+                                          ? std::optional(record(r * t + w))
+                                          : std::nullopt;
+                             });
+                           }
+                         });
+  }
+  // Let the workers publish their addresses before anyone reads `addrs`.
+  inst.run();
+}
+
+TEST(ParallelOpen, FailedParallelWriteLeavesSizeUnchanged) {
+  // One lock-step round spans all three LFSs; LFS 1's disk dies between
+  // rounds.  The failed round must not grow the file.
+  std::vector<sim::Address> workers(3);
+  BridgeInstance inst(test_config(3));
+  spawn_writers(inst, workers, [](std::uint32_t, std::uint32_t) { return true; });
+  inst.run_client("controller", [&](sim::Context&, BridgeClient& client) {
+    ASSERT_TRUE(client.create("wfile").is_ok());
+    auto open = client.open("wfile");
+    ASSERT_TRUE(open.is_ok());
+    auto job = client.parallel_open(open.value().session, workers);
+    ASSERT_TRUE(job.is_ok());
+    auto first = client.parallel_write(job.value());
+    ASSERT_TRUE(first.is_ok());
+    EXPECT_EQ(first.value().blocks_written, 3u);
+
+    inst.lfs(1).disk().fail();
+    EXPECT_FALSE(client.parallel_write(job.value()).is_ok());
+    auto listed = client.list("wfile");
+    ASSERT_TRUE(listed.is_ok());
+    ASSERT_EQ(listed.value().size(), 1u);
+    EXPECT_EQ(listed.value()[0].size_blocks, 3u);
+  });
+  inst.run();
+}
+
+TEST(ParallelOpen, ParallelWriteKeepsGapFreePrefixWhenMiddleWorkerDrains) {
+  // Worker 1 of 3 drains after one block.  The second round keeps only
+  // worker 0's block: worker 2's would leave a gap, so it is dropped.
+  std::vector<sim::Address> workers(3);
+  BridgeInstance inst(test_config(3));
+  spawn_writers(inst, workers, [](std::uint32_t w, std::uint32_t r) {
+    return w != 1 || r == 0;
+  });
+  inst.run_client("controller", [&](sim::Context&, BridgeClient& client) {
+    ASSERT_TRUE(client.create("wfile").is_ok());
+    auto open = client.open("wfile");
+    ASSERT_TRUE(open.is_ok());
+    auto job = client.parallel_open(open.value().session, workers);
+    ASSERT_TRUE(job.is_ok());
+    std::vector<std::uint32_t> written;
+    for (int call = 0; call < 3; ++call) {
+      auto resp = client.parallel_write(job.value());
+      ASSERT_TRUE(resp.is_ok());
+      written.push_back(resp.value().blocks_written);
+    }
+    EXPECT_EQ(written, (std::vector<std::uint32_t>{3, 1, 0}));
+  });
+  inst.run();
+
+  inst.run_client("verifier", [&](sim::Context&, BridgeClient& client) {
+    auto open = client.open("wfile");
+    ASSERT_TRUE(open.is_ok());
+    EXPECT_EQ(open.value().meta.size_blocks, 4u);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      auto r = client.seq_read(open.value().session);
+      ASSERT_TRUE(r.is_ok());
+      EXPECT_EQ(r.value().data, record(i)) << "block " << i;
+    }
+    auto end = client.seq_read(open.value().session);
+    ASSERT_TRUE(end.is_ok());
+    EXPECT_TRUE(end.value().eof);
+  });
+  inst.run();
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
+TEST(ParallelOpen, ParallelReadRejectsMisplacedBlockLikeNaiveRead) {
+  // A validly wrapped block whose header says global block 9, written into
+  // block 5's slot through the tool view.  Neither view may deliver it.
+  // The workers never see EOF; what they capture must outlive `inst`.
+  std::map<std::uint64_t, std::vector<std::byte>> received;
+  std::vector<sim::Address> worker_addrs(4);
+  BridgeInstance inst(test_config(4));
+  write_file(inst, "f", 12);
+  for (std::uint32_t w = 0; w < 4; ++w) {
+    inst.runtime().spawn(w, "worker" + std::to_string(w),
+                         [&, w](sim::Context& ctx) {
+                           ctx.set_daemon();
+                           ParallelWorker worker(ctx);
+                           worker_addrs[w] = worker.address();
+                           while (true) {
+                             auto delivery = worker.next_block();
+                             if (delivery.eof) break;
+                             received[delivery.global_block_no] = delivery.data;
+                           }
+                         });
+  }
+  inst.run_client("controller", [&](sim::Context& ctx, BridgeClient& client) {
+    ctx.sleep(sim::msec(1));
+    auto open = client.open("f");
+    ASSERT_TRUE(open.is_ok());
+    const FileMeta& meta = open.value().meta;
+    auto slot = client.resolve(meta.id, 5, 1);
+    ASSERT_TRUE(slot.is_ok());
+    const Placement& at = slot.value().placements.at(0);
+    BridgeBlockHeader header;
+    header.file_id = meta.lfs_file_id;
+    header.global_block_no = 9;
+    header.width = meta.width;
+    header.start_lfs = meta.start_lfs;
+    auto wrapped = wrap_block(header, record(9));
+    ASSERT_TRUE(wrapped.is_ok());
+    auto info = client.get_info();
+    ASSERT_TRUE(info.is_ok());
+    efs::EfsClient lfs(client.rpc(), info.value().lfs_services[at.lfs_index]);
+    ASSERT_TRUE(
+        lfs.write(meta.lfs_file_id, at.local_block, wrapped.value()).is_ok());
+
+    EXPECT_EQ(client.random_read(meta.id, 5).status().code(),
+              util::ErrorCode::kCorrupt);
+    auto job = client.parallel_open(open.value().session, worker_addrs);
+    ASSERT_TRUE(job.is_ok());
+    auto first_round = client.parallel_read(job.value());  // blocks 0..3
+    ASSERT_TRUE(first_round.is_ok());
+    EXPECT_EQ(client.parallel_read(job.value()).status().code(),  // 4..7
+              util::ErrorCode::kCorrupt);
+  });
+  inst.run();
+  // Only the intact first round reached the workers.
+  EXPECT_EQ(received.size(), 4u);
+  EXPECT_EQ(received.count(5), 0u);
 }
 
 TEST(ParallelOpen, EmptyWorkerListRejected) {

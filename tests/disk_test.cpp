@@ -48,25 +48,6 @@ TEST(Disk, EachAccessChargesLatency) {
   EXPECT_EQ(elapsed.us(), 31'000);  // 2 * (15ms + 0.5ms)
 }
 
-TEST(Disk, SequentialDiscountSkipsPositioning) {
-  sim::Runtime rt(1);
-  LatencyModel lat;
-  lat.access_latency = sim::msec(15.0);
-  lat.transfer_per_block = sim::msec(0.5);
-  lat.sequential_discount = true;
-  SimDisk disk(small_geometry(), lat);
-  sim::SimTime elapsed{};
-  rt.spawn(0, "t", [&](sim::Context& ctx) {
-    (void)disk.read(ctx, 0);  // 15.5ms
-    (void)disk.read(ctx, 1);  // 0.5ms (same track, next block)
-    (void)disk.read(ctx, 2);  // 0.5ms
-    (void)disk.read(ctx, 4);  // 15.5ms (new track)
-    elapsed = ctx.now();
-  });
-  rt.run();
-  EXPECT_EQ(elapsed.us(), 32'000);
-}
-
 TEST(Disk, TrackReadCostsOnePositioning) {
   sim::Runtime rt(1);
   SimDisk disk(small_geometry(), LatencyModel{});
