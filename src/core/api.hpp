@@ -24,6 +24,30 @@ struct CreateOptions {
   std::uint64_t hash_seed = 0;     ///< hashed distribution only
 };
 
+/// The FileMeta that Open would return for a file just made by
+/// create(name, options) with Bridge id `id` on a machine of `num_lfs` LFSs,
+/// so a creator need not Open it.  The placement is the one
+/// BridgeServer::handle_create builds from the same options, the file is
+/// empty, and a fresh file's lfs_file_id is its Bridge id.
+inline FileMeta created_file_meta(const std::string& name, BridgeFileId id,
+                                  const CreateOptions& options,
+                                  std::uint32_t num_lfs) {
+  std::uint32_t width = (options.width == 0 || options.width > num_lfs)
+                            ? num_lfs
+                            : options.width;
+  PlacementMap placement(options.distribution, width, options.start_lfs,
+                         num_lfs, options.chunk_blocks, options.hash_seed);
+  FileMeta meta;
+  meta.id = id;
+  meta.name = name;
+  meta.distribution = static_cast<std::uint8_t>(placement.distribution());
+  meta.width = placement.width();
+  meta.start_lfs = placement.start_lfs();
+  meta.chunk_blocks = placement.chunk_blocks();
+  meta.lfs_file_id = id;
+  return meta;
+}
+
 class BridgeApi {
  public:
   virtual ~BridgeApi() = default;

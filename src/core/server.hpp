@@ -159,6 +159,8 @@ class BridgeServer {
   void serve(sim::Context& ctx);
   void handle(Wire& wire, const sim::Envelope& env);
 
+  /// A fresh file's lfs_file_id is its Bridge id; created_file_meta (api.hpp)
+  /// relies on that to build a creator's FileMeta without an Open.
   void handle_create(Wire& wire, const sim::Envelope& env);
   void handle_delete(Wire& wire, const sim::Envelope& env);
   void handle_delete_many(Wire& wire, const sim::Envelope& env);

@@ -74,16 +74,38 @@ util::Status write_record(sim::Context& ctx, efs::EfsClient& efs, Sink& sink,
 
 LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
   LocalSortResult result;
-  auto fail = [&](const util::Status& status) {
-    result.error = status.code();
-    result.message = status.message();
-    return result;
-  };
-
   sim::RpcClient rpc(ctx);
   efs::EfsClient efs(rpc, task.lfs_service);
   const std::uint32_t c = std::max<std::uint32_t>(task.tuning.in_core_records, 2);
   std::uint32_t temp_seq = 0;
+  auto temp_id = [&](std::uint32_t seq) {
+    return tool_private_file_id(task.owner, kPrivateTempSlot0 + seq);
+  };
+  auto fail = [&](const util::Status& status) {
+    // Take back every temp this worker made, best effort: the sort
+    // reports `status` whatever the removes return.
+    for (std::uint32_t seq = 0; seq < temp_seq; ++seq) {
+      if (auto id = temp_id(seq); id.is_ok()) {
+        (void)efs.remove(id.value());  // already-discarded temps: kNotFound
+      }
+    }
+    result.error = status.code();
+    result.message = status.message();
+    return result;
+  };
+  // Where a sorted run goes: the width-1 run file itself, or the next temp,
+  // created on this LFS.
+  auto next_sink = [&](bool to_run) -> util::Result<Sink> {
+    if (to_run) {
+      return Sink{task.run.lfs_file_id, task.run.lfs_file_id, task.run.width,
+                  task.run.start_lfs};
+    }
+    auto temp = temp_id(temp_seq);
+    if (!temp.is_ok()) return temp.status();
+    ++temp_seq;
+    if (auto st = efs.create(temp.value()); !st.is_ok()) return st;
+    return Sink{temp.value(), temp.value(), 1, task.lfs_index};
+  };
 
   // --- Run formation: read c records, sort in core, emit a sorted run. ---
   std::deque<Run> runs;
@@ -111,21 +133,10 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
                    std::log2(std::max<double>(2.0, static_cast<double>(batch)));
     ctx.charge(task.tuning.compare_cpu * static_cast<std::int64_t>(nlogn));
 
-    Sink sink;
-    if (single_run) {
-      // Small portion: write the sorted records straight into the run file.
-      sink.file = task.run.lfs_file_id;
-      sink.header_file_id = task.run.lfs_file_id;
-      sink.header_width = task.run.width;
-      sink.header_start = task.run.start_lfs;
-    } else {
-      efs::FileId temp = tool_temp_file_id(task.lfs_index, temp_seq++);
-      if (auto st = efs.create(temp); !st.is_ok()) return fail(st);
-      sink.file = temp;
-      sink.header_file_id = temp;
-      sink.header_width = 1;
-      sink.header_start = task.lfs_index;
-    }
+    // Small portion: write the sorted records straight into the run file.
+    auto next = next_sink(single_run);
+    if (!next.is_ok()) return fail(next.status());
+    Sink sink = next.value();
     for (const auto& record : records) {
       if (auto st = write_record(ctx, efs, sink, record, task.tuning);
           !st.is_ok()) {
@@ -156,20 +167,9 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
         runs.pop_front();
       }
 
-      Sink sink;
-      if (is_final) {
-        sink.file = task.run.lfs_file_id;
-        sink.header_file_id = task.run.lfs_file_id;
-        sink.header_width = task.run.width;
-        sink.header_start = task.run.start_lfs;
-      } else {
-        efs::FileId temp = tool_temp_file_id(task.lfs_index, temp_seq++);
-        if (auto st = efs.create(temp); !st.is_ok()) return fail(st);
-        sink.file = temp;
-        sink.header_file_id = temp;
-        sink.header_width = 1;
-        sink.header_start = task.lfs_index;
-      }
+      auto next = next_sink(is_final);
+      if (!next.is_ok()) return fail(next.status());
+      Sink sink = next.value();
 
       // k-way merge with a linear min scan (k is small; a loser tree would
       // only change the CPU constant we charge anyway).

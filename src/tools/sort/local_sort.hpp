@@ -22,10 +22,10 @@ namespace bridge::tools {
 struct LocalSortTask {
   sim::Address lfs_service;
   std::uint32_t lfs_index = 0;
-  std::uint32_t offset = 0;       ///< worker's position in the source stripe
   std::uint64_t local_count = 0;  ///< records in this node's constituent
   core::FileMeta src;
   core::FileMeta run;  ///< width-1 output file rooted on this LFS
+  core::BridgeFileId owner = 0;  ///< owns the temps' tool-private ids
   SortTuning tuning;
 };
 

@@ -1,5 +1,6 @@
 #include "src/tools/sort/sort_tool.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,188 @@ util::Status first_error(const std::vector<MergeWorkerResult>& results) {
     }
   }
   return util::ok_status();
+}
+
+/// Everything one sort has made and not yet discarded: dst and the named
+/// runs (Bridge files), and the tool-private merge outputs (LFS files with
+/// no directory entry, recognisable by their empty name).  Inputs leave as
+/// each pass consumes them; after an error, discard_all() takes back the
+/// rest so a failed sort leaves nothing behind.
+class SortFiles {
+ public:
+  SortFiles(sim::Context& ctx, core::BridgeApi& client, const ToolEnv& env)
+      : client_(client), env_(env), rpc_(ctx) {}
+
+  void hold(const core::FileMeta& meta) { held_.push_back(meta); }
+
+  /// Create the constituents of tool-private `outputs`: one batch of EFS
+  /// kCreate across every LFS they span.
+  util::Status create_private(const std::vector<core::FileMeta>& outputs) {
+    sim::AsyncBatch batch(rpc_);
+    for (const auto& meta : outputs) {
+      post(batch, efs::MsgType::kCreate, meta);
+      hold(meta);
+    }
+    return batch.wait_all_ok();
+  }
+
+  /// Discard `files`: named ones through one Bridge remove_many, overlapped
+  /// with one batch of EFS kDelete for the private ones.  They leave the
+  /// held set even if that fails: a delete that failed once (a dead disk)
+  /// would fail again.
+  util::Status discard(const std::vector<core::FileMeta>& files) {
+    sim::AsyncBatch batch(rpc_);
+    std::vector<std::string> names;
+    for (const auto& meta : files) {
+      std::erase_if(held_, [&](const core::FileMeta& held) {
+        return held.lfs_file_id == meta.lfs_file_id &&
+               held.start_lfs == meta.start_lfs;
+      });
+      if (meta.name.empty()) {
+        post(batch, efs::MsgType::kDelete, meta);
+      } else {
+        names.push_back(meta.name);
+      }
+    }
+    util::Status removed =
+        names.empty() ? util::ok_status() : client_.remove_many(names);
+    util::Status deleted = batch.wait_all_ok();
+    return removed.is_ok() ? deleted : removed;
+  }
+
+  /// After an error: discard everything still held.  Best effort — the
+  /// sort reports its first error whatever this returns.
+  void discard_all() {
+    (void)discard(std::vector(held_));  // the sort's first error stands
+  }
+
+ private:
+  void post(sim::AsyncBatch& batch, efs::MsgType type,
+            const core::FileMeta& meta) {
+    auto payload =
+        type == efs::MsgType::kCreate
+            ? util::encode_to_bytes(efs::CreateRequest{meta.lfs_file_id})
+            : util::encode_to_bytes(efs::DeleteRequest{meta.lfs_file_id});
+    for (std::uint32_t i = 0; i < meta.width; ++i) {
+      batch.call(env_.lfs_service((meta.start_lfs + i) % env_.num_lfs()),
+                 static_cast<std::uint32_t>(type), payload);
+    }
+  }
+
+  core::BridgeApi& client_;
+  const ToolEnv& env_;
+  sim::RpcClient rpc_;
+  std::vector<core::FileMeta> held_;
+};
+
+/// Phase 1: one local external sort per constituent LFS.  Run j is a named
+/// width-1 Bridge file on the source's j-th LFS and holds that LFS's
+/// local_count records; a width-1 source sorts straight into dst.
+util::Result<std::vector<core::FileMeta>> sort_locally(
+    sim::Context& ctx, core::BridgeApi& client, const ToolEnv& env,
+    const core::FileMeta& src, const core::FileMeta& dst,
+    const SortOptions& options, SortFiles& files) {
+  std::uint32_t p = env.num_lfs();
+  std::uint32_t w = src.width;
+  std::vector<core::FileMeta> runs;
+  util::Status status = util::ok_status();
+  WorkerGroup<LocalSortResult> group(ctx, options.fanout);
+  for (std::uint32_t j = 0; j < w; ++j) {
+    std::uint32_t lfs = (src.start_lfs + j) % p;
+    core::FileMeta run = dst;
+    if (w > 1) {
+      std::string name = dst.name + "#run" + std::to_string(j);
+      core::CreateOptions create;
+      create.width = 1;
+      create.start_lfs = lfs;
+      auto id = client.create(name, create);
+      if (!id.is_ok()) {
+        status = id.status();
+        break;
+      }
+      run = core::created_file_meta(name, id.value(), create, p);
+      files.hold(run);
+    }
+    run.size_blocks = src.size_blocks / w + (j < src.size_blocks % w ? 1 : 0);
+
+    LocalSortTask task;
+    task.lfs_service = env.lfs_service(lfs);
+    task.lfs_index = lfs;
+    task.local_count = run.size_blocks;
+    task.src = src;
+    task.run = run;
+    task.owner = dst.id;
+    task.tuning = options.tuning;
+    group.spawn(env.lfs_node(lfs), "lsort@" + std::to_string(lfs),
+                [task](sim::Context& worker_ctx) {
+                  return run_local_sort(worker_ctx, task);
+                });
+    runs.push_back(std::move(run));
+  }
+  // Workers already started finish before the sort may clean up after them.
+  for (const auto& result : group.wait_all()) {
+    if (status.is_ok() && result.error != util::ErrorCode::kOk) {
+      status = util::Status(result.error, result.message);
+    }
+  }
+  if (!status.is_ok()) return status;
+  return runs;
+}
+
+/// Phase 2: the log-depth tree of token merges; returns the pass count.
+/// Every output but the final dst is tool-private.  One id serves all the
+/// outputs of a pass, because a pass's outputs span disjoint LFSs.
+util::Result<std::uint32_t> merge_runs(sim::Context& ctx, const ToolEnv& env,
+                                       std::vector<core::FileMeta> runs,
+                                       const core::FileMeta& dst,
+                                       const SortOptions& options,
+                                       SortFiles& files) {
+  std::uint32_t pass = 0;
+  while (runs.size() > 1) {
+    ++pass;
+    bool final_pass = runs.size() == 2;
+    std::size_t pair_count = runs.size() / 2;
+    auto private_id = tool_private_file_id(dst.id, pass - 1);
+    if (!private_id.is_ok()) return private_id.status();
+
+    std::vector<core::FileMeta> outputs;
+    for (std::size_t j = 0; j < pair_count; ++j) {
+      const core::FileMeta& a = runs[2 * j];
+      const core::FileMeta& b = runs[2 * j + 1];
+      core::FileMeta out = dst;
+      if (!final_pass) {
+        out = core::FileMeta{};
+        out.width = a.width + b.width;
+        out.start_lfs = a.start_lfs;
+        out.lfs_file_id = private_id.value();
+      }
+      out.size_blocks = a.size_blocks + b.size_blocks;
+      outputs.push_back(std::move(out));
+    }
+    if (!final_pass) {
+      if (auto st = files.create_private(outputs); !st.is_ok()) return st;
+    }
+
+    WorkerGroup<MergeWorkerResult> group(ctx, options.fanout);
+    std::vector<std::unique_ptr<TokenMerge>> merges;
+    for (std::size_t j = 0; j < pair_count; ++j) {
+      merges.push_back(std::make_unique<TokenMerge>(
+          ctx, env, runs[2 * j], runs[2 * j + 1], outputs[j], options.tuning));
+      merges.back()->launch(group);
+    }
+    // Give every worker a head start, then inject the start tokens.
+    ctx.sleep(sim::msec(1));
+    for (auto& merge : merges) merge->kick(ctx);
+    if (auto st = first_error(group.wait_all()); !st.is_ok()) return st;
+
+    // "Discard the old files in parallel."
+    std::vector<core::FileMeta> consumed(runs.begin(),
+                                         runs.begin() + 2 * pair_count);
+    if (auto st = files.discard(consumed); !st.is_ok()) return st;
+    if (runs.size() % 2 == 1) outputs.push_back(runs.back());
+    runs = std::move(outputs);
+  }
+  return pass;
 }
 
 }  // namespace
@@ -38,116 +221,37 @@ util::Result<SortReport> run_sort_tool(sim::Context& ctx,
     return util::invalid_argument("sort tool requires an interleaved source");
   }
   std::uint32_t p = env.value().num_lfs();
-  std::uint32_t w = src_meta.width;
+
+  // dst is created first, where the merge tree's root lands: the source's
+  // width, starting on its first LFS.
+  core::CreateOptions dst_create;
+  dst_create.width = src_meta.width;
+  dst_create.start_lfs = src_meta.start_lfs;
+  auto dst_id = client.create(dst, dst_create);
+  if (!dst_id.is_ok()) return dst_id.status();
+  core::FileMeta dst_meta =
+      core::created_file_meta(dst, dst_id.value(), dst_create, p);
+  SortFiles files(ctx, client, env.value());
+  files.hold(dst_meta);
 
   SortReport report;
   report.records = src_meta.size_blocks;
-
-  // --- Phase 1: local external sorts, one worker per constituent LFS. ---
-  std::vector<core::FileMeta> runs;
-  {
-    WorkerGroup<LocalSortResult> group(ctx, options.fanout);
-    std::vector<std::string> run_names;
-    for (std::uint32_t j = 0; j < w; ++j) {
-      std::uint32_t lfs = (src_meta.start_lfs + j) % p;
-      std::string run_name = dst + "#run" + std::to_string(j);
-      core::CreateOptions create;
-      create.width = 1;
-      create.start_lfs = lfs;
-      if (auto created = client.create(run_name, create); !created.is_ok()) {
-        return created.status();
-      }
-      auto run_open = client.open(run_name);
-      if (!run_open.is_ok()) return run_open.status();
-
-      LocalSortTask task;
-      task.lfs_service = env.value().lfs_service(lfs);
-      task.lfs_index = lfs;
-      task.offset = j;
-      task.local_count =
-          src_meta.size_blocks / w + (j < src_meta.size_blocks % w ? 1 : 0);
-      task.src = src_meta;
-      task.run = run_open.value().meta;
-      task.tuning = options.tuning;
-      group.spawn(env.value().lfs_node(lfs), "lsort@" + std::to_string(lfs),
-                  [task](sim::Context& worker_ctx) {
-                    return run_local_sort(worker_ctx, task);
-                  });
-      run_names.push_back(run_name);
-    }
-    for (const auto& result : group.wait_all()) {
-      if (result.error != util::ErrorCode::kOk) {
-        return util::Status(result.error, result.message);
-      }
-    }
-    // Re-open the runs so the Bridge directory learns their sizes.
-    for (const auto& name : run_names) {
-      auto open = client.open(name);
-      if (!open.is_ok()) return open.status();
-      runs.push_back(open.value().meta);
-    }
+  auto runs = sort_locally(ctx, client, env.value(), src_meta, dst_meta,
+                           options, files);
+  if (!runs.is_ok()) {
+    files.discard_all();
+    return runs.status();
   }
   report.local_phase = ctx.now() - t0;
 
-  // --- Phase 2: log-depth tree of parallel token merges. ---
   sim::SimTime merge_start = ctx.now();
-  std::uint32_t pass = 0;
-  if (runs.size() == 1) {
-    // A width-1 source sorts into a single run: that run is the result.
-    auto renamed = client.rename(runs[0].name, dst);
-    if (!renamed.is_ok()) return renamed.status();
+  auto passes = merge_runs(ctx, env.value(), std::move(runs).value(), dst_meta,
+                           options, files);
+  if (!passes.is_ok()) {
+    files.discard_all();
+    return passes.status();
   }
-  while (runs.size() > 1) {
-    ++pass;
-    bool final_pass = runs.size() == 2;
-    std::vector<core::FileMeta> next_runs;
-    std::vector<std::string> consumed;
-    WorkerGroup<MergeWorkerResult> group(ctx, options.fanout);
-    std::vector<std::unique_ptr<TokenMerge>> merges;
-
-    std::size_t pair_count = runs.size() / 2;
-    for (std::size_t j = 0; j < pair_count; ++j) {
-      const core::FileMeta& a = runs[2 * j];
-      const core::FileMeta& b = runs[2 * j + 1];
-      std::string out_name = final_pass
-                                 ? dst
-                                 : dst + "#m" + std::to_string(pass) + "_" +
-                                       std::to_string(j);
-      core::CreateOptions create;
-      create.width = a.width + b.width;
-      create.start_lfs = a.start_lfs;
-      if (auto created = client.create(out_name, create); !created.is_ok()) {
-        return created.status();
-      }
-      auto out_open = client.open(out_name);
-      if (!out_open.is_ok()) return out_open.status();
-
-      merges.push_back(std::make_unique<TokenMerge>(
-          ctx, env.value(), a, b, out_open.value().meta, options.tuning));
-      merges.back()->launch(group);
-      consumed.push_back(a.name);
-      consumed.push_back(b.name);
-      next_runs.push_back(out_open.value().meta);
-    }
-    if (runs.size() % 2 == 1) next_runs.push_back(runs.back());
-
-    // Give every worker a head start, then inject the start tokens.
-    ctx.sleep(sim::msec(1));
-    for (auto& merge : merges) merge->kick(ctx);
-    auto results = group.wait_all();
-    if (auto st = first_error(results); !st.is_ok()) return st;
-
-    // "Discard the old files in parallel."
-    if (auto st = client.remove_many(consumed); !st.is_ok()) return st;
-    // Refresh sizes of the newly written merge outputs.
-    for (auto& meta : next_runs) {
-      auto open = client.open(meta.name);
-      if (!open.is_ok()) return open.status();
-      meta = open.value().meta;
-    }
-    runs = std::move(next_runs);
-  }
-  report.merge_passes = pass;
+  report.merge_passes = passes.value();
   report.merge_phase = ctx.now() - merge_start;
   report.total = ctx.now() - t0;
   return report;

@@ -130,11 +130,46 @@ inline util::Result<ToolEnv> discover(core::BridgeApi& client) {
   return ToolEnv{std::move(info).value()};
 }
 
-/// LFS ids for tool-private temporary files, outside the Bridge Server's id
-/// space (Bridge ids start at 1000 and grow slowly).
-[[nodiscard]] inline efs::FileId tool_temp_file_id(std::uint32_t lfs_index,
-                                                   std::uint32_t seq) {
-  return 0x40000000u + lfs_index * 0x10000u + seq;
+// --- Tool-private LFS files ---------------------------------------------------
+//
+// Files only a tool reads (the sort's local temps and its non-final merge
+// outputs) are LFS files with no Bridge directory entry.  Their ids belong
+// to the Bridge file the tool produces, its *owner*, so two tools running
+// on one machine never collide:
+//
+//   bit  31      1: a Bridge id is home << 24 | local, clear on every
+//                machine with at most 128 Bridge Servers
+//   bits 30..26  owner's home server              (kPrivateOwnerHomes)
+//   bits 25..12  owner's local id less 1000       (kPrivateOwnerLocals)
+//   bits 11..0   slot, chosen by the tool         (kPrivateSlots)
+//
+// Past any limit tool_private_file_id returns an error, never a reused id.
+// The sort gives merge pass k's outputs slot k - 1 (a 32-bit width needs at
+// most 32 passes) and local temp n slot kPrivateTempSlot0 + n; a temp lives
+// on one LFS, so every LFS reuses the same temp slots.
+inline constexpr std::uint32_t kPrivateSlotBits = 12;
+inline constexpr std::uint32_t kPrivateOwnerLocalBits = 14;
+inline constexpr std::uint32_t kPrivateSlots = 1u << kPrivateSlotBits;
+inline constexpr std::uint32_t kPrivateOwnerLocals = 1u << kPrivateOwnerLocalBits;
+inline constexpr std::uint32_t kPrivateOwnerHomes = 32;
+inline constexpr std::uint32_t kPrivateTempSlot0 = 32;
+
+[[nodiscard]] inline util::Result<efs::FileId> tool_private_file_id(
+    core::BridgeFileId owner, std::uint32_t slot) {
+  std::uint32_t home = core::file_id_home(owner);
+  std::uint32_t local =
+      (owner & core::kFileIdLocalMask) - core::make_file_id_base(0);
+  if (home >= kPrivateOwnerHomes || local >= kPrivateOwnerLocals) {
+    return util::out_of_space("no tool-private ids for owner file " +
+                              std::to_string(owner));
+  }
+  if (slot >= kPrivateSlots) {
+    return util::out_of_space("tool-private slots exhausted for owner file " +
+                              std::to_string(owner));
+  }
+  return efs::FileId{0x80000000u |
+                     home << (kPrivateOwnerLocalBits + kPrivateSlotBits) |
+                     local << kPrivateSlotBits | slot};
 }
 
 }  // namespace bridge::tools

@@ -189,6 +189,64 @@ TEST(RoutedClient, SortToolRunsAgainstRoutedDirectory) {
   EXPECT_TRUE(inst.verify_all_lfs().is_ok());
 }
 
+/// Every distribution, widths below, at and past p, starts past p.
+std::vector<CreateOptions> create_variants() {
+  std::vector<CreateOptions> variants;
+  for (auto dist : {Distribution::kRoundRobin, Distribution::kChunked,
+                    Distribution::kHashed, Distribution::kLinked}) {
+    for (std::uint32_t width : {0u, 1u, 3u, 9u}) {
+      CreateOptions options;
+      options.distribution = dist;
+      options.width = width;
+      options.start_lfs = width * 2 + 1;  // 1, 3, 7, 19: some wrap past p
+      options.chunk_blocks = dist == Distribution::kChunked ? 16 : 0;
+      options.hash_seed = dist == Distribution::kHashed ? 77 : 0;
+      variants.push_back(options);
+    }
+  }
+  return variants;
+}
+
+void expect_created_meta_matches_open(BridgeApi& client) {
+  auto variants = create_variants();
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    std::string name = "made" + std::to_string(i);
+    auto id = client.create(name, variants[i]);
+    ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+    FileMeta made = created_file_meta(name, id.value(), variants[i], 4);
+    auto open = client.open(name);
+    ASSERT_TRUE(open.is_ok());
+    const FileMeta& meta = open.value().meta;
+    EXPECT_EQ(made.id, meta.id) << name;
+    EXPECT_EQ(made.name, meta.name) << name;
+    EXPECT_EQ(made.distribution, meta.distribution) << name;
+    EXPECT_EQ(made.width, meta.width) << name;
+    EXPECT_EQ(made.start_lfs, meta.start_lfs) << name;
+    EXPECT_EQ(made.chunk_blocks, meta.chunk_blocks) << name;
+    EXPECT_EQ(made.size_blocks, meta.size_blocks) << name;
+    EXPECT_EQ(made.lfs_file_id, meta.lfs_file_id) << name;
+  }
+}
+
+TEST(CreatedFileMeta, EqualsOpenOnSingleAndRoutedMachines) {
+  BridgeInstance single(cfg(4, 1));
+  single.run_client("c", [&](sim::Context&, BridgeClient& client) {
+    expect_created_meta_matches_open(client);
+  });
+  single.run();
+
+  BridgeInstance routed(cfg(4, 2));
+  routed.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+    expect_created_meta_matches_open(client);
+  });
+  routed.run();
+  std::set<std::uint32_t> homes;
+  for (std::size_t i = 0; i < create_variants().size(); ++i) {
+    homes.insert(directory_home("made" + std::to_string(i), 2));
+  }
+  EXPECT_EQ(homes.size(), 2u);  // both servers minted some of the files
+}
+
 TEST(RoutedClient, CollidingLocalIdsRouteByHomeTag) {
   // Regression for the id_home_ clobber bug: the first file created on each
   // server gets local id 1000, so the low 24 bits of the two Bridge ids

@@ -103,15 +103,44 @@ TEST(ToolEnv, DiscoverReturnsMachineShape) {
   inst.run();
 }
 
-TEST(ToolTempFileIds, DisjointFromBridgeIdsAndEachOther) {
+TEST(ToolPrivateFileIds, DisjointFromBridgeIdsAndEachOther) {
+  // Owners from several homes, at both ends of the local range, each with
+  // merge-pass and temp slots: every id is distinct and none is an id any
+  // Bridge Server of a machine with at most 128 servers can mint.
   std::set<efs::FileId> seen;
-  for (std::uint32_t lfs = 0; lfs < 32; ++lfs) {
-    for (std::uint32_t seq = 0; seq < 64; ++seq) {
-      efs::FileId id = tool_temp_file_id(lfs, seq);
-      EXPECT_GE(id, 0x40000000u);  // above the Bridge server id space
-      EXPECT_TRUE(seen.insert(id).second) << "collision lfs=" << lfs;
+  for (std::uint32_t home : {0u, 1u, 5u, kPrivateOwnerHomes - 1}) {
+    core::BridgeFileId base = core::make_file_id_base(home);
+    for (core::BridgeFileId owner :
+         {base, base + 1, base + 57, base + kPrivateOwnerLocals - 1}) {
+      for (std::uint32_t slot :
+           {0u, 1u, 31u, kPrivateTempSlot0, kPrivateTempSlot0 + 9,
+            kPrivateSlots - 1}) {
+        auto id = tool_private_file_id(owner, slot);
+        ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+        EXPECT_GE(core::file_id_home(id.value()), 128u) << "owner " << owner;
+        EXPECT_NE(id.value(), efs::kInvalidFileId);
+        EXPECT_TRUE(seen.insert(id.value()).second)
+            << "collision owner=" << owner << " slot=" << slot;
+      }
     }
   }
+}
+
+TEST(ToolPrivateFileIds, PastTheLimitsIsAnErrorNotACollision) {
+  core::BridgeFileId owner = core::make_file_id_base(0);
+  EXPECT_EQ(tool_private_file_id(owner, kPrivateSlots).status().code(),
+            util::ErrorCode::kOutOfSpace);
+  EXPECT_EQ(tool_private_file_id(owner + kPrivateOwnerLocals, 0)
+                .status()
+                .code(),
+            util::ErrorCode::kOutOfSpace);
+  EXPECT_EQ(tool_private_file_id(core::make_file_id_base(kPrivateOwnerHomes), 0)
+                .status()
+                .code(),
+            util::ErrorCode::kOutOfSpace);
+  // Below a slice's first minted id is no Bridge file at all.
+  EXPECT_EQ(tool_private_file_id(owner - 1, 0).status().code(),
+            util::ErrorCode::kOutOfSpace);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Sort tool: output sorted + permutation of input (property, multiple p and
-// sizes), merge invariants, phase reporting, degenerate inputs.
+// sizes), merge invariants, phase reporting, degenerate inputs, cleanup after
+// success and failure, concurrent sorts, and the sort's Bridge traffic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,27 +187,106 @@ TEST(SortTool, EmptyFileSorts) {
 }
 
 TEST(SortTool, PhasesAreReportedAndIntermediatesCleaned) {
+  // p=3 is odd: a named run is carried into a pass whose other input is
+  // tool-private, and must still leave the Bridge directory.
+  for (std::uint32_t p : {4u, 3u}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    BridgeInstance inst(cfg(p));
+    make_keyed_file(inst, "input", random_keys(80, 9));
+    SortReport report;
+    inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+      SortOptions options;
+      options.tuning.in_core_records = 8;
+      auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+      ASSERT_TRUE(result.is_ok());
+      report = result.value();
+    });
+    inst.run();
+    EXPECT_GT(report.local_phase.us(), 0);
+    EXPECT_GT(report.merge_phase.us(), 0);
+    EXPECT_GE(report.total.us(),
+              report.local_phase.us() + report.merge_phase.us());
+    EXPECT_EQ(report.merge_passes, 2u);  // ceil(log2(p)) passes
+    // Only "input" and "sorted" remain in the Bridge directory.
+    EXPECT_EQ(inst.server().directory_size(), 2u);
+    // Temp LFS files are gone; only the two files' constituents remain.
+    for (std::uint32_t i = 0; i < p; ++i) {
+      EXPECT_EQ(inst.lfs(i).core().file_count(), 2u) << "lfs " << i;
+    }
+    check_sorted_permutation(random_keys(80, 9), read_keys(inst, "sorted"));
+  }
+}
+
+TEST(SortTool, TwoConcurrentSortsOnOneMachine) {
+  // Local temps and merge outputs are named by the sort's own dst, so two
+  // sorts running at once on the same LFSs never collide.
   BridgeInstance inst(cfg(4));
-  make_keyed_file(inst, "input", random_keys(80, 9));
-  SortReport report;
+  auto keys_a = random_keys(80, 21);
+  auto keys_b = random_keys(80, 22);
+  make_keyed_file(inst, "in_a", keys_a);
+  make_keyed_file(inst, "in_b", keys_b);
+  for (const char* tag : {"a", "b"}) {
+    std::string src = std::string("in_") + tag;
+    std::string dst = std::string("out_") + tag;
+    inst.run_client(std::string("sorter_") + tag,
+                    [src, dst](sim::Context& ctx, BridgeClient& client) {
+                      SortOptions options;
+                      options.tuning.in_core_records = 8;
+                      auto result =
+                          run_sort_tool(ctx, client, src, dst, options);
+                      EXPECT_TRUE(result.is_ok())
+                          << dst << ": " << result.status().to_string();
+                    });
+  }
+  inst.run();
+  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
+  check_sorted_permutation(keys_a, read_keys(inst, "out_a"));
+  check_sorted_permutation(keys_b, read_keys(inst, "out_b"));
+  EXPECT_EQ(inst.server().directory_size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(inst.lfs(i).core().file_count(), 4u) << "lfs " << i;
+  }
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
+TEST(SortTool, FailedSortLeavesNoDebris) {
+  // Each LFS holds 40 input records.  With c >= 40 the local phase needs 80
+  // data blocks per LFS (input + run); a merge pass needs 120 (input, its
+  // inputs and its output), more than the disk has.
+  BridgeInstance inst(cfg(4, 100));
+  make_keyed_file(inst, "input", random_keys(160, 5));
+  inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+    SortOptions options;
+    options.tuning.in_core_records = 64;
+    auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+    EXPECT_EQ(result.status().code(), util::ErrorCode::kOutOfSpace)
+        << result.status().to_string();
+  });
+  inst.run();
+  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
+  // dst, its runs and its private files are gone; only the input remains.
+  EXPECT_EQ(inst.server().directory_size(), 1u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(inst.lfs(i).core().file_count(), 1u) << "lfs " << i;
+  }
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
+TEST(SortTool, BridgeTrafficIsFourPlusWidthRequests) {
+  // Get Info, Open src, Create dst, one Create per run and one DeleteMany
+  // for the runs: sizes are computed, never asked for, and every other
+  // intermediate is tool-private.
+  BridgeInstance inst(cfg(8));
+  make_keyed_file(inst, "input", random_keys(128, 3));
+  std::uint64_t before = inst.server().stats().requests;
   inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
     SortOptions options;
     options.tuning.in_core_records = 8;
-    auto result = run_sort_tool(ctx, client, "input", "sorted", options);
-    ASSERT_TRUE(result.is_ok());
-    report = result.value();
+    ASSERT_TRUE(run_sort_tool(ctx, client, "input", "sorted", options).is_ok());
   });
   inst.run();
-  EXPECT_GT(report.local_phase.us(), 0);
-  EXPECT_GT(report.merge_phase.us(), 0);
-  EXPECT_GE(report.total.us(), report.local_phase.us() + report.merge_phase.us());
-  EXPECT_EQ(report.merge_passes, 2u);  // p=4 -> log2(4) passes
-  // Only "input" and "sorted" remain in the Bridge directory.
-  EXPECT_EQ(inst.server().directory_size(), 2u);
-  // Temp LFS files are gone; only the two files' constituents remain.
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(inst.lfs(i).core().file_count(), 2u) << "lfs " << i;
-  }
+  EXPECT_EQ(inst.server().stats().requests - before, 4u + 8u);
+  check_sorted_permutation(random_keys(128, 3), read_keys(inst, "sorted"));
 }
 
 TEST(SortTool, MissingInputFails) {
