@@ -1,13 +1,14 @@
-// Ablation A6: recovery engine — rebuilding a failed LFS.
+// Ablation A10: recovery engine — rebuilding a failed LFS.
 //
 // §6 stops at "replication helps, but only at very high cost"; it never asks
 // how long repair takes.  This bench measures the recovery engine added with
 // the parity/mirror extensions: after a single-LFS failure, every block the
 // failed LFS held is re-derived from the survivors and written to the
 // repaired disk.  Two modes of the same engine are compared:
-//   - per-block: one kRead/kWrite RPC at a time (the pre-pipeline baseline)
+//   - per-block: one RPC per block (an n=1 kReadMany or kWriteMany), strictly
+//                sequential (the pre-pipeline baseline)
 //   - vectored:  kReadMany/kWriteMany windows with every surviving LFS's
-//                stream in flight concurrently (the PR-1 pipeline)
+//                stream in flight concurrently
 // Rebuild time should drop by roughly the stripe width, since the XOR
 // sources that the per-block path visits in turn all answer at once.
 #include <cstdio>
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flag_value(argc, argv, "window", 32));
   JsonReporter json(argc, argv);
 
-  print_header("Ablation A6: recovery engine (rebuild a failed LFS)");
+  print_header("Ablation A10: recovery engine (rebuild a failed LFS)");
   std::printf("%llu data blocks per run; LFS 1 fails, is repaired, and is\n"
               "rebuilt from the surviving stripes (window = %u blocks)\n\n",
               static_cast<unsigned long long>(records), window);

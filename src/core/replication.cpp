@@ -1,6 +1,8 @@
 #include "src/core/replication.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <span>
 
 #include "src/core/bridge_block.hpp"
 #include "src/core/interleave.hpp"
@@ -193,6 +195,242 @@ std::vector<std::uint32_t> local_range(std::uint32_t lo, std::uint32_t hi) {
   return locals;
 }
 
+void xor_into(std::vector<std::byte>& acc, std::span<const std::byte> payload) {
+  for (std::size_t b = 0; b < payload.size(); ++b) acc[b] ^= payload[b];
+}
+
+/// XOR accumulator for one stripe's data blocks: the payload XOR, the XOR of
+/// their lengths, and how many were folded — a parity block's three parts.
+struct StripeFold {
+  std::vector<std::byte> acc = std::vector<std::byte>(efs::kUserDataBytes);
+  std::uint32_t length_xor = 0;
+  std::uint32_t fill = 0;
+
+  void add(std::span<const std::byte> payload) {
+    xor_into(acc, payload);
+    length_xor ^= static_cast<std::uint32_t>(payload.size());
+    ++fill;
+  }
+};
+
+/// A stripe's lost data block: `fold` holds its surviving data blocks, the
+/// parity block supplies the rest of the XOR and, in its length word, the
+/// lost block's exact length.
+util::Result<std::vector<std::byte>> recover_block(
+    StripeFold fold, const UnwrappedBlock& parity) {
+  xor_into(fold.acc, parity.user_data);
+  std::uint32_t len = parity.header.reserved0 ^ fold.length_xor;
+  if (len > efs::kUserDataBytes) {
+    return util::corrupt("reconstructed length out of range");
+  }
+  fold.acc.resize(len);
+  return std::move(fold.acc);
+}
+
+// --- Rebuild engine ---------------------------------------------------------
+//
+// Every rebuild streams the same way; a caller only describes its work: the
+// surviving constituents to read, the constituents to re-create on the
+// repaired LFS, and how one window's surviving blocks become the lost ones.
+
+using Payloads = std::vector<std::vector<std::byte>>;
+
+/// A surviving constituent the rebuild reads.  Its local block l must carry
+/// global_block_no `l * stride + offset`; any other header is corruption.
+struct RebuildSource {
+  efs::EfsClient* lfs;
+  efs::FileId id;
+  std::uint32_t count;  ///< local blocks to stream
+  std::uint32_t stride;
+  std::uint32_t offset;
+};
+
+/// A constituent on the repaired LFS, re-created as `count` local blocks.
+struct RebuildTarget {
+  efs::FileId id;
+  std::uint32_t count;
+};
+
+/// Turns window [lo, hi)'s checked source runs (runs[i] holds source i's
+/// blocks from lo up to its count) into one wrapped run per target, each
+/// covering the target's blocks from lo up to its count.
+using Reconstruct = std::function<util::Result<std::vector<Payloads>>(
+    std::uint32_t lo, std::uint32_t hi,
+    const std::vector<std::vector<UnwrappedBlock>>& runs)>;
+
+/// Re-create `targets` on `repaired` from `sources`, window by window.  The
+/// targets are reset first (truncated to zero, or created if missing).  A
+/// failed window write truncates every target back to the window start, so a
+/// retry resumes from a clean boundary.
+util::Result<RebuildReport> stream_rebuild(
+    sim::Context& ctx, sim::RpcClient& rpc, efs::EfsClient& repaired,
+    const std::vector<RebuildSource>& sources,
+    const std::vector<RebuildTarget>& targets, const RebuildOptions& options,
+    const Reconstruct& reconstruct) {
+  std::uint32_t window = std::max<std::uint32_t>(options.window_blocks, 1);
+  std::uint32_t todo = 0;
+  for (const auto& target : targets) todo = std::max(todo, target.count);
+  // Blocks window `lo` covers of a constituent holding `count` blocks.
+  auto run_len = [&](std::uint32_t count, std::uint32_t lo) {
+    std::uint32_t hi = std::min({count, todo, lo + window});
+    return hi > lo ? hi - lo : 0u;
+  };
+
+  RebuildReport report;
+  if (todo == 0 || !options.vectored) {
+    for (const auto& target : targets) {
+      if (auto st = reset_constituent(repaired, target.id); !st.is_ok()) {
+        return st;
+      }
+    }
+    if (todo == 0) return report;
+  }
+
+  // Check every surviving block's header, then reconstruct the window.
+  auto rebuild_window = [&](std::uint32_t lo, const std::vector<Payloads>& raw)
+      -> util::Result<std::vector<Payloads>> {
+    std::vector<std::vector<UnwrappedBlock>> runs(sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const auto& source = sources[i];
+      if (raw[i].size() != run_len(source.count, lo)) {
+        return util::corrupt("LFS returned a short vectored read");
+      }
+      for (std::uint32_t l = lo; l < lo + raw[i].size(); ++l) {
+        auto block = unwrap_block(raw[i][l - lo]);
+        if (!block.is_ok()) return block.status();
+        if (block.value().header.global_block_no !=
+            static_cast<std::uint64_t>(l) * source.stride + source.offset) {
+          return util::corrupt("surviving block holds the wrong global block");
+        }
+        runs[i].push_back(std::move(block).value());
+        ++report.blocks_read;
+      }
+    }
+    return reconstruct(lo, std::min(todo, lo + window), runs);
+  };
+  auto rollback = [&](std::uint32_t lo) {
+    for (const auto& target : targets) {
+      rollback_truncate(repaired, target.id, lo, "rebuild_lfs");
+    }
+  };
+
+  if (options.vectored) {
+    // Double-buffered streaming: each batch carries the previous window's
+    // reconstructed writes together with the NEXT window's surviving reads,
+    // so the repaired LFS lands data while the survivors stream ahead.  The
+    // resets ride in batch 0 (they busy only the repaired LFS, the reads
+    // only the survivors — no reason to serialize).
+    auto issue_window_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
+      for (const auto& source : sources) {
+        if (auto n = run_len(source.count, lo); n > 0) {
+          issue_read_many(batch, *source.lfs, source.id,
+                          local_range(lo, lo + n));
+        }
+      }
+    };
+
+    auto batch = std::make_unique<sim::AsyncBatch>(rpc);
+    for (const auto& target : targets) issue_reset(*batch, repaired, target.id);
+    issue_window_reads(*batch, 0);
+    std::vector<std::size_t> pending;  ///< block count of each write
+    std::uint32_t pending_lo = 0;
+
+    // Reap the writes riding at the front of a drained batch.
+    auto reap_pending =
+        [&](std::vector<util::Result<std::vector<std::byte>>>& replies,
+            std::size_t& b) -> util::Status {
+      util::Status write_status = util::ok_status();
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        auto st = replies[b++].status();
+        if (!st.is_ok() && write_status.is_ok()) write_status = st;
+      }
+      if (!write_status.is_ok()) {
+        rollback(pending_lo);
+        return write_status;
+      }
+      for (auto blocks : pending) report.blocks_rebuilt += blocks;
+      if (!pending.empty()) ++report.windows;
+      pending.clear();
+      return util::ok_status();
+    };
+
+    for (std::uint32_t lo = 0; lo < todo; lo += window) {
+      sim::ScopedSpan window_span(ctx, "rebuild.window");
+      auto replies = batch->wait_all();
+      std::size_t b = 0;
+      if (lo == 0) {  // batch 0 leads with the resets
+        for (const auto& target : targets) {
+          auto st = take_reset(std::move(replies[b++]), repaired, target.id);
+          if (!st.is_ok()) return st;
+        }
+      }
+      if (auto st = reap_pending(replies, b); !st.is_ok()) return st;
+
+      std::vector<Payloads> raw(sources.size());
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        if (run_len(sources[i].count, lo) == 0) continue;
+        auto run = take_read_many(std::move(replies[b++]));
+        if (!run.is_ok()) return run.status();
+        raw[i] = std::move(run).value();
+      }
+      auto runs = rebuild_window(lo, raw);
+      if (!runs.is_ok()) return runs.status();
+
+      batch = std::make_unique<sim::AsyncBatch>(rpc);
+      for (std::size_t t = 0; t < targets.size(); ++t) {
+        auto& run = runs.value()[t];
+        if (run.empty()) continue;
+        pending.push_back(run.size());
+        issue_write_run(*batch, repaired, targets[t].id,
+                        run_at(lo, std::move(run)));
+      }
+      pending_lo = lo;
+      if (lo + window < todo) issue_window_reads(*batch, lo + window);
+    }
+
+    // Drain the final window's writes.
+    auto replies = batch->wait_all();
+    std::size_t b = 0;
+    if (auto st = reap_pending(replies, b); !st.is_ok()) return st;
+    return report;
+  }
+
+  // Reference path: one RPC per block, strictly sequential, reading local
+  // block l of every source before block l + 1.
+  for (std::uint32_t lo = 0; lo < todo; lo += window) {
+    sim::ScopedSpan window_span(ctx, "rebuild.window");
+    std::vector<Payloads> raw(sources.size());
+    for (std::uint32_t l = lo; l < std::min(todo, lo + window); ++l) {
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        if (l >= lo + run_len(sources[i].count, lo)) continue;
+        auto block = sources[i].lfs->read(sources[i].id, l);
+        if (!block.is_ok()) return block.status();
+        raw[i].push_back(std::move(block).value());
+      }
+    }
+    auto runs = rebuild_window(lo, raw);
+    if (!runs.is_ok()) return runs.status();
+
+    util::Status write_status = util::ok_status();
+    std::uint64_t written = 0;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      const auto& run = runs.value()[t];
+      for (std::size_t i = 0; i < run.size() && write_status.is_ok(); ++i) {
+        write_status = repaired.write(
+            targets[t].id, lo + static_cast<std::uint32_t>(i), run[i]);
+      }
+      written += run.size();
+    }
+    if (!write_status.is_ok()) {
+      rollback(lo);
+      return write_status;
+    }
+    report.blocks_rebuilt += written;
+    ++report.windows;
+  }
+  return report;
+}
+
 }  // namespace
 
 // --- MirroredFile -----------------------------------------------------------
@@ -343,217 +581,39 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
     std::uint32_t failed_idx, RebuildOptions options) {
   std::uint32_t p = env_.num_lfs();
   if (failed_idx >= p) return util::invalid_argument("no such LFS");
-  std::uint32_t window = std::max<std::uint32_t>(options.window_blocks, 1);
 
-  // LFS f held two constituents: the primary blocks homed on f (mirrored on
-  // partner = f + p/2) and the mirror copies of blocks homed on g = f - p/2.
+  // LFS f held two constituents: the primary blocks homed on f (offset o_f,
+  // mirrored on partner = f + p/2) and the mirror copies of the blocks homed
+  // on g = f - p/2 (offset o_g).  Source i is the surviving copy of target i.
   std::uint32_t o_f = (failed_idx + p - primary_.start_lfs % p) % p;
   std::uint32_t partner = (failed_idx + p / 2) % p;
   std::uint32_t g = (failed_idx + p - p / 2) % p;
   std::uint32_t o_g = (g + p - primary_.start_lfs % p) % p;
   std::uint32_t primary_count = offset_count(size_, p, o_f);
   std::uint32_t mirror_count = offset_count(size_, p, o_g);
-
-  // Rewrap a surviving copy for the constituent being rebuilt, verifying the
-  // checksum and global position en route.
-  auto rewrap = [](const UnwrappedBlock& block, const FileMeta& target,
-                   std::uint64_t expected_global)
-      -> util::Result<std::vector<std::byte>> {
-    if (block.header.global_block_no != expected_global) {
-      return util::corrupt("surviving copy holds the wrong global block");
+  std::vector<RebuildSource> sources = {
+      {lfs_[partner].get(), mirror_.lfs_file_id, primary_count, p, o_f},
+      {lfs_[g].get(), primary_.lfs_file_id, mirror_count, p, o_g}};
+  std::vector<RebuildTarget> targets = {{primary_.lfs_file_id, primary_count},
+                                        {mirror_.lfs_file_id, mirror_count}};
+  // Re-wrap each surviving copy for the constituent being rebuilt.
+  auto rewrap = [&](std::uint32_t, std::uint32_t,
+                    const std::vector<std::vector<UnwrappedBlock>>& runs)
+      -> util::Result<std::vector<Payloads>> {
+    std::vector<Payloads> out(2);
+    for (std::size_t t = 0; t < out.size(); ++t) {
+      const FileMeta& meta = t == 0 ? primary_ : mirror_;
+      for (const auto& block : runs[t]) {
+        auto wrapped =
+            wrap_for(meta, block.header.global_block_no, block.user_data);
+        if (!wrapped.is_ok()) return wrapped.status();
+        out[t].push_back(std::move(wrapped).value());
+      }
     }
-    return wrap_for(target, expected_global, block.user_data);
+    return out;
   };
-
-  RebuildReport report;
-  std::uint32_t todo = std::max(primary_count, mirror_count);
-  if (todo == 0 || !options.vectored) {
-    if (auto st = reset_constituent(*lfs_[failed_idx], primary_.lfs_file_id);
-        !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reset_constituent(*lfs_[failed_idx], mirror_.lfs_file_id);
-        !st.is_ok()) {
-      return st;
-    }
-    if (todo == 0) return report;
-  }
-
-  if (options.vectored) {
-    // Double-buffered streaming: each batch carries the previous window's
-    // reconstructed writes together with the NEXT window's surviving-copy
-    // reads, so the repaired LFS lands data while both partners stream the
-    // window after it — the disks never wait on each other.
-    auto issue_window_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
-      std::uint32_t primary_hi = std::min(primary_count, lo + window);
-      std::uint32_t mirror_hi = std::min(mirror_count, lo + window);
-      if (lo < primary_hi) {
-        issue_read_many(batch, *lfs_[partner], mirror_.lfs_file_id,
-                        local_range(lo, primary_hi));
-      }
-      if (lo < mirror_hi) {
-        issue_read_many(batch, *lfs_[g], primary_.lfs_file_id,
-                        local_range(lo, mirror_hi));
-      }
-    };
-
-    auto batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-    issue_reset(*batch, *lfs_[failed_idx], primary_.lfs_file_id);
-    issue_reset(*batch, *lfs_[failed_idx], mirror_.lfs_file_id);
-    issue_window_reads(*batch, 0);
-    bool reset_pending = true;
-    std::vector<std::uint32_t> pending;  ///< block count of each write
-    std::uint32_t pending_lo = 0;
-
-    // Reap the writes riding at the front of a drained batch; a failure
-    // truncates both constituents back to their window start so a retry
-    // resumes from a clean boundary.
-    auto reap_pending =
-        [&](std::vector<util::Result<std::vector<std::byte>>>& replies,
-            std::size_t& b) -> util::Status {
-      util::Status write_status = util::ok_status();
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        auto st = replies[b++].status();
-        if (!st.is_ok() && write_status.is_ok()) write_status = st;
-      }
-      if (!write_status.is_ok()) {
-        rollback_truncate(*lfs_[failed_idx], primary_.lfs_file_id, pending_lo,
-                          "MirroredFile::rebuild_lfs");
-        rollback_truncate(*lfs_[failed_idx], mirror_.lfs_file_id, pending_lo,
-                          "MirroredFile::rebuild_lfs");
-        return write_status;
-      }
-      for (auto blocks : pending) report.blocks_rebuilt += blocks;
-      if (!pending.empty()) ++report.windows;
-      pending.clear();
-      return util::ok_status();
-    };
-
-    for (std::uint32_t lo = 0; lo < todo; lo += window) {
-      sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-      std::uint32_t primary_hi = std::min(primary_count, lo + window);
-      std::uint32_t mirror_hi = std::min(mirror_count, lo + window);
-      auto replies = batch->wait_all();
-      std::size_t b = 0;
-      if (reset_pending) {
-        if (auto st = take_reset(std::move(replies[b++]), *lfs_[failed_idx],
-                                 primary_.lfs_file_id);
-            !st.is_ok()) {
-          return st;
-        }
-        if (auto st = take_reset(std::move(replies[b++]), *lfs_[failed_idx],
-                                 mirror_.lfs_file_id);
-            !st.is_ok()) {
-          return st;
-        }
-        reset_pending = false;
-      }
-      if (auto st = reap_pending(replies, b); !st.is_ok()) return st;
-
-      util::Result<std::vector<std::vector<std::byte>>> from_partner =
-          lo < primary_hi ? take_read_many(std::move(replies[b++]))
-                          : std::vector<std::vector<std::byte>>{};
-      if (!from_partner.is_ok()) return from_partner.status();
-      auto from_g = lo < mirror_hi
-                        ? take_read_many(std::move(replies[b++]))
-                        : std::vector<std::vector<std::byte>>{};
-      if (!from_g.is_ok()) return from_g.status();
-
-      std::vector<std::vector<std::byte>> primary_payloads, mirror_payloads;
-      for (std::uint32_t l = lo; l < primary_hi; ++l) {
-        auto unwrapped = unwrap_block(from_partner.value()[l - lo]);
-        if (!unwrapped.is_ok()) return unwrapped.status();
-        auto wrapped = rewrap(unwrapped.value(), primary_,
-                              static_cast<std::uint64_t>(l) * p + o_f);
-        if (!wrapped.is_ok()) return wrapped.status();
-        primary_payloads.push_back(std::move(wrapped).value());
-        ++report.blocks_read;
-      }
-      for (std::uint32_t l = lo; l < mirror_hi; ++l) {
-        auto unwrapped = unwrap_block(from_g.value()[l - lo]);
-        if (!unwrapped.is_ok()) return unwrapped.status();
-        auto wrapped = rewrap(unwrapped.value(), mirror_,
-                              static_cast<std::uint64_t>(l) * p + o_g);
-        if (!wrapped.is_ok()) return wrapped.status();
-        mirror_payloads.push_back(std::move(wrapped).value());
-        ++report.blocks_read;
-      }
-
-      batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-      if (!primary_payloads.empty()) {
-        pending.push_back(primary_hi - lo);
-        issue_write_run(*batch, *lfs_[failed_idx], primary_.lfs_file_id,
-                        run_at(lo, std::move(primary_payloads)));
-      }
-      if (!mirror_payloads.empty()) {
-        pending.push_back(mirror_hi - lo);
-        issue_write_run(*batch, *lfs_[failed_idx], mirror_.lfs_file_id,
-                        run_at(lo, std::move(mirror_payloads)));
-      }
-      pending_lo = lo;
-      if (lo + window < todo) issue_window_reads(*batch, lo + window);
-    }
-
-    // Drain the final window's writes.
-    auto replies = batch->wait_all();
-    std::size_t b = 0;
-    if (auto st = reap_pending(replies, b); !st.is_ok()) return st;
-    return report;
-  }
-
-  // Reference path: one RPC per block, strictly sequential.
-  for (std::uint32_t lo = 0; lo < todo; lo += window) {
-    sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-    std::uint32_t primary_hi = std::min(primary_count, lo + window);
-    std::uint32_t mirror_hi = std::min(mirror_count, lo + window);
-    std::vector<std::vector<std::byte>> primary_payloads, mirror_payloads;
-    for (std::uint32_t l = lo; l < primary_hi; ++l) {
-      auto block = read_block(*lfs_[partner], mirror_, l);
-      if (!block.is_ok()) return block.status();
-      auto wrapped = rewrap(block.value(), primary_,
-                            static_cast<std::uint64_t>(l) * p + o_f);
-      if (!wrapped.is_ok()) return wrapped.status();
-      primary_payloads.push_back(std::move(wrapped).value());
-      ++report.blocks_read;
-    }
-    for (std::uint32_t l = lo; l < mirror_hi; ++l) {
-      auto block = read_block(*lfs_[g], primary_, l);
-      if (!block.is_ok()) return block.status();
-      auto wrapped = rewrap(block.value(), mirror_,
-                            static_cast<std::uint64_t>(l) * p + o_g);
-      if (!wrapped.is_ok()) return wrapped.status();
-      mirror_payloads.push_back(std::move(wrapped).value());
-      ++report.blocks_read;
-    }
-
-    // Land the reconstructed runs; a failure mid-window truncates back to
-    // the window start so a retry resumes from a clean boundary.
-    util::Status write_status = util::ok_status();
-    for (std::size_t i = 0; i < primary_payloads.size() &&
-                            write_status.is_ok();
-         ++i) {
-      write_status = lfs_[failed_idx]->write(
-          primary_.lfs_file_id, lo + static_cast<std::uint32_t>(i),
-          primary_payloads[i]);
-    }
-    for (std::size_t i = 0; i < mirror_payloads.size() &&
-                            write_status.is_ok();
-         ++i) {
-      write_status = lfs_[failed_idx]->write(
-          mirror_.lfs_file_id, lo + static_cast<std::uint32_t>(i),
-          mirror_payloads[i]);
-    }
-    if (!write_status.is_ok()) {
-      rollback_truncate(*lfs_[failed_idx], primary_.lfs_file_id, lo,
-                        "MirroredFile::rebuild_lfs");
-      rollback_truncate(*lfs_[failed_idx], mirror_.lfs_file_id, lo,
-                        "MirroredFile::rebuild_lfs");
-      return write_status;
-    }
-    report.blocks_rebuilt += (primary_hi - lo) + (mirror_hi - lo);
-    ++report.windows;
-  }
-  return report;
+  return stream_rebuild(*ctx_, *rpc_, *lfs_[failed_idx], sources, targets,
+                        options, rewrap);
 }
 
 // --- ParityFile -------------------------------------------------------------
@@ -684,8 +744,7 @@ util::Status ParityFile::append_stripe(
   // Build the whole stripe first: wrapped data blocks plus the parity block,
   // whose reserved words carry the XOR of the payload lengths and the fill
   // count (what reconstruction needs to return short blocks byte-identical).
-  std::vector<std::byte> parity(efs::kUserDataBytes, std::byte{0});
-  std::uint32_t length_xor = 0;
+  StripeFold parity;
   std::vector<std::vector<std::byte>> wrapped(blocks.size());
   std::vector<std::uint32_t> data_lfs(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -698,14 +757,10 @@ util::Status ParityFile::append_stripe(
     if (!w.is_ok()) return w.status();
     wrapped[i] = std::move(w).value();
     data_lfs[i] = placement.lfs_index;
-    for (std::size_t b = 0; b < blocks[i].size(); ++b) {
-      parity[b] ^= blocks[i][b];
-    }
-    length_xor ^= static_cast<std::uint32_t>(blocks[i].size());
+    parity.add(blocks[i]);
   }
-  auto parity_wrapped =
-      wrap_for(parity_, stripe, parity, length_xor,
-               static_cast<std::uint32_t>(blocks.size()));
+  auto parity_wrapped = wrap_for(parity_, stripe, parity.acc,
+                                 parity.length_xor, parity.fill);
   if (!parity_wrapped.is_ok()) return parity_wrapped.status();
 
   // Every data block of a stripe lives on a distinct LFS: one write per
@@ -764,8 +819,7 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
              static_cast<std::uint32_t>(stripe));
   auto replies = batch.wait_all();
 
-  std::vector<std::byte> acc(efs::kUserDataBytes, std::byte{0});
-  std::uint32_t length_xor = 0;
+  StripeFold fold;
   for (std::size_t b = 0; b < sibling_lfs.size(); ++b) {
     auto raw = take_read(std::move(replies[b]));
     if (!raw.is_ok()) {
@@ -773,427 +827,89 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
     }
     auto sibling = unwrap_block(raw.value());
     if (!sibling.is_ok()) return sibling.status();
-    const auto& payload = sibling.value().user_data;
-    for (std::size_t b2 = 0; b2 < payload.size(); ++b2) acc[b2] ^= payload[b2];
-    length_xor ^= static_cast<std::uint32_t>(payload.size());
+    fold.add(sibling.value().user_data);
   }
   auto parity_raw = take_read(std::move(replies[sibling_lfs.size()]));
   if (!parity_raw.is_ok()) return parity_raw.status();
   auto parity = unwrap_block(parity_raw.value());
   if (!parity.is_ok()) return parity.status();
-  const auto& parity_payload = parity.value().user_data;
-  for (std::size_t b = 0; b < parity_payload.size(); ++b) {
-    acc[b] ^= parity_payload[b];
-  }
-  std::uint32_t fill = parity.value().header.reserved1;
-  if (fill != stripe_end - stripe_first) {
+  if (parity.value().header.reserved1 != stripe_end - stripe_first) {
     return util::corrupt("parity fill word disagrees with file size");
   }
-  // The failed block's true length: XOR of the stripe's lengths (parity
-  // header) against the surviving lengths.
-  std::uint32_t failed_len = parity.value().header.reserved0 ^ length_xor;
-  if (failed_len > efs::kUserDataBytes) {
-    return util::corrupt("reconstructed length out of range");
-  }
-  acc.resize(failed_len);
-  return acc;
+  return recover_block(std::move(fold), parity.value());
 }
 
 util::Result<RebuildReport> ParityFile::rebuild_lfs(std::uint32_t failed_idx,
                                                     RebuildOptions options) {
-  std::uint32_t total = env_.num_lfs();
-  if (failed_idx >= total) return util::invalid_argument("no such LFS");
-  if (options.window_blocks == 0) options.window_blocks = 1;
-  if (failed_idx == parity_lfs_index()) return rebuild_parity_lfs(options);
-  return rebuild_data_lfs(failed_idx, options);
-}
-
-util::Result<RebuildReport> ParityFile::rebuild_data_lfs(
-    std::uint32_t failed_idx, const RebuildOptions& options) {
   std::uint32_t width = data_width();
   std::uint32_t total = env_.num_lfs();
+  if (failed_idx >= total) return util::invalid_argument("no such LFS");
+  auto stripes = static_cast<std::uint32_t>((size_ + width - 1) / width);
+  // Data block l at offset o is global block l * width + o.
+  std::vector<RebuildSource> sources;
+  for (std::uint32_t o = 0; o < width; ++o) {
+    sources.push_back({lfs_[(data_.start_lfs + o) % total].get(),
+                       data_.lfs_file_id, offset_count(size_, width, o), width,
+                       o});
+  }
+  auto fold_window = [](std::uint32_t lo, std::uint32_t hi,
+                        std::span<const std::vector<UnwrappedBlock>> runs) {
+    std::vector<StripeFold> folds(hi - lo);
+    for (const auto& run : runs) {
+      for (std::size_t j = 0; j < run.size(); ++j) {
+        folds[j].add(run[j].user_data);
+      }
+    }
+    return folds;
+  };
+
+  if (failed_idx == parity_lfs_index()) {
+    // Parity block s is the fold of stripe s's data blocks.
+    auto recompute = [&](std::uint32_t lo, std::uint32_t hi,
+                         const std::vector<std::vector<UnwrappedBlock>>& runs)
+        -> util::Result<std::vector<Payloads>> {
+      auto folds = fold_window(lo, hi, runs);
+      Payloads out;
+      for (std::uint32_t s = lo; s < hi; ++s) {
+        const auto& fold = folds[s - lo];
+        auto wrapped =
+            wrap_for(parity_, s, fold.acc, fold.length_xor, fold.fill);
+        if (!wrapped.is_ok()) return wrapped.status();
+        out.push_back(std::move(wrapped).value());
+      }
+      return std::vector<Payloads>{std::move(out)};
+    };
+    return stream_rebuild(*ctx_, *rpc_, *lfs_[failed_idx], sources,
+                          {{parity_.lfs_file_id, stripes}}, options,
+                          recompute);
+  }
+
   std::uint32_t o_f = (failed_idx + total - data_.start_lfs % total) % total;
   if (o_f >= width) {
     return util::invalid_argument("LFS holds no data constituent");
   }
-  std::uint32_t lost = offset_count(size_, width, o_f);
-
-  RebuildReport report;
-  if (lost == 0 || !options.vectored) {
-    if (auto st = reset_constituent(*lfs_[failed_idx], data_.lfs_file_id);
-        !st.is_ok()) {
-      return st;
-    }
-    if (lost == 0) return report;
-  }
-
-  // Per stripe s: XOR of the surviving data blocks and the parity block
-  // re-derives the lost block; the parity header's length word re-derives
-  // its exact byte length.  Window-sized accumulators shared by both modes.
-  std::uint32_t win_lo = 0;
-  std::vector<std::vector<std::byte>> acc;
-  std::vector<std::uint32_t> length_xor;
-  std::vector<std::uint32_t> parity_folded;
-  auto reset_window = [&](std::uint32_t lo, std::uint32_t hi) {
-    win_lo = lo;
-    acc.assign(hi - lo,
-               std::vector<std::byte>(efs::kUserDataBytes, std::byte{0}));
-    length_xor.assign(hi - lo, 0);
-    parity_folded.assign(hi - lo, 0);
-  };
-  auto fold_sibling = [&](std::uint32_t s,
-                          std::span<const std::byte> raw) -> util::Status {
-    auto sibling = unwrap_block(raw);
-    if (!sibling.is_ok()) return sibling.status();
-    const auto& payload = sibling.value().user_data;
-    for (std::size_t b = 0; b < payload.size(); ++b) {
-      acc[s - win_lo][b] ^= payload[b];
-    }
-    length_xor[s - win_lo] ^= static_cast<std::uint32_t>(payload.size());
-    ++report.blocks_read;
-    return util::ok_status();
-  };
-  auto fold_parity = [&](std::uint32_t s,
-                         std::span<const std::byte> raw) -> util::Status {
-    auto parity = unwrap_block(raw);
-    if (!parity.is_ok()) return parity.status();
-    const auto& payload = parity.value().user_data;
-    for (std::size_t b = 0; b < payload.size(); ++b) {
-      acc[s - win_lo][b] ^= payload[b];
-    }
-    length_xor[s - win_lo] ^= parity.value().header.reserved0;
-    parity_folded[s - win_lo] = 1;
-    ++report.blocks_read;
-    return util::ok_status();
-  };
-  auto wrap_window = [&](std::uint32_t lo, std::uint32_t hi)
-      -> util::Result<std::vector<std::vector<std::byte>>> {
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(hi - lo);
+  // The surviving data constituents, then the parity (block s is stripe s).
+  sources.erase(sources.begin() + o_f);
+  sources.push_back({lfs_[parity_lfs_index()].get(), parity_.lfs_file_id,
+                     stripes, 1, 0});
+  auto reconstruct = [&](std::uint32_t lo, std::uint32_t hi,
+                         const std::vector<std::vector<UnwrappedBlock>>& runs)
+      -> util::Result<std::vector<Payloads>> {
+    auto folds = fold_window(lo, hi, std::span(runs.data(), runs.size() - 1));
+    Payloads out;
     for (std::uint32_t s = lo; s < hi; ++s) {
-      std::uint32_t len = length_xor[s - lo];
-      if (parity_folded[s - lo] == 0 || len > efs::kUserDataBytes) {
-        return util::corrupt("reconstructed length out of range");
-      }
-      std::vector<std::byte> block(acc[s - lo].begin(),
-                                   acc[s - lo].begin() + len);
+      auto block = recover_block(std::move(folds[s - lo]), runs.back()[s - lo]);
+      if (!block.is_ok()) return block.status();
       auto wrapped = wrap_for(
-          data_, static_cast<std::uint64_t>(s) * width + o_f, block);
+          data_, static_cast<std::uint64_t>(s) * width + o_f, block.value());
       if (!wrapped.is_ok()) return wrapped.status();
-      payloads.push_back(std::move(wrapped).value());
+      out.push_back(std::move(wrapped).value());
     }
-    return payloads;
+    return std::vector<Payloads>{std::move(out)};
   };
-
-  if (options.vectored) {
-    // Double-buffered streaming: each batch carries the previous window's
-    // reconstructed write together with the NEXT window's surviving reads,
-    // so the repaired LFS lands data while the survivors stream ahead.
-    struct Source {
-      std::uint32_t lfs;
-      efs::FileId id;
-      std::uint32_t o;       ///< data offset, or width for parity
-      std::uint32_t sub_hi;  ///< exclusive local bound for this source
-    };
-    auto issue_window_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
-      std::uint32_t hi = std::min(lost, lo + options.window_blocks);
-      std::vector<Source> sources;
-      for (std::uint32_t o = 0; o < width; ++o) {
-        if (o == o_f) continue;
-        std::uint32_t sub_hi = std::min(offset_count(size_, width, o), hi);
-        if (lo >= sub_hi) continue;
-        std::uint32_t lfs = (data_.start_lfs + o) % total;
-        sources.push_back({lfs, data_.lfs_file_id, o, sub_hi});
-        issue_read_many(batch, *lfs_[lfs], data_.lfs_file_id,
-                        local_range(lo, sub_hi));
-      }
-      sources.push_back({parity_lfs_index(), parity_.lfs_file_id, width, hi});
-      issue_read_many(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                      local_range(lo, hi));
-      return sources;
-    };
-
-    auto batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-    issue_reset(*batch, *lfs_[failed_idx], data_.lfs_file_id);
-    std::vector<Source> sources = issue_window_reads(*batch, 0);
-    bool reset_pending = true;
-    bool write_pending = false;
-    std::uint32_t pending_lo = 0, pending_hi = 0;
-
-    for (std::uint32_t lo = 0; lo < lost; lo += options.window_blocks) {
-      sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-      std::uint32_t hi = std::min(lost, lo + options.window_blocks);
-      auto replies = batch->wait_all();
-      std::size_t b = 0;
-      if (reset_pending) {
-        if (auto st = take_reset(std::move(replies[b++]), *lfs_[failed_idx],
-                                 data_.lfs_file_id);
-            !st.is_ok()) {
-          return st;
-        }
-        reset_pending = false;
-      }
-      if (write_pending) {
-        auto st = replies[b++].status();
-        if (!st.is_ok()) {
-          rollback_truncate(*lfs_[failed_idx], data_.lfs_file_id, pending_lo,
-                            "ParityFile::rebuild_data_lfs");
-          return st;
-        }
-        report.blocks_rebuilt += pending_hi - pending_lo;
-        ++report.windows;
-        write_pending = false;
-      }
-
-      reset_window(lo, hi);
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        auto run = take_read_many(std::move(replies[b + i]));
-        if (!run.is_ok()) return run.status();
-        for (std::uint32_t s = lo; s < sources[i].sub_hi; ++s) {
-          auto st = sources[i].o == width
-                        ? fold_parity(s, run.value()[s - lo])
-                        : fold_sibling(s, run.value()[s - lo]);
-          if (!st.is_ok()) return st;
-        }
-      }
-      auto payloads = wrap_window(lo, hi);
-      if (!payloads.is_ok()) return payloads.status();
-
-      batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-      issue_write_run(*batch, *lfs_[failed_idx], data_.lfs_file_id,
-                      run_at(lo, std::move(payloads).value()));
-      write_pending = true;
-      pending_lo = lo;
-      pending_hi = hi;
-      if (hi < lost) sources = issue_window_reads(*batch, hi);
-    }
-
-    // Drain the final window's write.
-    auto replies = batch->wait_all();
-    auto st = replies[0].status();
-    if (!st.is_ok()) {
-      rollback_truncate(*lfs_[failed_idx], data_.lfs_file_id, pending_lo,
-                        "ParityFile::rebuild_data_lfs");
-      return st;
-    }
-    report.blocks_rebuilt += pending_hi - pending_lo;
-    ++report.windows;
-    return report;
-  }
-
-  // Reference path: one RPC per surviving block, strictly sequential.
-  for (std::uint32_t lo = 0; lo < lost; lo += options.window_blocks) {
-    sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-    std::uint32_t hi = std::min(lost, lo + options.window_blocks);
-    reset_window(lo, hi);
-    for (std::uint32_t s = lo; s < hi; ++s) {
-      for (std::uint32_t o = 0; o < width; ++o) {
-        if (o == o_f || s >= offset_count(size_, width, o)) continue;
-        auto raw = lfs_[(data_.start_lfs + o) % total]->read(
-            data_.lfs_file_id, s);
-        if (!raw.is_ok()) return raw.status();
-        if (auto st = fold_sibling(s, raw.value()); !st.is_ok()) {
-          return st;
-        }
-      }
-      auto raw = lfs_[parity_lfs_index()]->read(parity_.lfs_file_id, s);
-      if (!raw.is_ok()) return raw.status();
-      if (auto st = fold_parity(s, raw.value()); !st.is_ok()) return st;
-    }
-
-    auto payloads = wrap_window(lo, hi);
-    if (!payloads.is_ok()) return payloads.status();
-    util::Status write_status = util::ok_status();
-    for (std::uint32_t s = lo; s < hi && write_status.is_ok(); ++s) {
-      write_status = lfs_[failed_idx]->write(data_.lfs_file_id, s,
-                                             payloads.value()[s - lo]);
-    }
-    if (!write_status.is_ok()) {
-      rollback_truncate(*lfs_[failed_idx], data_.lfs_file_id, lo,
-                        "ParityFile::rebuild_data_lfs");
-      return write_status;
-    }
-    report.blocks_rebuilt += hi - lo;
-    ++report.windows;
-  }
-  return report;
-}
-
-util::Result<RebuildReport> ParityFile::rebuild_parity_lfs(
-    const RebuildOptions& options) {
-  std::uint32_t width = data_width();
-  std::uint32_t total = env_.num_lfs();
-  std::uint32_t stripes =
-      static_cast<std::uint32_t>((size_ + width - 1) / width);
-
-  RebuildReport report;
-  if (stripes == 0 || !options.vectored) {
-    if (auto st = reset_constituent(*lfs_[parity_lfs_index()],
-                                    parity_.lfs_file_id);
-        !st.is_ok()) {
-      return st;
-    }
-    if (stripes == 0) return report;
-  }
-
-  // Window-sized accumulators shared by both modes: parity block s is the
-  // XOR of stripe s's data payloads; its header carries the length XOR and
-  // the fill count.
-  std::uint32_t win_lo = 0;
-  std::vector<std::vector<std::byte>> acc;
-  std::vector<std::uint32_t> length_xor;
-  std::vector<std::uint32_t> fill;
-  auto reset_window = [&](std::uint32_t lo, std::uint32_t hi) {
-    win_lo = lo;
-    acc.assign(hi - lo,
-               std::vector<std::byte>(efs::kUserDataBytes, std::byte{0}));
-    length_xor.assign(hi - lo, 0);
-    fill.assign(hi - lo, 0);
-  };
-  auto fold = [&](std::uint32_t s,
-                  std::span<const std::byte> raw) -> util::Status {
-    auto block = unwrap_block(raw);
-    if (!block.is_ok()) return block.status();
-    const auto& payload = block.value().user_data;
-    for (std::size_t b = 0; b < payload.size(); ++b) {
-      acc[s - win_lo][b] ^= payload[b];
-    }
-    length_xor[s - win_lo] ^= static_cast<std::uint32_t>(payload.size());
-    ++fill[s - win_lo];
-    ++report.blocks_read;
-    return util::ok_status();
-  };
-  auto wrap_window = [&](std::uint32_t lo, std::uint32_t hi)
-      -> util::Result<std::vector<std::vector<std::byte>>> {
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(hi - lo);
-    for (std::uint32_t s = lo; s < hi; ++s) {
-      auto wrapped = wrap_for(parity_, s, acc[s - lo], length_xor[s - lo],
-                              fill[s - lo]);
-      if (!wrapped.is_ok()) return wrapped.status();
-      payloads.push_back(std::move(wrapped).value());
-    }
-    return payloads;
-  };
-
-  if (options.vectored) {
-    // Double-buffered streaming, same shape as rebuild_data_lfs: the batch
-    // that lands window k's parity also reads window k+1's data blocks.
-    struct Source {
-      std::uint32_t lfs;
-      std::uint32_t sub_hi;
-    };
-    auto issue_window_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
-      std::uint32_t hi = std::min(stripes, lo + options.window_blocks);
-      std::vector<Source> sources;
-      for (std::uint32_t o = 0; o < width; ++o) {
-        std::uint32_t sub_hi = std::min(offset_count(size_, width, o), hi);
-        if (lo >= sub_hi) continue;
-        std::uint32_t lfs = (data_.start_lfs + o) % total;
-        sources.push_back({lfs, sub_hi});
-        issue_read_many(batch, *lfs_[lfs], data_.lfs_file_id,
-                        local_range(lo, sub_hi));
-      }
-      return sources;
-    };
-
-    auto batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-    issue_reset(*batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id);
-    std::vector<Source> sources = issue_window_reads(*batch, 0);
-    bool reset_pending = true;
-    bool write_pending = false;
-    std::uint32_t pending_lo = 0, pending_hi = 0;
-
-    for (std::uint32_t lo = 0; lo < stripes; lo += options.window_blocks) {
-      sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-      std::uint32_t hi = std::min(stripes, lo + options.window_blocks);
-      auto replies = batch->wait_all();
-      std::size_t b = 0;
-      if (reset_pending) {
-        if (auto st = take_reset(std::move(replies[b++]),
-                                 *lfs_[parity_lfs_index()],
-                                 parity_.lfs_file_id);
-            !st.is_ok()) {
-          return st;
-        }
-        reset_pending = false;
-      }
-      if (write_pending) {
-        auto st = replies[b++].status();
-        if (!st.is_ok()) {
-          rollback_truncate(*lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                            pending_lo, "ParityFile::rebuild_parity_lfs");
-          return st;
-        }
-        report.blocks_rebuilt += pending_hi - pending_lo;
-        ++report.windows;
-        write_pending = false;
-      }
-
-      reset_window(lo, hi);
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        auto run = take_read_many(std::move(replies[b + i]));
-        if (!run.is_ok()) return run.status();
-        for (std::uint32_t s = lo; s < sources[i].sub_hi; ++s) {
-          if (auto st = fold(s, run.value()[s - lo]); !st.is_ok()) return st;
-        }
-      }
-      auto payloads = wrap_window(lo, hi);
-      if (!payloads.is_ok()) return payloads.status();
-
-      batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-      issue_write_run(*batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                      run_at(lo, std::move(payloads).value()));
-      write_pending = true;
-      pending_lo = lo;
-      pending_hi = hi;
-      if (hi < stripes) sources = issue_window_reads(*batch, hi);
-    }
-
-    // Drain the final window's write.
-    auto replies = batch->wait_all();
-    auto st = replies[0].status();
-    if (!st.is_ok()) {
-      rollback_truncate(*lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                        pending_lo, "ParityFile::rebuild_parity_lfs");
-      return st;
-    }
-    report.blocks_rebuilt += pending_hi - pending_lo;
-    ++report.windows;
-    return report;
-  }
-
-  // Reference path: one RPC per surviving block, strictly sequential.
-  for (std::uint32_t lo = 0; lo < stripes; lo += options.window_blocks) {
-    sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-    std::uint32_t hi = std::min(stripes, lo + options.window_blocks);
-    reset_window(lo, hi);
-    for (std::uint32_t s = lo; s < hi; ++s) {
-      for (std::uint32_t o = 0; o < width; ++o) {
-        if (s >= offset_count(size_, width, o)) continue;
-        auto raw = lfs_[(data_.start_lfs + o) % total]->read(
-            data_.lfs_file_id, s);
-        if (!raw.is_ok()) return raw.status();
-        if (auto st = fold(s, raw.value()); !st.is_ok()) return st;
-      }
-    }
-
-    auto payloads = wrap_window(lo, hi);
-    if (!payloads.is_ok()) return payloads.status();
-    util::Status write_status = util::ok_status();
-    for (std::uint32_t s = lo; s < hi && write_status.is_ok(); ++s) {
-      write_status = lfs_[parity_lfs_index()]->write(
-          parity_.lfs_file_id, s, payloads.value()[s - lo]);
-    }
-    if (!write_status.is_ok()) {
-      rollback_truncate(*lfs_[parity_lfs_index()], parity_.lfs_file_id, lo,
-                        "ParityFile::rebuild_parity_lfs");
-      return write_status;
-    }
-    report.blocks_rebuilt += hi - lo;
-    ++report.windows;
-  }
-  return report;
+  return stream_rebuild(*ctx_, *rpc_, *lfs_[failed_idx], sources,
+                        {{data_.lfs_file_id, offset_count(size_, width, o_f)}},
+                        options, reconstruct);
 }
 
 }  // namespace bridge::core

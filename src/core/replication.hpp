@@ -25,10 +25,13 @@
 // appends are compensated with the EFS kTruncate op so no torn stripe or
 // half-mirrored block survives a mid-append fault.
 //
-// The recovery engine (`rebuild_lfs`) re-creates every block a failed LFS
-// held by streaming windows of surviving blocks/parity from the other LFSs
-// (kReadMany fan-out per window) and writing the reconstructed runs to the
-// repaired or spare LFS mounted at the same index (kWriteMany).  A
+// Both `rebuild_lfs` calls run on one recovery engine.  Each describes its
+// work as sources (the surviving constituents to stream), targets (the
+// constituents to re-create on the repaired or spare LFS mounted at the
+// failed index) and a reconstruct step (mirroring re-wraps each surviving
+// copy; parity XOR-folds each stripe).  The engine streams windows: one
+// kReadMany per source, then one kWriteMany per target, and it rejects any
+// surviving block whose header names the wrong global block.  A
 // one-block-per-RPC reference mode exists for the recovery ablation bench.
 #pragma once
 
@@ -48,9 +51,10 @@ struct RebuildOptions {
   /// is a full flight of 8 tracks — deep enough that each window's
   /// track-coalesced write overlaps the next window's reads.
   std::uint32_t window_blocks = 32;
-  /// true: kReadMany/kWriteMany windows with all source LFSs in flight at
-  /// once.  false: the pre-pipeline reference path — one RPC (a run of one)
-  /// per block, strictly sequential (kept for the ablation bench).
+  /// true: double-buffered kReadMany/kWriteMany windows, every source LFS
+  /// in flight at once.  false: the reference path — one n=1 kReadMany or
+  /// kWriteMany per block, strictly sequential, reading block l of every
+  /// source before block l + 1 (kept for A10's per-block column).
   bool vectored = true;
 };
 
@@ -172,10 +176,6 @@ class ParityFile {
   /// answer, the exact size is recovered from the last parity block's fill
   /// count instead.
   util::Status derive_size();
-
-  util::Result<RebuildReport> rebuild_data_lfs(std::uint32_t failed_idx,
-                                               const RebuildOptions& options);
-  util::Result<RebuildReport> rebuild_parity_lfs(const RebuildOptions& options);
 
   sim::Context* ctx_;
   tools::ToolEnv env_;

@@ -429,6 +429,7 @@ util::Status BridgeServer::write_run(
   struct LfsGroup {
     std::vector<efs::BlockWrite> writes;  ///< (local block, wrapped payload)
     std::uint32_t appends = 0;  ///< blocks of this group that grow the file
+    std::uint32_t pre_run_local = 0;  ///< constituent length before the run
   };
   std::vector<LfsGroup> groups(num_lfs());
   for (std::size_t i = 0; i < user_blocks.size(); ++i) {
@@ -471,7 +472,9 @@ util::Status BridgeServer::write_run(
     auto& group = groups[placed.value().lfs_index];
     group.writes.push_back(
         {placed.value().local_block, std::move(wrapped).value()});
-    if (is_append) ++group.appends;
+    if (is_append && group.appends++ == 0) {
+      group.pre_run_local = placed.value().local_block;
+    }
   }
 
   // Preflight: when an appending run spans several LFSs, one LFS could run
@@ -519,22 +522,46 @@ util::Status BridgeServer::write_run(
   // (the LFS preflights runs of two or more so an out-of-space run fails
   // without leaving a partial tail behind).
   sim::AsyncBatch batch(wire.rpc);
+  std::vector<std::uint32_t> batch_lfs;
   for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
     if (groups[lfs].writes.empty()) continue;
     efs::WriteManyRequest req{record.lfs_file_id,
                               std::move(groups[lfs].writes)};
     batch.call(lfs_services_[lfs], msg(efs::MsgType::kWriteMany),
                util::encode_to_bytes(req));
+    batch_lfs.push_back(lfs);
   }
   if (user_blocks.size() > 1) {
     ++stats_.vectored_batches;
     stats_.vectored_blocks += user_blocks.size();
   }
 
-  // Gather completions; one failed LFS fails the run whole.
-  if (auto st = batch.wait_all_ok(); !st.is_ok()) {
+  // Gather completions; one failed LFS (e.g. a dead disk) fails the run
+  // whole.  Its peers may have committed their appends already: truncate
+  // each back to its pre-run length, the way MirroredFile rolls back torn
+  // appends, or the next Open's refresh_size would count them.
+  auto replies = batch.wait_all();
+  auto failed = std::find_if(replies.begin(), replies.end(),
+                             [](const auto& reply) { return !reply.is_ok(); });
+  if (failed != replies.end()) {
+    auto status = failed->status();
+    sim::AsyncBatch undo(wire.rpc);
+    for (std::size_t b = 0; b < replies.size(); ++b) {
+      const auto& group = groups[batch_lfs[b]];
+      if (!replies[b].is_ok() || group.appends == 0) continue;
+      efs::TruncateRequest req{record.lfs_file_id, group.pre_run_local};
+      undo.call(lfs_services_[batch_lfs[b]], msg(efs::MsgType::kTruncate),
+                util::encode_to_bytes(req));
+    }
+    for (auto& undone : undo.wait_all()) {
+      if (undone.is_ok()) continue;
+      util::LogMessage(util::LogLevel::kError, "bridge")
+          << "write_run: rollback truncate failed; a constituent may keep "
+          << "blocks the directory does not count: "
+          << undone.status().to_string();
+    }
     rollback();
-    return st;
+    return status;
   }
   wire.ctx.charge(config_.forward_cpu *
                   static_cast<std::int64_t>(user_blocks.size()));

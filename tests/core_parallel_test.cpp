@@ -240,6 +240,25 @@ TEST(ParallelOpen, FailedParallelWriteLeavesSizeUnchanged) {
     EXPECT_EQ(listed.value()[0].size_blocks, 3u);
   });
   inst.run();
+
+  // LFSs 0 and 2 took their blocks of the failed round; they must have been
+  // truncated back, or the reopen's size refresh would count them.
+  inst.lfs(1).disk().repair();
+  inst.run_client("reopener", [&](sim::Context&, BridgeClient& client) {
+    auto open = client.open("wfile");
+    ASSERT_TRUE(open.is_ok());
+    EXPECT_EQ(open.value().meta.size_blocks, 3u);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      auto r = client.seq_read(open.value().session);
+      ASSERT_TRUE(r.is_ok()) << "block " << i;
+      EXPECT_FALSE(r.value().eof);
+      EXPECT_EQ(r.value().data, record(i)) << "block " << i;
+    }
+    auto end = client.seq_read(open.value().session);
+    ASSERT_TRUE(end.is_ok());
+    EXPECT_TRUE(end.value().eof);
+  });
+  inst.run();
 }
 
 TEST(ParallelOpen, ParallelWriteKeepsGapFreePrefixWhenMiddleWorkerDrains) {

@@ -462,14 +462,55 @@ TEST(ParityFile, RebuildParityLfsRestoresProtection) {
   inst.run();
 }
 
+template <typename File>
+util::Result<RebuildReport> open_and_rebuild(sim::Context& ctx,
+                                             BridgeClient& client,
+                                             const std::string& name,
+                                             std::uint32_t failed,
+                                             RebuildOptions options) {
+  auto file = File::open(ctx, client, name);
+  if (!file.is_ok()) return file.status();
+  return file.value().rebuild_lfs(failed, options);
+}
+
+/// Append `stripes` full stripes of record(i) to the 4-wide parity file.
+void write_stripes(BridgeInstance& inst, std::uint32_t stripes) {
+  inst.run_client("writer", [&, stripes](sim::Context& ctx,
+                                          BridgeClient& client) {
+    auto file = ParityFile::open(ctx, client, "pfile");
+    ASSERT_TRUE(file.is_ok());
+    for (std::uint32_t stripe = 0; stripe < stripes; ++stripe) {
+      std::vector<std::vector<std::byte>> blocks;
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        blocks.push_back(record(stripe * 4 + i));
+      }
+      ASSERT_TRUE(file.value().append_stripe(blocks).is_ok());
+    }
+  });
+  inst.run();
+}
+
 TEST(ParityFile, VectoredAndPerBlockRebuildProduceIdenticalDisks) {
   // Two bit-deterministic instances take the same writes and the same
   // failure; one rebuilds through the vectored pipeline, the other through
   // the per-block reference path.  The resulting machines must be
-  // indistinguishable on disk.
-  auto build = [](bool vectored) {
+  // indistinguishable on disk, for every kind of victim the engine serves:
+  // a parity data LFS, the parity LFS and a mirrored file's LFS.
+  enum class Victim { kParityData, kParityLfs, kMirror };
+  auto build = [](Victim victim, bool vectored, RebuildReport& report) {
     auto inst = std::make_unique<BridgeInstance>(cfg(5));
+    const bool mirrored = victim == Victim::kMirror;
+    const std::uint32_t failed = victim == Victim::kParityLfs ? 4 : 2;
     inst->run_client("writer", [&](sim::Context& ctx, BridgeClient& client) {
+      if (mirrored) {
+        auto file = MirroredFile::open(ctx, client, "m");
+        ASSERT_TRUE(file.is_ok());
+        std::vector<std::vector<std::byte>> run;
+        for (std::uint32_t i = 0; i < 22; ++i) run.push_back(record(i));
+        run.push_back(short_record(22, 300));
+        ASSERT_TRUE(file.value().append_many(run).is_ok());
+        return;
+      }
       auto file = ParityFile::open(ctx, client, "pfile");
       ASSERT_TRUE(file.is_ok());
       for (std::uint32_t stripe = 0; stripe < 5; ++stripe) {
@@ -483,17 +524,19 @@ TEST(ParityFile, VectoredAndPerBlockRebuildProduceIdenticalDisks) {
       ASSERT_TRUE(file.value().append_stripe(tail).is_ok());
     });
     inst->run();
-    inst->lfs(2).disk().fail();
-    inst->lfs(2).disk().repair();
-    inst->run_client("rebuilder", [&, vectored](sim::Context& ctx,
-                                                BridgeClient& client) {
-      auto file = ParityFile::open(ctx, client, "pfile");
-      ASSERT_TRUE(file.is_ok());
+    inst->lfs(failed).disk().fail();
+    inst->lfs(failed).disk().repair();
+    inst->run_client("rebuilder", [&](sim::Context& ctx,
+                                      BridgeClient& client) {
       RebuildOptions options;
       options.vectored = vectored;
       options.window_blocks = 3;
-      auto report = file.value().rebuild_lfs(2, options);
-      ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+      auto rebuilt = mirrored ? open_and_rebuild<MirroredFile>(
+                                    ctx, client, "m", failed, options)
+                              : open_and_rebuild<ParityFile>(
+                                    ctx, client, "pfile", failed, options);
+      ASSERT_TRUE(rebuilt.is_ok()) << rebuilt.status().to_string();
+      report = rebuilt.value();
       // Flush every LFS cache so the disk images are comparable.
       auto env = tools::discover(client);
       ASSERT_TRUE(env.is_ok());
@@ -504,22 +547,135 @@ TEST(ParityFile, VectoredAndPerBlockRebuildProduceIdenticalDisks) {
     return inst;
   };
 
-  auto a = build(/*vectored=*/true);
-  auto b = build(/*vectored=*/false);
-  for (std::uint32_t i = 0; i < a->num_lfs(); ++i) {
-    auto capacity = a->lfs(i).disk().geometry().capacity_blocks();
-    std::uint32_t mismatches = 0;
-    for (std::uint32_t addr = 0; addr < capacity; ++addr) {
-      auto pa = a->lfs(i).disk().peek(addr);
-      auto pb = b->lfs(i).disk().peek(addr);
-      ASSERT_TRUE(pa.has_value() && pb.has_value());
-      if (!std::equal(pa->begin(), pa->end(), pb->begin(), pb->end())) {
-        ++mismatches;
+  for (auto victim :
+       {Victim::kParityData, Victim::kParityLfs, Victim::kMirror}) {
+    SCOPED_TRACE(static_cast<int>(victim));
+    RebuildReport report_a, report_b;
+    auto a = build(victim, /*vectored=*/true, report_a);
+    auto b = build(victim, /*vectored=*/false, report_b);
+    EXPECT_GT(report_a.blocks_rebuilt, 0u);
+    EXPECT_EQ(report_a.blocks_rebuilt, report_b.blocks_rebuilt);
+    EXPECT_EQ(report_a.blocks_read, report_b.blocks_read);
+    EXPECT_EQ(report_a.windows, report_b.windows);
+    for (std::uint32_t i = 0; i < a->num_lfs(); ++i) {
+      auto capacity = a->lfs(i).disk().geometry().capacity_blocks();
+      std::uint32_t mismatches = 0;
+      for (std::uint32_t addr = 0; addr < capacity; ++addr) {
+        auto pa = a->lfs(i).disk().peek(addr);
+        auto pb = b->lfs(i).disk().peek(addr);
+        ASSERT_TRUE(pa.has_value() && pb.has_value());
+        if (!std::equal(pa->begin(), pa->end(), pb->begin(), pb->end())) {
+          ++mismatches;
+        }
       }
+      EXPECT_EQ(mismatches, 0u) << "lfs " << i;
     }
-    EXPECT_EQ(mismatches, 0u) << "lfs " << i;
+    EXPECT_TRUE(a->verify_all_lfs().is_ok());
   }
-  EXPECT_TRUE(a->verify_all_lfs().is_ok());
+}
+
+TEST(ParityFile, RebuildRejectsMisplacedSurvivingBlock) {
+  // LFS 0's local block 1 (global block 4) is overwritten with its local
+  // block 0: a checksum-valid block of the wrong stripe.  Rebuilding LFS 2
+  // must refuse to fold it in, in both engine modes.
+  BridgeInstance inst(cfg(5));
+  write_stripes(inst, 3);
+  inst.run_client("misplacer", [&](sim::Context&, BridgeClient& client) {
+    auto open = client.open("pfile");
+    ASSERT_TRUE(open.is_ok());
+    efs::FileId id = open.value().meta.lfs_file_id;
+    auto env = tools::discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    auto stripe0 = lfs[0]->read(id, 0);
+    ASSERT_TRUE(stripe0.is_ok());
+    ASSERT_TRUE(lfs[0]->write(id, 1, stripe0.value()).is_ok());
+  });
+  inst.run();
+
+  inst.lfs(2).disk().fail();
+  inst.lfs(2).disk().repair();
+  inst.run_client("rebuilder", [&](sim::Context& ctx, BridgeClient& client) {
+    for (bool vectored : {true, false}) {
+      RebuildOptions options;
+      options.vectored = vectored;
+      auto report =
+          open_and_rebuild<ParityFile>(ctx, client, "pfile", 2, options);
+      EXPECT_EQ(report.status().code(), util::ErrorCode::kCorrupt)
+          << "vectored " << vectored;
+    }
+  });
+  inst.run();
+}
+
+TEST(ParityFile, RebuildRollsBackWindowThatRunsOutOfSpace) {
+  // The spare at LFS 2 has room for one window of three blocks but not two,
+  // so window 1's kWriteMany fails with kOutOfSpace.  The rebuild must
+  // report it, leave the constituent at the window-1 boundary, and succeed
+  // once the space is freed.
+  BridgeInstance inst(cfg(5));
+  write_stripes(inst, 8);  // LFS 2 holds 8 data blocks
+  inst.lfs(2).disk().fail();
+  inst.lfs(2).disk().repair();
+  inst.run_client("rebuilder", [&](sim::Context& ctx, BridgeClient& client) {
+    auto file = ParityFile::open(ctx, client, "pfile");
+    ASSERT_TRUE(file.is_ok());
+    ASSERT_EQ(file.value().size_blocks(), 32u);
+    auto open = client.open("pfile");
+    ASSERT_TRUE(open.is_ok());
+    efs::FileId id = open.value().meta.lfs_file_id;
+    auto env = tools::discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    efs::EfsClient& spare = *lfs[2];
+
+    // Blank the spare's constituent, then fill the disk until 5 blocks stay
+    // free: window 0's three blocks and their extent table fit, window 1's
+    // three do not.
+    constexpr efs::FileId kFiller = 0xF111;
+    ASSERT_TRUE(spare.truncate(id, 0).is_ok());
+    ASSERT_TRUE(spare.create(kFiller).is_ok());
+    for (std::uint32_t next = 0;;) {
+      auto info = spare.info(kFiller);
+      ASSERT_TRUE(info.is_ok());
+      if (info.value().free_blocks <= 5) break;
+      std::uint32_t n = std::min(16u, info.value().free_blocks - 5);
+      std::vector<efs::BlockWrite> run;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        run.push_back({next++, std::vector<std::byte>(efs::kEfsDataBytes)});
+      }
+      ASSERT_TRUE(spare.write_many(kFiller, std::move(run)).is_ok());
+    }
+
+    RebuildOptions options;
+    options.window_blocks = 3;
+    auto failed = file.value().rebuild_lfs(2, options);
+    EXPECT_EQ(failed.status().code(), util::ErrorCode::kOutOfSpace);
+    auto torn = spare.info(id);
+    ASSERT_TRUE(torn.is_ok());
+    EXPECT_EQ(torn.value().size_blocks, 3u);
+
+    ASSERT_TRUE(spare.remove(kFiller).is_ok());
+    auto report = file.value().rebuild_lfs(2, options);
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    EXPECT_EQ(report.value().blocks_rebuilt, 8u);
+  });
+  inst.run();
+
+  inst.run_client("reader", [&](sim::Context& ctx, BridgeClient& client) {
+    auto file = ParityFile::open(ctx, client, "pfile");
+    ASSERT_TRUE(file.is_ok());
+    ASSERT_EQ(file.value().size_blocks(), 32u);
+    for (std::uint32_t i = 0; i < 32; ++i) {
+      bool reconstructed = true;
+      auto r = file.value().read(i, &reconstructed);
+      ASSERT_TRUE(r.is_ok()) << "block " << i;
+      EXPECT_EQ(r.value(), record(i)) << "block " << i;
+      EXPECT_FALSE(reconstructed) << "block " << i;
+    }
+  });
+  inst.run();
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
 }
 
 TEST(DeleteMany, RemovesBatchAndOverlapsWork) {
