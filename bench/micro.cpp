@@ -61,11 +61,10 @@ BENCHMARK(BM_SerdeWriteRequest);
 
 void BM_BridgeBlockWrapUnwrap(benchmark::State& state) {
   std::vector<std::byte> data(960, std::byte{0x5A});
-  bridge::core::BridgeBlockHeader header;
-  header.file_id = 9;
+  bridge::core::BlockOwner owner{9, 1, 0};
   for (auto _ : state) {
-    auto wrapped = bridge::core::wrap_block(header, data);
-    auto unwrapped = bridge::core::unwrap_block(wrapped.value());
+    auto wrapped = bridge::core::wrap_block(owner, 0, data);
+    auto unwrapped = bridge::core::unwrap_block(wrapped.value(), 9, 0);
     benchmark::DoNotOptimize(unwrapped.value().user_data.data());
   }
   state.SetBytesProcessed(state.iterations() * 960);

@@ -5,6 +5,15 @@
 // data)" (§4.3).  The header self-describes the block's position in the
 // global file, so a tool holding a raw LFS block can translate between
 // local and global names, and a checksum guards the user payload.
+//
+// This file is the only place a header is built or parsed.  Whoever writes
+// a block stamps it with wrap_block: the Bridge Server (write_run), the
+// replicated files (data, mirror and parity blocks, and every rebuilt copy)
+// and the tools (through ConstituentWriter, tool_base.hpp, and the
+// reorganize worker).  Whoever reads one checks it with unwrap_block, which
+// names the constituent and global block it expects and returns kCorrupt
+// for any other, so a misplaced block is never mistaken for the one asked
+// for — however valid its checksum.
 #pragma once
 
 #include <cstdint>
@@ -65,15 +74,34 @@ struct BridgeBlockHeader {
 
 static_assert(efs::kBridgeHeaderBytes == 40);
 
-/// Build a full kEfsDataBytes (1000-byte) LFS payload: Bridge header + user
-/// data (zero padded).  `user_data` must be at most kUserDataBytes.
+/// The file a block belongs to: what every header of its constituents
+/// carries besides the block number.
+struct BlockOwner {
+  BridgeFileId file_id = 0;  ///< constituent id, as in BridgeBlockHeader
+  std::uint32_t width = 1;
+  std::uint32_t start_lfs = 0;
+};
+
+/// Build a full kEfsDataBytes (1000-byte) LFS payload for global block
+/// `global_block_no` of `owner`: Bridge header + user data (zero padded).
+/// `user_data` must be at most kUserDataBytes.  The reserved words carry a
+/// parity block's length and fill words; every other block leaves them 0.
 inline util::Result<std::vector<std::byte>> wrap_block(
-    BridgeBlockHeader header, std::span<const std::byte> user_data) {
+    const BlockOwner& owner, std::uint64_t global_block_no,
+    std::span<const std::byte> user_data, std::uint32_t reserved0 = 0,
+    std::uint32_t reserved1 = 0) {
   if (user_data.size() > efs::kUserDataBytes) {
     return util::invalid_argument("payload exceeds 960 bytes");
   }
+  BridgeBlockHeader header;
+  header.file_id = owner.file_id;
+  header.global_block_no = global_block_no;
+  header.width = owner.width;
+  header.start_lfs = owner.start_lfs;
   header.payload_bytes = static_cast<std::uint32_t>(user_data.size());
   header.checksum = util::fnv1a_32(user_data);
+  header.reserved0 = reserved0;
+  header.reserved1 = reserved1;
   util::Writer w(efs::kEfsDataBytes);
   header.encode(w);
   w.raw(user_data);
@@ -88,9 +116,11 @@ struct UnwrappedBlock {
 };
 
 /// Parse an LFS payload back into header + user data, verifying magic,
-/// length and checksum.
+/// length and checksum, and that it is global block `global_block_no` of
+/// constituent `file_id`.
 inline util::Result<UnwrappedBlock> unwrap_block(
-    std::span<const std::byte> lfs_payload) {
+    std::span<const std::byte> lfs_payload, BridgeFileId file_id,
+    std::uint64_t global_block_no) {
   if (lfs_payload.size() != efs::kEfsDataBytes) {
     return util::corrupt("bad LFS payload size");
   }
@@ -107,6 +137,10 @@ inline util::Result<UnwrappedBlock> unwrap_block(
   out.user_data.assign(data.begin(), data.end());
   if (util::fnv1a_32(out.user_data) != out.header.checksum) {
     return util::corrupt("Bridge block checksum mismatch");
+  }
+  if (out.header.file_id != file_id ||
+      out.header.global_block_no != global_block_no) {
+    return util::corrupt("Bridge header does not match requested block");
   }
   return out;
 }

@@ -5,9 +5,9 @@
 // round-robin distribution can start on any node, then the nth block will be
 // found on processor ((n + k) mod p), where block zero belongs to LFS k."
 //
-// Alternative strategies from the paper's design discussion are provided for
-// the distribution ablation: chunking (Gamma-style contiguous ranges) and
-// hashing (randomized placement).
+// striped_placement is that formula for a file of any width; hashed_lfs
+// serves the hashed distribution of the ablation (distribution.hpp builds
+// every strategy on these).
 #pragma once
 
 #include <cstdint>
@@ -22,23 +22,6 @@ struct Placement {
 
   friend bool operator==(const Placement&, const Placement&) = default;
 };
-
-/// Round-robin placement of global block `n` across `p` LFSs starting at
-/// LFS `k`.
-[[nodiscard]] constexpr Placement round_robin_placement(std::uint64_t n,
-                                                        std::uint32_t p,
-                                                        std::uint32_t k = 0) {
-  return Placement{static_cast<std::uint32_t>((n + k) % p),
-                   static_cast<std::uint32_t>(n / p)};
-}
-
-/// Inverse mapping: the global block number held at (lfs_index, local_block).
-[[nodiscard]] constexpr std::uint64_t round_robin_global(Placement placement,
-                                                         std::uint32_t p,
-                                                         std::uint32_t k = 0) {
-  std::uint32_t offset = (placement.lfs_index + p - (k % p)) % p;
-  return static_cast<std::uint64_t>(placement.local_block) * p + offset;
-}
 
 /// General striping: a file interleaved across `width` consecutive LFSs of a
 /// `total`-LFS machine, starting at LFS `start`.  The paper's p-way case is
@@ -63,28 +46,11 @@ struct Placement {
   return static_cast<std::uint64_t>(local) * width + offset;
 }
 
-/// Gamma-style chunking: the file is split into p contiguous chunks of
-/// `chunk_blocks` each; chunk i lives entirely on LFS i.
-[[nodiscard]] constexpr Placement chunked_placement(std::uint64_t n,
-                                                    std::uint32_t chunk_blocks) {
-  return Placement{static_cast<std::uint32_t>(n / chunk_blocks),
-                   static_cast<std::uint32_t>(n % chunk_blocks)};
-}
-
 /// Hashed LFS choice for block `n` (local numbering is assignment-order and
 /// tracked by the directory; see distribution.hpp).
 [[nodiscard]] inline std::uint32_t hashed_lfs(std::uint64_t n, std::uint32_t p,
                                               std::uint64_t seed) {
   return static_cast<std::uint32_t>(util::mix64(n ^ seed) % p);
-}
-
-/// Number of distinct LFSs hit by the `count` consecutive blocks starting at
-/// `first` under round-robin — min(count, p) by construction, the §3
-/// guarantee that makes parallel sequential access optimal.
-[[nodiscard]] constexpr std::uint32_t round_robin_distinct_lfs(
-    std::uint64_t first, std::uint32_t count, std::uint32_t p) {
-  (void)first;
-  return count < p ? count : p;
 }
 
 }  // namespace bridge::core

@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/bridge_block.hpp"
 #include "src/core/distribution.hpp"
 #include "src/sim/rpc.hpp"
 #include "src/util/hash.hpp"
@@ -166,6 +167,11 @@ struct FileMeta {
   std::uint32_t chunk_blocks = 0;
   std::uint64_t size_blocks = 0;
   std::uint32_t lfs_file_id = 0;  ///< constituent file id on each LFS it spans
+
+  /// The identity this file's block headers carry.
+  [[nodiscard]] BlockOwner owner() const {
+    return {lfs_file_id, width, start_lfs};
+  }
 
   void encode(util::Writer& w) const {
     w.u32(id);

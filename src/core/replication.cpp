@@ -38,35 +38,22 @@ constexpr std::uint32_t offset_count(std::uint64_t size, std::uint32_t width,
          (o < size % width ? 1u : 0u);
 }
 
-/// Wrap `data` for `meta`'s constituent files.  reserved0/reserved1 pass
-/// through to the Bridge block header (the parity length/fill words).
-util::Result<std::vector<std::byte>> wrap_for(const FileMeta& meta,
-                                              std::uint64_t global_no,
-                                              std::span<const std::byte> data,
-                                              std::uint32_t reserved0 = 0,
-                                              std::uint32_t reserved1 = 0) {
-  BridgeBlockHeader header;
-  header.file_id = meta.lfs_file_id;
-  header.global_block_no = global_no;
-  header.width = meta.width;
-  header.start_lfs = meta.start_lfs;
-  header.reserved0 = reserved0;
-  header.reserved1 = reserved1;
-  return wrap_block(header, data);
-}
-
+/// Read local block `local_block` of `meta`'s constituent on `lfs`, which
+/// must hold global block `global_no`.
 util::Result<UnwrappedBlock> read_block(efs::EfsClient& lfs,
                                         const FileMeta& meta,
-                                        std::uint32_t local_block) {
+                                        std::uint32_t local_block,
+                                        std::uint64_t global_no) {
   auto read = lfs.read(meta.lfs_file_id, local_block);
   if (!read.is_ok()) return read.status();
-  return unwrap_block(read.value());
+  return unwrap_block(read.value(), meta.lfs_file_id, global_no);
 }
 
 util::Result<std::vector<std::byte>> read_unwrapped(efs::EfsClient& lfs,
                                                     const FileMeta& meta,
-                                                    std::uint32_t local_block) {
-  auto block = read_block(lfs, meta, local_block);
+                                                    std::uint32_t local_block,
+                                                    std::uint64_t global_no) {
+  auto block = read_block(lfs, meta, local_block, global_no);
   if (!block.is_ok()) return block.status();
   return std::move(block.value().user_data);
 }
@@ -296,12 +283,10 @@ util::Result<RebuildReport> stream_rebuild(
         return util::corrupt("LFS returned a short vectored read");
       }
       for (std::uint32_t l = lo; l < lo + raw[i].size(); ++l) {
-        auto block = unwrap_block(raw[i][l - lo]);
+        auto block = unwrap_block(
+            raw[i][l - lo], source.id,
+            static_cast<std::uint64_t>(l) * source.stride + source.offset);
         if (!block.is_ok()) return block.status();
-        if (block.value().header.global_block_no !=
-            static_cast<std::uint64_t>(l) * source.stride + source.offset) {
-          return util::corrupt("surviving block holds the wrong global block");
-        }
         runs[i].push_back(std::move(block).value());
         ++report.blocks_read;
       }
@@ -512,9 +497,9 @@ util::Status MirroredFile::append_many(
     std::uint64_t n = size_ + i;
     auto home = striped_placement(n, p, primary_.start_lfs, p);
     std::uint32_t mirror_lfs = (home.lfs_index + p / 2) % p;
-    auto wrapped_primary = wrap_for(primary_, n, blocks[i]);
+    auto wrapped_primary = wrap_block(primary_.owner(), n, blocks[i]);
     if (!wrapped_primary.is_ok()) return wrapped_primary.status();
-    auto wrapped_mirror = wrap_for(mirror_, n, blocks[i]);
+    auto wrapped_mirror = wrap_block(mirror_.owner(), n, blocks[i]);
     if (!wrapped_mirror.is_ok()) return wrapped_mirror.status();
     // The mirror file lays its blocks out with the same local numbering but
     // shifted start, so block n's mirror local number equals the home's.
@@ -569,12 +554,12 @@ util::Result<std::vector<std::byte>> MirroredFile::read(std::uint64_t n,
   std::uint32_t p = env_.num_lfs();
   auto home = striped_placement(n, p, primary_.start_lfs, p);
   auto primary = read_unwrapped(*lfs_[home.lfs_index], primary_,
-                                home.local_block);
+                                home.local_block, n);
   if (primary.is_ok()) return primary;
   if (primary.status().code() != util::ErrorCode::kUnavailable) return primary;
   std::uint32_t mirror_lfs = (home.lfs_index + p / 2) % p;
   if (used_mirror != nullptr) *used_mirror = true;
-  return read_unwrapped(*lfs_[mirror_lfs], mirror_, home.local_block);
+  return read_unwrapped(*lfs_[mirror_lfs], mirror_, home.local_block, n);
 }
 
 util::Result<RebuildReport> MirroredFile::rebuild_lfs(
@@ -604,8 +589,8 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
     for (std::size_t t = 0; t < out.size(); ++t) {
       const FileMeta& meta = t == 0 ? primary_ : mirror_;
       for (const auto& block : runs[t]) {
-        auto wrapped =
-            wrap_for(meta, block.header.global_block_no, block.user_data);
+        auto wrapped = wrap_block(meta.owner(), block.header.global_block_no,
+                                  block.user_data);
         if (!wrapped.is_ok()) return wrapped.status();
         out[t].push_back(std::move(wrapped).value());
       }
@@ -719,7 +704,8 @@ util::Status ParityFile::derive_size() {
     size_ = 0;
     return util::ok_status();
   }
-  auto last = read_block(*lfs_[parity_lfs_index()], parity_, stripes - 1);
+  auto last = read_block(*lfs_[parity_lfs_index()], parity_, stripes - 1,
+                         stripes - 1);
   if (!last.is_ok()) return last.status();
   std::uint32_t fill = last.value().header.reserved1;
   if (fill == 0 || fill > width) {
@@ -753,14 +739,14 @@ util::Status ParityFile::append_stripe(
     }
     std::uint64_t n = size_ + i;
     auto placement = striped_placement(n, width, data_.start_lfs, total);
-    auto w = wrap_for(data_, n, blocks[i]);
+    auto w = wrap_block(data_.owner(), n, blocks[i]);
     if (!w.is_ok()) return w.status();
     wrapped[i] = std::move(w).value();
     data_lfs[i] = placement.lfs_index;
     parity.add(blocks[i]);
   }
-  auto parity_wrapped = wrap_for(parity_, stripe, parity.acc,
-                                 parity.length_xor, parity.fill);
+  auto parity_wrapped = wrap_block(parity_.owner(), stripe, parity.acc,
+                                   parity.length_xor, parity.fill);
   if (!parity_wrapped.is_ok()) return parity_wrapped.status();
 
   // Every data block of a stripe lives on a distinct LFS: one write per
@@ -795,7 +781,7 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
   std::uint32_t total = env_.num_lfs();
   auto placement = striped_placement(n, width, data_.start_lfs, total);
   auto direct = read_unwrapped(*lfs_[placement.lfs_index], data_,
-                               placement.local_block);
+                               placement.local_block, n);
   if (direct.is_ok()) return direct;
   if (direct.status().code() != util::ErrorCode::kUnavailable) return direct;
 
@@ -807,31 +793,32 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
   std::uint64_t stripe_end = std::min<std::uint64_t>(stripe_first + width,
                                                      size_);
   sim::AsyncBatch batch(*rpc_);
-  std::vector<std::uint32_t> sibling_lfs;
+  std::vector<std::uint64_t> siblings;
   for (std::uint64_t m = stripe_first; m < stripe_end; ++m) {
     if (m == n) continue;
     auto sibling_place = striped_placement(m, width, data_.start_lfs, total);
     issue_read(batch, *lfs_[sibling_place.lfs_index], data_.lfs_file_id,
                sibling_place.local_block);
-    sibling_lfs.push_back(sibling_place.lfs_index);
+    siblings.push_back(m);
   }
   issue_read(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
              static_cast<std::uint32_t>(stripe));
   auto replies = batch.wait_all();
 
   StripeFold fold;
-  for (std::size_t b = 0; b < sibling_lfs.size(); ++b) {
+  for (std::size_t b = 0; b < siblings.size(); ++b) {
     auto raw = take_read(std::move(replies[b]));
     if (!raw.is_ok()) {
       return util::unavailable("double failure: cannot reconstruct");
     }
-    auto sibling = unwrap_block(raw.value());
+    auto sibling = unwrap_block(raw.value(), data_.lfs_file_id, siblings[b]);
     if (!sibling.is_ok()) return sibling.status();
     fold.add(sibling.value().user_data);
   }
-  auto parity_raw = take_read(std::move(replies[sibling_lfs.size()]));
+  auto parity_raw = take_read(std::move(replies[siblings.size()]));
   if (!parity_raw.is_ok()) return parity_raw.status();
-  auto parity = unwrap_block(parity_raw.value());
+  auto parity =
+      unwrap_block(parity_raw.value(), parity_.lfs_file_id, stripe);
   if (!parity.is_ok()) return parity.status();
   if (parity.value().header.reserved1 != stripe_end - stripe_first) {
     return util::corrupt("parity fill word disagrees with file size");
@@ -872,8 +859,8 @@ util::Result<RebuildReport> ParityFile::rebuild_lfs(std::uint32_t failed_idx,
       Payloads out;
       for (std::uint32_t s = lo; s < hi; ++s) {
         const auto& fold = folds[s - lo];
-        auto wrapped =
-            wrap_for(parity_, s, fold.acc, fold.length_xor, fold.fill);
+        auto wrapped = wrap_block(parity_.owner(), s, fold.acc,
+                                  fold.length_xor, fold.fill);
         if (!wrapped.is_ok()) return wrapped.status();
         out.push_back(std::move(wrapped).value());
       }
@@ -900,8 +887,9 @@ util::Result<RebuildReport> ParityFile::rebuild_lfs(std::uint32_t failed_idx,
     for (std::uint32_t s = lo; s < hi; ++s) {
       auto block = recover_block(std::move(folds[s - lo]), runs.back()[s - lo]);
       if (!block.is_ok()) return block.status();
-      auto wrapped = wrap_for(
-          data_, static_cast<std::uint64_t>(s) * width + o_f, block.value());
+      auto wrapped =
+          wrap_block(data_.owner(), static_cast<std::uint64_t>(s) * width + o_f,
+                     block.value());
       if (!wrapped.is_ok()) return wrapped.status();
       out.push_back(std::move(wrapped).value());
     }

@@ -389,17 +389,9 @@ util::Result<std::vector<std::vector<std::byte>>> BridgeServer::read_run(
     }
     for (std::size_t j = 0; j < payloads.size(); ++j) {
       std::uint64_t n = first + group.run_pos[j];
-      auto unwrapped = unwrap_block(payloads[j]);
+      auto unwrapped = unwrap_block(payloads[j], record.lfs_file_id, n);
       if (!unwrapped.is_ok()) {
         if (first_error.is_ok()) first_error = unwrapped.status();
-        continue;
-      }
-      if (unwrapped.value().header.global_block_no != n ||
-          unwrapped.value().header.file_id != record.lfs_file_id) {
-        if (first_error.is_ok()) {
-          first_error =
-              util::corrupt("Bridge header does not match requested block");
-        }
         continue;
       }
       wire.ctx.charge(config_.forward_cpu);
@@ -432,6 +424,8 @@ util::Status BridgeServer::write_run(
     std::uint32_t pre_run_local = 0;  ///< constituent length before the run
   };
   std::vector<LfsGroup> groups(num_lfs());
+  BlockOwner owner{record.lfs_file_id, record.placement.width(),
+                   record.placement.start_lfs()};
   for (std::size_t i = 0; i < user_blocks.size(); ++i) {
     std::uint64_t n = first + i;
     std::uint64_t size = record.placement.size_blocks();
@@ -459,12 +453,7 @@ util::Status BridgeServer::write_run(
       return placed.status();
     }
 
-    BridgeBlockHeader header;
-    header.file_id = record.lfs_file_id;
-    header.global_block_no = n;
-    header.width = record.placement.width();
-    header.start_lfs = record.placement.start_lfs();
-    auto wrapped = wrap_block(header, user_blocks[i]);
+    auto wrapped = wrap_block(owner, n, user_blocks[i]);
     if (!wrapped.is_ok()) {
       rollback();
       return wrapped.status();

@@ -1,9 +1,7 @@
 #include "src/tools/copy.hpp"
 
-#include <algorithm>
+#include <optional>
 
-#include "src/core/bridge_block.hpp"
-#include "src/core/interleave.hpp"
 #include "src/efs/client.hpp"
 
 namespace bridge::tools {
@@ -13,18 +11,14 @@ namespace {
 struct EcopyResult {
   std::uint64_t blocks = 0;
   std::uint64_t summary = 0;
-  util::ErrorCode error = util::ErrorCode::kOk;
-  std::string message;
 };
 
 struct EcopyTask {
   sim::Address lfs_service;
-  std::uint32_t lfs_index = 0;
   std::uint32_t offset = 0;        ///< this worker's position in the stripe
   std::uint64_t local_count = 0;   ///< constituent blocks to process
   core::FileMeta src;
   core::FileMeta dst;              ///< dst.id == 0 means scan-only
-  std::uint32_t total_lfs = 0;
 };
 
 /// Blocks per vectored LFS request in the ecopy hot loop.  Each worker's
@@ -36,61 +30,30 @@ constexpr std::uint32_t kEcopyWindow = 8;
 /// Send Write to LFS; Send Read to LFS" — entirely node-local traffic.
 /// Blocks move through the LFS a window at a time (kReadMany/kWriteMany),
 /// so one round trip per window replaces one per block.
-EcopyResult ecopy(sim::Context& ctx, const EcopyTask& task,
-                  BlockFilter& filter) {
+util::Result<EcopyResult> ecopy(sim::Context& ctx, const EcopyTask& task,
+                                BlockFilter& filter) {
   EcopyResult result;
   sim::RpcClient rpc(ctx);
   efs::EfsClient efs(rpc, task.lfs_service);
-  for (std::uint64_t window = 0; window < task.local_count;
-       window += kEcopyWindow) {
-    std::uint32_t count = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(kEcopyWindow, task.local_count - window));
-    std::vector<std::uint32_t> block_nos(count);
-    for (std::uint32_t j = 0; j < count; ++j) {
-      block_nos[j] = static_cast<std::uint32_t>(window + j);
+  ConstituentReader in(efs, task.src.lfs_file_id, task.local_count,
+                       task.src.width, task.offset, kEcopyWindow);
+  std::optional<ConstituentWriter> out;
+  if (task.dst.id != 0) {
+    out.emplace(efs, task.dst.owner(), task.offset, kEcopyWindow);
+  }
+  while (!in.exhausted()) {
+    std::uint64_t global_no = in.next_global();
+    auto block = in.next();
+    if (!block.is_ok()) return block.status();
+    ctx.charge(filter.cpu_per_block());
+    auto output = filter.apply(block.value(), global_no);
+    if (out) {
+      if (auto st = out->put(output); !st.is_ok()) return st;
     }
-    auto read = efs.read_many(task.src.lfs_file_id, block_nos);
-    if (!read.is_ok()) {
-      result.error = read.status().code();
-      result.message = read.status().message();
-      return result;
-    }
-    std::vector<efs::BlockWrite> out_blocks;
-    if (task.dst.id != 0) out_blocks.reserve(count);
-    for (std::uint32_t j = 0; j < count; ++j) {
-      auto unwrapped = core::unwrap_block(read.value()[j]);
-      if (!unwrapped.is_ok()) {
-        result.error = unwrapped.status().code();
-        result.message = unwrapped.status().message();
-        return result;
-      }
-      std::uint64_t global_no = (window + j) * task.src.width + task.offset;
-      ctx.charge(filter.cpu_per_block());
-      auto output = filter.apply(unwrapped.value().user_data, global_no);
-      if (task.dst.id != 0) {
-        core::BridgeBlockHeader header;
-        header.file_id = task.dst.lfs_file_id;
-        header.global_block_no = global_no;
-        header.width = task.dst.width;
-        header.start_lfs = task.dst.start_lfs;
-        auto wrapped = core::wrap_block(header, output);
-        if (!wrapped.is_ok()) {
-          result.error = wrapped.status().code();
-          result.message = wrapped.status().message();
-          return result;
-        }
-        out_blocks.push_back({block_nos[j], std::move(wrapped).value()});
-      }
-      ++result.blocks;
-    }
-    if (task.dst.id != 0) {
-      auto write = efs.write_many(task.dst.lfs_file_id, std::move(out_blocks));
-      if (!write.is_ok()) {
-        result.error = write.code();
-        result.message = write.message();
-        return result;
-      }
-    }
+    ++result.blocks;
+  }
+  if (out) {
+    if (auto st = out->finish(); !st.is_ok()) return st;
   }
   result.summary = filter.summary();
   return result;
@@ -140,13 +103,11 @@ util::Result<CopyReport> run_filter_tool(sim::Context& ctx,
     std::uint32_t lfs = (src_meta.start_lfs + j) % p;
     EcopyTask task;
     task.lfs_service = env.value().lfs_service(lfs);
-    task.lfs_index = lfs;
     task.offset = j;
     task.local_count =
         src_meta.size_blocks / w + (j < src_meta.size_blocks % w ? 1 : 0);
     task.src = src_meta;
     task.dst = dst_meta;
-    task.total_lfs = p;
     group.spawn(env.value().lfs_node(lfs), "ecopy@" + std::to_string(lfs),
                 [task, factory](sim::Context& worker_ctx) {
                   auto filter = factory();
@@ -156,10 +117,9 @@ util::Result<CopyReport> run_filter_tool(sim::Context& ctx,
 
   CopyReport report;
   report.workers = group.spawned();
-  for (auto& result : group.wait_all()) {
-    if (result.error != util::ErrorCode::kOk) {
-      return util::Status(result.error, std::move(result.message));
-    }
+  auto results = group.wait_all();
+  if (!results.is_ok()) return results.status();
+  for (const auto& result : results.value()) {
     report.blocks += result.blocks;
     report.summary += result.summary;
   }

@@ -8,19 +8,16 @@ namespace bridge::tools {
 
 namespace {
 
-/// One block this worker must move: where it comes from and where it lands.
+/// One block this worker must move: where it comes from.
 struct MoveTask {
   std::uint64_t global_no;
   std::uint32_t src_lfs;
   std::uint32_t src_local;
-  std::uint32_t dst_local;
 };
 
 struct WorkerResult {
   std::uint64_t local_reads = 0;
   std::uint64_t remote_reads = 0;
-  util::ErrorCode error = util::ErrorCode::kOk;
-  std::string message;
 };
 
 }  // namespace
@@ -66,76 +63,39 @@ util::Result<ReorganizeReport> run_reorganize_tool(sim::Context& ctx,
   core::FileMeta dst_meta = dst_open.value().meta;
 
   // Partition the moves by destination LFS (global block g lands on LFS
-  // g mod p at local g div p).
+  // g mod p at local g div p, so each list is in local order).
   std::vector<std::vector<MoveTask>> tasks(p);
   for (std::uint64_t g = 0; g < n; ++g) {
-    auto dst_place = core::striped_placement(g, p, 0, p);
-    tasks[dst_place.lfs_index].push_back(
-        MoveTask{g, placements[g].lfs_index, placements[g].local_block,
-                 dst_place.local_block});
+    tasks[g % p].push_back(
+        MoveTask{g, placements[g].lfs_index, placements[g].local_block});
   }
 
   WorkerGroup<WorkerResult> group(ctx, fanout);
   for (std::uint32_t j = 0; j < p; ++j) {
     if (tasks[j].empty()) continue;
-    auto my_tasks = std::move(tasks[j]);
-    sim::Address my_service = env.value().lfs_service(j);
-    std::vector<sim::Address> services;
-    for (std::uint32_t i = 0; i < p; ++i) {
-      services.push_back(env.value().lfs_service(i));
-    }
-    std::uint32_t my_lfs = j;
     group.spawn(
         env.value().lfs_node(j), "reorg@" + std::to_string(j),
-        [my_tasks = std::move(my_tasks), services, my_service, my_lfs,
-         src_meta, dst_meta](sim::Context& worker_ctx) -> WorkerResult {
+        [my_tasks = std::move(tasks[j]), tool_env = env.value(), my_lfs = j,
+         src_meta, dst_meta](sim::Context& worker_ctx)
+            -> util::Result<WorkerResult> {
           WorkerResult result;
           sim::RpcClient rpc(worker_ctx);
-          std::vector<std::unique_ptr<efs::EfsClient>> lfs;
-          for (const auto& service : services) {
-            lfs.push_back(std::make_unique<efs::EfsClient>(rpc, service));
-          }
-          efs::EfsClient mine(rpc, my_service);
-          // Destination blocks must be appended in local order; tasks are
-          // already sorted by dst_local (ascending global order).
+          auto lfs = tool_env.make_lfs_clients(rpc);
+          ConstituentWriter out(*lfs[my_lfs], dst_meta.owner(), my_lfs);
           for (const auto& task : my_tasks) {
             auto read = lfs[task.src_lfs]->read(src_meta.lfs_file_id,
                                                 task.src_local);
-            if (!read.is_ok()) {
-              result.error = read.status().code();
-              result.message = read.status().message();
-              return result;
-            }
+            if (!read.is_ok()) return read.status();
             if (task.src_lfs == my_lfs) {
               ++result.local_reads;
             } else {
               ++result.remote_reads;
             }
-            auto unwrapped = core::unwrap_block(read.value());
-            if (!unwrapped.is_ok()) {
-              result.error = unwrapped.status().code();
-              result.message = unwrapped.status().message();
-              return result;
-            }
-            core::BridgeBlockHeader header;
-            header.file_id = dst_meta.lfs_file_id;
-            header.global_block_no = task.global_no;
-            header.width = dst_meta.width;
-            header.start_lfs = dst_meta.start_lfs;
-            auto wrapped =
-                core::wrap_block(header, unwrapped.value().user_data);
-            if (!wrapped.is_ok()) {
-              result.error = wrapped.status().code();
-              result.message = wrapped.status().message();
-              return result;
-            }
-            auto write =
-                mine.write(dst_meta.lfs_file_id, task.dst_local,
-                           wrapped.value());
-            if (!write.is_ok()) {
-              result.error = write.code();
-              result.message = write.message();
-              return result;
+            auto unwrapped = core::unwrap_block(
+                read.value(), src_meta.lfs_file_id, task.global_no);
+            if (!unwrapped.is_ok()) return unwrapped.status();
+            if (auto st = out.put(unwrapped.value().user_data); !st.is_ok()) {
+              return st;
             }
           }
           return result;
@@ -145,10 +105,9 @@ util::Result<ReorganizeReport> run_reorganize_tool(sim::Context& ctx,
   ReorganizeReport report;
   report.blocks = n;
   report.workers = group.spawned();
-  for (auto& result : group.wait_all()) {
-    if (result.error != util::ErrorCode::kOk) {
-      return util::Status(result.error, std::move(result.message));
-    }
+  auto results = group.wait_all();
+  if (!results.is_ok()) return results.status();
+  for (const auto& result : results.value()) {
     report.local_reads += result.local_reads;
     report.remote_reads += result.remote_reads;
   }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "src/core/protocol.hpp"
 #include "src/sim/rpc.hpp"
@@ -22,9 +21,9 @@ namespace bridge::tools {
 struct LocalSortTask {
   sim::Address lfs_service;
   std::uint32_t lfs_index = 0;
-  std::uint64_t local_count = 0;  ///< records in this node's constituent
+  std::uint32_t offset = 0;  ///< this constituent's position in src's stripe
   core::FileMeta src;
-  core::FileMeta run;  ///< width-1 output file rooted on this LFS
+  core::FileMeta run;  ///< width-1 output on this LFS, sized to its src share
   core::BridgeFileId owner = 0;  ///< owns the temps' tool-private ids
   SortTuning tuning;
 };
@@ -32,11 +31,11 @@ struct LocalSortTask {
 struct LocalSortResult {
   std::uint64_t records = 0;
   std::uint32_t merge_passes = 0;
-  util::ErrorCode error = util::ErrorCode::kOk;
-  std::string message;
 };
 
-/// Run the local external sort on the current (LFS-resident) process.
-LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task);
+/// Run the local external sort on the current (LFS-resident) process.  A
+/// failed sort removes the temps it made.
+util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
+                                             const LocalSortTask& task);
 
 }  // namespace bridge::tools

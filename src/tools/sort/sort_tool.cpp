@@ -11,15 +11,6 @@ namespace bridge::tools {
 
 namespace {
 
-util::Status first_error(const std::vector<MergeWorkerResult>& results) {
-  for (const auto& r : results) {
-    if (r.error != util::ErrorCode::kOk) {
-      return util::Status(r.error, r.message);
-    }
-  }
-  return util::ok_status();
-}
-
 /// Everything one sort has made and not yet discarded: dst and the named
 /// runs (Bridge files), and the tool-private merge outputs (LFS files with
 /// no directory entry, recognisable by their empty name).  Inputs leave as
@@ -93,8 +84,8 @@ class SortFiles {
 };
 
 /// Phase 1: one local external sort per constituent LFS.  Run j is a named
-/// width-1 Bridge file on the source's j-th LFS and holds that LFS's
-/// local_count records; a width-1 source sorts straight into dst.
+/// width-1 Bridge file on the source's j-th LFS and holds the records of
+/// src's constituent there; a width-1 source sorts straight into dst.
 util::Result<std::vector<core::FileMeta>> sort_locally(
     sim::Context& ctx, core::BridgeApi& client, const ToolEnv& env,
     const core::FileMeta& src, const core::FileMeta& dst,
@@ -125,7 +116,7 @@ util::Result<std::vector<core::FileMeta>> sort_locally(
     LocalSortTask task;
     task.lfs_service = env.lfs_service(lfs);
     task.lfs_index = lfs;
-    task.local_count = run.size_blocks;
+    task.offset = j;
     task.src = src;
     task.run = run;
     task.owner = dst.id;
@@ -137,12 +128,9 @@ util::Result<std::vector<core::FileMeta>> sort_locally(
     runs.push_back(std::move(run));
   }
   // Workers already started finish before the sort may clean up after them.
-  for (const auto& result : group.wait_all()) {
-    if (status.is_ok() && result.error != util::ErrorCode::kOk) {
-      status = util::Status(result.error, result.message);
-    }
-  }
+  auto sorted = group.wait_all();
   if (!status.is_ok()) return status;
+  if (!sorted.is_ok()) return sorted.status();
   return runs;
 }
 
@@ -190,7 +178,9 @@ util::Result<std::uint32_t> merge_runs(sim::Context& ctx, const ToolEnv& env,
     // Give every worker a head start, then inject the start tokens.
     ctx.sleep(sim::msec(1));
     for (auto& merge : merges) merge->kick(ctx);
-    if (auto st = first_error(group.wait_all()); !st.is_ok()) return st;
+    if (auto merged = group.wait_all(); !merged.is_ok()) {
+      return merged.status();
+    }
 
     // "Discard the old files in parallel."
     std::vector<core::FileMeta> consumed(runs.begin(),

@@ -1,10 +1,7 @@
 #include "src/tools/sort/token_merge.hpp"
 
 #include <map>
-#include <optional>
 
-#include "src/core/bridge_block.hpp"
-#include "src/core/interleave.hpp"
 #include "src/efs/client.hpp"
 #include "src/sim/rpc.hpp"
 
@@ -63,14 +60,13 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
   for (std::uint32_t g = 0; g < t; ++g) {
     bool in_a = g < wa;
     const core::FileMeta meta = in_a ? a_ : b_;
-    std::uint32_t width = in_a ? wa : wb;
     std::uint32_t base = in_a ? 0 : wa;        // first reader of my file
     std::uint32_t other_first = in_a ? wa : 0;  // first reader of other file
     std::uint32_t ridx = g - base;
-    std::uint32_t ring_next = base + (ridx + 1) % width;
+    std::uint32_t ring_next = base + (ridx + 1) % meta.width;
     std::uint32_t lfs = (meta.start_lfs + ridx) % p;
-    std::uint64_t local_count =
-        meta.size_blocks / width + (ridx < meta.size_blocks % width ? 1 : 0);
+    std::uint64_t local_count = meta.size_blocks / meta.width +
+                                (ridx < meta.size_blocks % meta.width ? 1 : 0);
     auto shared = shared_;
     SortTuning tuning = tuning_;
     sim::Address service = env.lfs_service(lfs);
@@ -78,39 +74,19 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
     group.spawn(
         env.lfs_node(lfs), "merge-rd" + std::to_string(g),
         [shared, meta, g, ring_next, other_first, local_count, tuning, service,
-         t](sim::Context& ctx) -> MergeWorkerResult {
-          MergeWorkerResult result;
+         t, ridx](sim::Context& ctx) -> util::Result<MergeWorkerResult> {
           sim::RpcClient rpc(ctx);
           efs::EfsClient efs(rpc, service);
-
-          std::uint64_t next_local = 0;
-          std::optional<std::pair<std::uint64_t, std::vector<std::byte>>> cur;
-          auto advance = [&]() -> util::Status {
-            cur.reset();
-            if (next_local >= local_count) return util::ok_status();
-            auto read = efs.read(meta.lfs_file_id,
-                                 static_cast<std::uint32_t>(next_local));
-            if (!read.is_ok()) return read.status();
-            ++next_local;
-            auto unwrapped = core::unwrap_block(read.value());
-            if (!unwrapped.is_ok()) return unwrapped.status();
-            auto payload = std::move(unwrapped.value().user_data);
-            cur = {record_key(payload), std::move(payload)};
-            ++result.records;
-            return util::ok_status();
-          };
-          auto fail = [&](const util::Status& status) {
-            result.error = status.code();
-            result.message = status.message();
-            return result;
-          };
+          // in.head(): this reader's least unwritten record.
+          ConstituentReader in(efs, meta.lfs_file_id, local_count, meta.width,
+                               ridx);
           auto send_token = [&](std::uint32_t target, MergeToken token) {
             ctx.send(*shared->tokens[target], token, kTokenWireBytes);
           };
           auto send_record = [&](std::uint64_t seq) {
             WriterMessage message;
             message.seq = seq;
-            message.payload = cur->second;
+            message.payload = *in.head();
             ctx.send(*shared->writers[seq % t], std::move(message),
                      kRecordWireBytes);
           };
@@ -128,7 +104,7 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
             }
           };
 
-          if (auto st = advance(); !st.is_ok()) return fail(st);
+          if (auto st = in.advance(); !st.is_ok()) return st;
 
           while (true) {
             MergeToken token = shared->tokens[g]->recv();
@@ -138,16 +114,16 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
               MergeToken out;
               out.originator = g;
               out.seq = 0;
-              if (!cur) {
+              if (in.head() == nullptr) {
                 out.end = true;
               } else {
-                out.key = cur->first;
+                out.key = record_key(*in.head());
               }
               send_token(other_first, out);
               continue;
             }
             if (token.end) {
-              if (!cur) {
+              if (in.head() == nullptr) {
                 // Both inputs exhausted: merge complete.
                 broadcast_done(token.seq);
                 break;
@@ -155,11 +131,11 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
               send_record(token.seq);
               ++token.seq;
               send_token(ring_next, token);
-              if (auto st = advance(); !st.is_ok()) return fail(st);
+              if (auto st = in.advance(); !st.is_ok()) return st;
               continue;
             }
             // Usual case.
-            if (!cur) {
+            if (in.head() == nullptr) {
               MergeToken out;
               out.end = true;
               out.originator = g;
@@ -167,20 +143,20 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
               send_token(token.originator, out);
               continue;
             }
-            if (cur->first <= token.key) {
+            if (record_key(*in.head()) <= token.key) {
               send_record(token.seq);
               ++token.seq;
               send_token(ring_next, token);
-              if (auto st = advance(); !st.is_ok()) return fail(st);
+              if (auto st = in.advance(); !st.is_ok()) return st;
             } else {
               MergeToken out;
-              out.key = cur->first;
+              out.key = record_key(*in.head());
               out.originator = g;
               out.seq = token.seq;
               send_token(token.originator, out);
             }
           }
-          return result;
+          return MergeWorkerResult{local_count};
         });
   }
 
@@ -195,18 +171,13 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
     group.spawn(
         env.lfs_node(lfs), "merge-wr" + std::to_string(wdx),
         [shared, dst, wdx, t, tuning, service](sim::Context& ctx)
-            -> MergeWorkerResult {
+            -> util::Result<MergeWorkerResult> {
           MergeWorkerResult result;
           sim::RpcClient rpc(ctx);
           efs::EfsClient efs(rpc, service);
-          auto fail = [&](const util::Status& status) {
-            result.error = status.code();
-            result.message = status.message();
-            return result;
-          };
+          ConstituentWriter out(efs, dst.owner(), wdx);
 
           std::map<std::uint64_t, std::vector<std::byte>> pending;
-          std::uint64_t next_local = 0;
           bool total_known = false;
           std::uint64_t my_total = 0;
           while (true) {
@@ -221,23 +192,13 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
             }
             // Append every contiguous record we now hold; records may arrive
             // out of order across senders.
-            while (!pending.empty() && pending.begin()->first == next_local) {
+            while (!pending.empty() &&
+                   pending.begin()->first == out.written()) {
               auto node = pending.extract(pending.begin());
-              core::BridgeBlockHeader header;
-              header.file_id = dst.lfs_file_id;
-              header.global_block_no = next_local * t + wdx;
-              header.width = t;
-              header.start_lfs = dst.start_lfs;
-              auto wrapped = core::wrap_block(header, node.mapped());
-              if (!wrapped.is_ok()) return fail(wrapped.status());
-              auto write = efs.write(dst.lfs_file_id,
-                                     static_cast<std::uint32_t>(next_local),
-                                     wrapped.value());
-              if (!write.is_ok()) return fail(write);
-              ++next_local;
+              if (auto st = out.put(node.mapped()); !st.is_ok()) return st;
               ++result.records;
             }
-            if (total_known && next_local >= my_total) break;
+            if (total_known && out.written() >= my_total) break;
           }
           return result;
         });

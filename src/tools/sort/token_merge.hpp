@@ -47,8 +47,6 @@ struct WriterMessage {
 /// Result returned by each merge worker process.
 struct MergeWorkerResult {
   std::uint64_t records = 0;  ///< records read (readers) or written (writers)
-  util::ErrorCode error = util::ErrorCode::kOk;
-  std::string message;
 };
 
 /// One two-file merge.  Construction wires up channels; launch() spawns

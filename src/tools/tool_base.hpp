@@ -9,13 +9,24 @@
 //
 // WorkerGroup implements step (2): it spawns worker processes on the LFS
 // nodes — sequentially or through an embedded binary tree (the §5.1
-// "O(log p) startup and completion") — and collects one result per worker.
+// "O(log p) startup and completion") — and collects one util::Result from
+// each.  wait_all() drains every worker before it reports the first error,
+// so a tool never cleans up after workers still running.
+//
+// ConstituentReader and ConstituentWriter are step (3): the one way a
+// worker streams its LFS's share of a Bridge file.  Local block l of a
+// constituent at stripe offset o of a width-w file is global block
+// l * w + o; the reader checks every header against that (bridge_block.hpp)
+// and the writer stamps it.  Both move `window` blocks per vectored LFS
+// request.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,9 +46,9 @@ struct FanOutConfig {
   sim::SimTime spawn_cost = sim::msec(2.0);
 };
 
-/// Spawns workers and gathers one result of type R from each.
-/// R must be copyable/movable; results are delivered through a channel on
-/// the coordinator's node.
+/// Spawns workers and gathers one util::Result<R> from each.  R must be
+/// copyable/movable; results are delivered through a channel on the
+/// coordinator's node.
 template <typename R>
 class WorkerGroup {
  public:
@@ -46,10 +57,10 @@ class WorkerGroup {
         config_(config),
         results_(ctx.runtime().scheduler(), ctx.node()) {}
 
-  /// Spawn the next worker on `node`.  `body` runs there and its return
-  /// value is shipped back to the coordinator.
+  /// Spawn the next worker on `node`.  `body` runs there and its result —
+  /// a value or an error — is shipped back to the coordinator.
   void spawn(sim::NodeId node, const std::string& name,
-             std::function<R(sim::Context&)> body) {
+             std::function<util::Result<R>(sim::Context&)> body) {
     sim::SimTime delay{0};
     if (config_.tree) {
       // Worker i sits at depth floor(log2(i+1)) of the startup tree; each
@@ -65,20 +76,25 @@ class WorkerGroup {
     ctx_.runtime().spawn(
         node, name,
         [results, body = std::move(body)](sim::Context& worker_ctx) {
-          R result = body(worker_ctx);
+          util::Result<R> result = body(worker_ctx);
           worker_ctx.send(*results, std::move(result), /*payload_bytes=*/64);
         },
         delay);
     ++spawned_;
   }
 
-  /// Block until every spawned worker has reported; returns results in
-  /// arrival order.
-  std::vector<R> wait_all() {
-    std::vector<R> results;
-    results.reserve(spawned_);
+  /// Block until every spawned worker has reported; returns the values in
+  /// arrival order, or the first error to arrive.
+  util::Result<std::vector<R>> wait_all() {
+    std::vector<R> values;
+    util::Status first_error = util::ok_status();
     for (std::uint32_t i = 0; i < spawned_; ++i) {
-      results.push_back(results_.recv());
+      util::Result<R> result = results_.recv();
+      if (result.is_ok()) {
+        values.push_back(std::move(result).value());
+      } else if (first_error.is_ok()) {
+        first_error = result.status();
+      }
     }
     if (config_.tree && spawned_ > 0) {
       // Completion notifications funnel back up the tree.
@@ -86,7 +102,8 @@ class WorkerGroup {
           std::ceil(std::log2(static_cast<double>(spawned_) + 1.0)));
       ctx_.charge(config_.spawn_cost * levels);
     }
-    return results;
+    if (!first_error.is_ok()) return first_error;
+    return values;
   }
 
   [[nodiscard]] std::uint32_t spawned() const noexcept { return spawned_; }
@@ -94,8 +111,126 @@ class WorkerGroup {
  private:
   sim::Context& ctx_;
   FanOutConfig config_;
-  sim::Channel<R> results_;
+  sim::Channel<util::Result<R>> results_;
   std::uint32_t spawned_ = 0;
+};
+
+/// Streams a constituent — `count` local blocks on one LFS, local block l
+/// holding global block l * stride + offset of file `file` — and returns
+/// each block's user payload, `window` blocks per kReadMany.  A block whose
+/// header names another file or global block is kCorrupt.
+class ConstituentReader {
+ public:
+  ConstituentReader(efs::EfsClient& lfs, efs::FileId file, std::uint64_t count,
+                    std::uint32_t stride, std::uint32_t offset,
+                    std::uint32_t window = 1)
+      : lfs_(&lfs),
+        file_(file),
+        count_(count),
+        stride_(stride),
+        offset_(offset),
+        window_(window) {}
+
+  [[nodiscard]] bool exhausted() const noexcept { return next_ >= count_; }
+  /// Global block number of the block next() returns.
+  [[nodiscard]] std::uint64_t next_global() const noexcept {
+    return next_ * stride_ + offset_;
+  }
+
+  /// The next block's user payload; reads a window when none is buffered.
+  util::Result<std::vector<std::byte>> next() {
+    if (exhausted()) return util::invalid_argument("constituent exhausted");
+    if (buffered_ == window_blocks_.size()) {
+      auto n = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(window_, count_ - next_));
+      std::vector<std::uint32_t> locals(n);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        locals[j] = static_cast<std::uint32_t>(next_ + j);
+      }
+      auto read = lfs_->read_many(file_, std::move(locals));
+      if (!read.is_ok()) return read.status();
+      if (read.value().size() != n) {
+        return util::corrupt("LFS returned a short vectored read");
+      }
+      window_blocks_ = std::move(read).value();
+      buffered_ = 0;
+    }
+    auto block =
+        core::unwrap_block(window_blocks_[buffered_++], file_, next_global());
+    if (!block.is_ok()) return block.status();
+    ++next_;
+    return std::move(block.value().user_data);
+  }
+
+  /// Merge-style access: head() is the block the last advance() took, null
+  /// once the constituent is exhausted.
+  util::Status advance() {
+    head_.reset();
+    if (exhausted()) return util::ok_status();
+    auto block = next();
+    if (!block.is_ok()) return block.status();
+    head_ = std::move(block).value();
+    return util::ok_status();
+  }
+  [[nodiscard]] const std::vector<std::byte>* head() const noexcept {
+    return head_ ? &*head_ : nullptr;
+  }
+
+ private:
+  efs::EfsClient* lfs_;
+  efs::FileId file_;
+  std::uint64_t count_;
+  std::uint32_t stride_;
+  std::uint32_t offset_;
+  std::uint32_t window_;
+  std::uint64_t next_ = 0;
+  std::vector<std::vector<std::byte>> window_blocks_;
+  std::size_t buffered_ = 0;  ///< next unread entry of window_blocks_
+  std::optional<std::vector<std::byte>> head_;
+};
+
+/// Appends a constituent — local block l is global block l * owner.width +
+/// offset of `owner` — from local block 0, stamping each header, `window`
+/// blocks per kWriteMany.  finish() writes a partial last window.
+class ConstituentWriter {
+ public:
+  ConstituentWriter(efs::EfsClient& lfs, core::BlockOwner owner,
+                    std::uint32_t offset, std::uint32_t window = 1)
+      : lfs_(&lfs), owner_(owner), offset_(offset), window_(window) {}
+
+  [[nodiscard]] efs::FileId file() const noexcept { return owner_.file_id; }
+  /// Blocks written so far (put and flushed).
+  [[nodiscard]] std::uint64_t written() const noexcept { return written_; }
+
+  util::Status put(std::span<const std::byte> payload) {
+    auto local = written_ + pending_.size();
+    auto wrapped =
+        core::wrap_block(owner_, local * owner_.width + offset_, payload);
+    if (!wrapped.is_ok()) return wrapped.status();
+    pending_.push_back(
+        {static_cast<std::uint32_t>(local), std::move(wrapped).value()});
+    return pending_.size() < window_ ? util::ok_status() : finish();
+  }
+
+  util::Status finish() {
+    if (pending_.empty()) return util::ok_status();
+    auto n = pending_.size();
+    if (auto st = lfs_->write_many(owner_.file_id, std::move(pending_));
+        !st.is_ok()) {
+      return st;
+    }
+    pending_.clear();
+    written_ += n;
+    return util::ok_status();
+  }
+
+ private:
+  efs::EfsClient* lfs_;
+  core::BlockOwner owner_;
+  std::uint32_t offset_;
+  std::uint32_t window_;
+  std::uint64_t written_ = 0;
+  std::vector<efs::BlockWrite> pending_;
 };
 
 /// Everything a tool learns in its startup conversation with the server.

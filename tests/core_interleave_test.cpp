@@ -16,7 +16,7 @@ TEST(Interleave, PaperFormula) {
   // "the nth block ... will be block (n div p) in the constituent file on
   // LFS (n mod p)"
   for (std::uint64_t n = 0; n < 100; ++n) {
-    auto placement = round_robin_placement(n, 9);
+    auto placement = striped_placement(n, 9, 0, 9);
     EXPECT_EQ(placement.lfs_index, n % 9);
     EXPECT_EQ(placement.local_block, n / 9);
   }
@@ -26,7 +26,7 @@ TEST(Interleave, StartOffsetRotates) {
   // "the nth block will be found on processor ((n + k) mod p)"
   for (std::uint32_t k = 0; k < 5; ++k) {
     for (std::uint64_t n = 0; n < 40; ++n) {
-      EXPECT_EQ(round_robin_placement(n, 5, k).lfs_index, (n + k) % 5);
+      EXPECT_EQ(striped_placement(n, 5, k, 5).lfs_index, (n + k) % 5);
     }
   }
 }
@@ -35,8 +35,10 @@ TEST(Interleave, RoundTripInverse) {
   for (std::uint32_t p : {1u, 2u, 7u, 32u}) {
     for (std::uint32_t k = 0; k < p; ++k) {
       for (std::uint64_t n = 0; n < 3 * p + 5; ++n) {
-        auto placement = round_robin_placement(n, p, k);
-        EXPECT_EQ(round_robin_global(placement, p, k), n)
+        auto placement = striped_placement(n, p, k, p);
+        EXPECT_EQ(striped_global(placement.lfs_index, placement.local_block,
+                                 p, k, p),
+                  n)
             << "p=" << p << " k=" << k << " n=" << n;
       }
     }

@@ -331,12 +331,7 @@ TEST(ParallelOpen, ParallelReadRejectsMisplacedBlockLikeNaiveRead) {
     auto slot = client.resolve(meta.id, 5, 1);
     ASSERT_TRUE(slot.is_ok());
     const Placement& at = slot.value().placements.at(0);
-    BridgeBlockHeader header;
-    header.file_id = meta.lfs_file_id;
-    header.global_block_no = 9;
-    header.width = meta.width;
-    header.start_lfs = meta.start_lfs;
-    auto wrapped = wrap_block(header, record(9));
+    auto wrapped = wrap_block(meta.owner(), 9, record(9));
     ASSERT_TRUE(wrapped.is_ok());
     auto info = client.get_info();
     ASSERT_TRUE(info.is_ok());

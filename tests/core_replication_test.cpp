@@ -2,6 +2,8 @@
 // plus DeleteMany and analysis-model sanity.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/core/analysis.hpp"
 #include "src/core/instance.hpp"
 #include "src/core/replication.hpp"
@@ -574,24 +576,65 @@ TEST(ParityFile, VectoredAndPerBlockRebuildProduceIdenticalDisks) {
   }
 }
 
-TEST(ParityFile, RebuildRejectsMisplacedSurvivingBlock) {
-  // LFS 0's local block 1 (global block 4) is overwritten with its local
-  // block 0: a checksum-valid block of the wrong stripe.  Rebuilding LFS 2
-  // must refuse to fold it in, in both engine modes.
+TEST(Replication, ReadsAndRebuildRejectMisplacedBlock) {
+  // On LFS 0, local block 1 of a parity file (global block 4) and of a
+  // mirrored file's primary is overwritten with its local block 0: a
+  // checksum-valid block in the wrong place.  No read may return it, no
+  // reconstruction may fold it in, and rebuilding LFS 2 (which streams
+  // both from LFS 0) must refuse it, in both engine modes.
   BridgeInstance inst(cfg(5));
   write_stripes(inst, 3);
+  inst.run_client("writer", [&](sim::Context& ctx, BridgeClient& client) {
+    auto file = MirroredFile::open(ctx, client, "m");
+    ASSERT_TRUE(file.is_ok());
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(file.value().append(record(i)).is_ok());
+    }
+  });
+  inst.run();
+  std::map<std::string, std::uint64_t> victim;  // global block at LFS 0, local 1
   inst.run_client("misplacer", [&](sim::Context&, BridgeClient& client) {
-    auto open = client.open("pfile");
-    ASSERT_TRUE(open.is_ok());
-    efs::FileId id = open.value().meta.lfs_file_id;
     auto env = tools::discover(client);
     ASSERT_TRUE(env.is_ok());
     auto lfs = env.value().make_lfs_clients(client.rpc());
-    auto stripe0 = lfs[0]->read(id, 0);
-    ASSERT_TRUE(stripe0.is_ok());
-    ASSERT_TRUE(lfs[0]->write(id, 1, stripe0.value()).is_ok());
+    for (const char* name : {"pfile", "m"}) {
+      auto open = client.open(name);
+      ASSERT_TRUE(open.is_ok());
+      const FileMeta& meta = open.value().meta;
+      auto local0 = lfs[0]->read(meta.lfs_file_id, 0);
+      ASSERT_TRUE(local0.is_ok());
+      ASSERT_TRUE(lfs[0]->write(meta.lfs_file_id, 1, local0.value()).is_ok());
+      victim[name] = striped_global(0, 1, meta.width, meta.start_lfs, 5);
+    }
   });
   inst.run();
+
+  inst.run_client("reader", [&](sim::Context& ctx, BridgeClient& client) {
+    auto parity = ParityFile::open(ctx, client, "pfile");
+    ASSERT_TRUE(parity.is_ok());
+    ASSERT_EQ(victim["pfile"], 4u);
+    EXPECT_EQ(parity.value().read(4).status().code(),
+              util::ErrorCode::kCorrupt);
+    auto mirrored = MirroredFile::open(ctx, client, "m");
+    ASSERT_TRUE(mirrored.is_ok());
+    EXPECT_EQ(mirrored.value().read(victim["m"]).status().code(),
+              util::ErrorCode::kCorrupt);
+  });
+  inst.run();
+
+  // Block 5 lives on LFS 1; its reconstruction folds stripe 1's block 4.
+  inst.lfs(1).disk().fail();
+  inst.run_client("degraded-reader", [&](sim::Context& ctx,
+                                         BridgeClient& client) {
+    auto parity = ParityFile::open(ctx, client, "pfile");
+    ASSERT_TRUE(parity.is_ok());
+    bool reconstructed = false;
+    EXPECT_EQ(parity.value().read(5, &reconstructed).status().code(),
+              util::ErrorCode::kCorrupt);
+    EXPECT_TRUE(reconstructed);
+  });
+  inst.run();
+  inst.lfs(1).disk().repair();
 
   inst.lfs(2).disk().fail();
   inst.lfs(2).disk().repair();
@@ -599,10 +642,16 @@ TEST(ParityFile, RebuildRejectsMisplacedSurvivingBlock) {
     for (bool vectored : {true, false}) {
       RebuildOptions options;
       options.vectored = vectored;
-      auto report =
-          open_and_rebuild<ParityFile>(ctx, client, "pfile", 2, options);
-      EXPECT_EQ(report.status().code(), util::ErrorCode::kCorrupt)
-          << "vectored " << vectored;
+      EXPECT_EQ(open_and_rebuild<ParityFile>(ctx, client, "pfile", 2, options)
+                    .status()
+                    .code(),
+                util::ErrorCode::kCorrupt)
+          << "parity, vectored " << vectored;
+      EXPECT_EQ(open_and_rebuild<MirroredFile>(ctx, client, "m", 2, options)
+                    .status()
+                    .code(),
+                util::ErrorCode::kCorrupt)
+          << "mirror, vectored " << vectored;
     }
   });
   inst.run();

@@ -236,6 +236,40 @@ TEST(ScanTool, ChecksumMatchesBetweenCopies) {
   EXPECT_EQ(sum_src, sum_dst);
 }
 
+TEST(CopyTool, RejectsMisplacedSourceBlock) {
+  // LFS 0's local block 1 (global block 4) is overwritten with its local
+  // block 0: a checksum-valid block in the wrong place.  The server refuses
+  // to read it, and so must the copy: it may not re-stamp it as dst's
+  // block 4.
+  BridgeInstance inst(cfg(4));
+  make_file(inst, "src", 16);
+  inst.run_client("tool", [&](sim::Context& ctx, BridgeClient& client) {
+    auto open = client.open("src");
+    ASSERT_TRUE(open.is_ok());
+    ASSERT_EQ(open.value().meta.start_lfs, 0u);
+    efs::FileId id = open.value().meta.lfs_file_id;
+    auto env = discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    auto local0 = lfs[0]->read(id, 0);
+    ASSERT_TRUE(local0.is_ok());
+    ASSERT_TRUE(lfs[0]->write(id, 1, local0.value()).is_ok());
+    EXPECT_EQ(client.random_read(open.value().meta.id, 4).status().code(),
+              util::ErrorCode::kCorrupt);
+
+    auto copied = run_copy_tool(ctx, client, "src", "dst");
+    EXPECT_EQ(copied.status().code(), util::ErrorCode::kCorrupt)
+        << copied.status().to_string();
+    auto dst = client.open("dst");
+    if (dst.is_ok()) {
+      EXPECT_FALSE(client.random_read(dst.value().meta.id, 4).is_ok());
+    } else {
+      EXPECT_EQ(dst.status().code(), util::ErrorCode::kNotFound);
+    }
+  });
+  inst.run();
+}
+
 TEST(CopyTool, MissingSourceFails) {
   BridgeInstance inst(cfg(2));
   inst.run_client("tool", [&](sim::Context& ctx, BridgeClient& client) {

@@ -24,7 +24,7 @@ TEST(WorkerGroup, CollectsOneResultPerWorker) {
                   [i](sim::Context&) { return i * i; });
     }
     EXPECT_EQ(group.spawned(), 6u);
-    results = group.wait_all();
+    results = group.wait_all().value();
   });
   rt.run();
   ASSERT_EQ(results.size(), 6u);
@@ -42,7 +42,7 @@ TEST(WorkerGroup, WorkersRunOnRequestedNodes) {
         return worker_ctx.node();
       });
     }
-    nodes = group.wait_all();
+    nodes = group.wait_all().value();
   });
   rt.run();
   std::set<sim::NodeId> distinct(nodes.begin(), nodes.end());
@@ -82,11 +82,41 @@ TEST(WorkerGroup, ZeroWorkersWaitsTrivially) {
   bool done = false;
   rt.spawn(0, "coordinator", [&](sim::Context& ctx) {
     WorkerGroup<int> group(ctx, FanOutConfig{});
-    EXPECT_TRUE(group.wait_all().empty());
+    EXPECT_TRUE(group.wait_all().value().empty());
     done = true;
   });
   rt.run();
   EXPECT_TRUE(done);
+}
+
+TEST(WorkerGroup, WaitAllDrainsEveryWorkerThenReturnsFirstError) {
+  // Two workers fail at different times and a third finishes last: wait_all
+  // returns only once all three have reported, with the error that arrived
+  // first.
+  sim::Runtime rt(3);
+  bool slow_done = false;
+  util::Status status = util::ok_status();
+  rt.spawn(0, "coordinator", [&](sim::Context& ctx) {
+    WorkerGroup<int> group(ctx, FanOutConfig{});
+    group.spawn(0, "late", [](sim::Context& worker) -> util::Result<int> {
+      worker.sleep(sim::msec(20));
+      return util::out_of_space("late");
+    });
+    group.spawn(1, "early", [](sim::Context& worker) -> util::Result<int> {
+      worker.sleep(sim::msec(10));
+      return util::corrupt("early");
+    });
+    group.spawn(2, "slow", [&](sim::Context& worker) -> util::Result<int> {
+      worker.sleep(sim::msec(30));
+      slow_done = true;
+      return 7;
+    });
+    status = group.wait_all().status();
+    EXPECT_TRUE(slow_done);
+  });
+  rt.run();
+  EXPECT_EQ(status.code(), util::ErrorCode::kCorrupt);
+  EXPECT_EQ(status.message(), "early");
 }
 
 TEST(ToolEnv, DiscoverReturnsMachineShape) {

@@ -272,6 +272,39 @@ TEST(SortTool, FailedSortLeavesNoDebris) {
   EXPECT_TRUE(inst.verify_all_lfs().is_ok());
 }
 
+TEST(SortTool, RejectsMisplacedSourceBlock) {
+  // LFS 0's local block 1 (global block 4) is overwritten with its local
+  // block 0: a checksum-valid record in the wrong place.  The sort must
+  // fail rather than sort a duplicate in, and leave nothing behind.
+  BridgeInstance inst(cfg(4));
+  make_keyed_file(inst, "input", random_keys(80, 7));
+  inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+    auto open = client.open("input");
+    ASSERT_TRUE(open.is_ok());
+    ASSERT_EQ(open.value().meta.start_lfs, 0u);
+    efs::FileId id = open.value().meta.lfs_file_id;
+    auto env = discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    auto local0 = lfs[0]->read(id, 0);
+    ASSERT_TRUE(local0.is_ok());
+    ASSERT_TRUE(lfs[0]->write(id, 1, local0.value()).is_ok());
+
+    SortOptions options;
+    options.tuning.in_core_records = 8;
+    auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+    EXPECT_EQ(result.status().code(), util::ErrorCode::kCorrupt)
+        << result.status().to_string();
+  });
+  inst.run();
+  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
+  // dst, its runs and every temp are gone; only the input remains.
+  EXPECT_EQ(inst.server().directory_size(), 1u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(inst.lfs(i).core().file_count(), 1u) << "lfs " << i;
+  }
+}
+
 TEST(SortTool, BridgeTrafficIsFourPlusWidthRequests) {
   // Get Info, Open src, Create dst, one Create per run and one DeleteMany
   // for the runs: sizes are computed, never asked for, and every other

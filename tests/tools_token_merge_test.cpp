@@ -74,9 +74,8 @@ std::vector<std::uint64_t> merge_and_read(BridgeInstance& inst, FileMeta a,
     merge.launch(group);
     ctx.sleep(sim::msec(1));
     merge.kick(ctx);
-    for (auto& result : group.wait_all()) {
-      ASSERT_EQ(result.error, util::ErrorCode::kOk) << result.message;
-    }
+    auto merged = group.wait_all();
+    ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
 
     auto reopen = client.open(dst_name);
     ASSERT_TRUE(reopen.is_ok());
