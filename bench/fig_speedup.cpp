@@ -156,11 +156,12 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nshape checks: copy speedup near-linear; sort speedup rises through\n"
-      "p = 64 but flattens past p = 32.  A sort makes 4 + p Bridge requests\n"
-      "(bridge_requests): sizes are computed, a created file's metadata\n"
-      "comes from its Create, and merge outputs are tool-private.  The p\n"
-      "width-1 run Creates still go one at a time, and at p = 64 they hold\n"
-      "the local phase above p = 32's.  The\n"
+      "p = 64.  A sort makes 3 Bridge requests at every p\n"
+      "(bridge_requests): Get Info, Open src and Create dst.  Sizes are\n"
+      "computed, dst's metadata comes from its Create, and the runs and\n"
+      "merge outputs are tool-private LFS files, created one batch at a\n"
+      "time.  From p = 8 on the token merge is the longer phase, and the\n"
+      "curve falls further below the model as p grows.  The\n"
       "1988 prototype's super-linear sort curve is gone since layout v2\n"
       "removed the chain walk behind it (section 5.2's cure; ablation A9\n"
       "shows the anomaly and its disappearance side by side).\n");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <new>
 
 namespace bridge::disk {
 
@@ -43,9 +44,10 @@ void DiskStats::publish(obs::MetricsRegistry& registry,
 }
 
 SimDisk::SimDisk(Geometry geometry, LatencyModel latency)
-    : geometry_(geometry), latency_(latency) {
-  store_.resize(static_cast<std::size_t>(geometry_.capacity_blocks()) *
-                geometry_.block_size);
+    : geometry_(geometry),
+      latency_(latency),
+      store_(static_cast<std::byte*>(std::calloc(store_bytes(), 1))) {
+  if (store_ == nullptr && store_bytes() > 0) throw std::bad_alloc();
 }
 
 util::Status SimDisk::check_addr(BlockAddr addr) const {
@@ -85,8 +87,7 @@ util::Result<std::vector<std::byte>> SimDisk::read(sim::Context& ctx,
   charge_positioning(ctx, addr);
   trace_access(ctx, "disk.read", t0);
   ++stats_.block_reads;
-  auto begin = store_.begin() +
-               static_cast<std::ptrdiff_t>(addr) * geometry_.block_size;
+  const std::byte* begin = block(addr);
   return std::vector<std::byte>(begin, begin + geometry_.block_size);
 }
 
@@ -100,8 +101,7 @@ util::Status SimDisk::write(sim::Context& ctx, BlockAddr addr,
   charge_positioning(ctx, addr);
   trace_access(ctx, "disk.write", t0);
   ++stats_.block_writes;
-  std::copy(data.begin(), data.end(),
-            store_.begin() + static_cast<std::ptrdiff_t>(addr) * geometry_.block_size);
+  std::copy(data.begin(), data.end(), block(addr));
   return util::ok_status();
 }
 
@@ -129,8 +129,7 @@ util::Result<std::vector<std::vector<std::byte>>> SimDisk::read_track(
   std::vector<std::vector<std::byte>> blocks;
   blocks.reserve(geometry_.blocks_per_track);
   for (std::uint32_t i = 0; i < geometry_.blocks_per_track; ++i) {
-    auto begin = store_.begin() +
-                 static_cast<std::ptrdiff_t>(first + i) * geometry_.block_size;
+    const std::byte* begin = block(first + i);
     blocks.emplace_back(begin, begin + geometry_.block_size);
     stats_.block_reads++;
   }
@@ -167,8 +166,7 @@ util::Result<std::vector<std::vector<std::byte>>> SimDisk::read_tracks(
   std::vector<std::vector<std::byte>> blocks;
   blocks.reserve(total_blocks);
   for (std::uint32_t i = 0; i < total_blocks; ++i) {
-    auto begin = store_.begin() +
-                 static_cast<std::ptrdiff_t>(first + i) * geometry_.block_size;
+    const std::byte* begin = block(first + i);
     blocks.emplace_back(begin, begin + geometry_.block_size);
     stats_.block_reads++;
   }
@@ -203,9 +201,7 @@ util::Status SimDisk::write_run(sim::Context& ctx,
   trace_access(ctx, "disk.write_run", t0);
   for (const auto& op : ops) {
     ++stats_.block_writes;
-    std::copy(op.data.begin(), op.data.end(),
-              store_.begin() +
-                  static_cast<std::ptrdiff_t>(op.addr) * geometry_.block_size);
+    std::copy(op.data.begin(), op.data.end(), block(op.addr));
     last_addr_ = op.addr;
   }
   return util::ok_status();
@@ -213,15 +209,12 @@ util::Status SimDisk::write_run(sim::Context& ctx,
 
 std::optional<std::span<const std::byte>> SimDisk::peek(BlockAddr addr) const {
   if (addr >= geometry_.capacity_blocks()) return std::nullopt;
-  return std::span<const std::byte>(
-      store_.data() + static_cast<std::size_t>(addr) * geometry_.block_size,
-      geometry_.block_size);
+  return std::span<const std::byte>(block(addr), geometry_.block_size);
 }
 
 void SimDisk::poke(BlockAddr addr, std::span<const std::byte> data) {
   if (addr >= geometry_.capacity_blocks()) return;
-  std::copy(data.begin(), data.end(),
-            store_.begin() + static_cast<std::ptrdiff_t>(addr) * geometry_.block_size);
+  std::copy(data.begin(), data.end(), block(addr));
 }
 
 namespace {
@@ -236,7 +229,7 @@ util::Status SimDisk::save_image(const std::string& path) const {
   bool ok = std::fwrite(kImageMagic, 1, sizeof(kImageMagic), file) ==
                 sizeof(kImageMagic) &&
             std::fwrite(header, sizeof(std::uint32_t), 3, file) == 3 &&
-            std::fwrite(store_.data(), 1, store_.size(), file) == store_.size();
+            std::fwrite(store_.get(), 1, store_bytes(), file) == store_bytes();
   std::fclose(file);
   if (!ok) return util::internal_error("short write saving " + path);
   return util::ok_status();
@@ -260,7 +253,7 @@ util::Status SimDisk::load_image(const std::string& path) {
     std::fclose(file);
     return util::invalid_argument("image geometry mismatch for " + path);
   }
-  ok = std::fread(store_.data(), 1, store_.size(), file) == store_.size();
+  ok = std::fread(store_.get(), 1, store_bytes(), file) == store_bytes();
   std::fclose(file);
   if (!ok) return util::corrupt("truncated disk image " + path);
   return util::ok_status();

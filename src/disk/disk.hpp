@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -172,9 +174,25 @@ class SimDisk {
   /// access_latency plus the distance-dependent seek component (if any).
   [[nodiscard]] sim::SimTime positioning_cost(BlockAddr addr) const;
 
+  /// Block `addr` of the store (addr must be in range).
+  [[nodiscard]] std::byte* block(BlockAddr addr) const noexcept {
+    return store_.get() + static_cast<std::size_t>(addr) * geometry_.block_size;
+  }
+  [[nodiscard]] std::size_t store_bytes() const noexcept {
+    return static_cast<std::size_t>(geometry_.capacity_blocks()) *
+           geometry_.block_size;
+  }
+
+  struct FreeStore {
+    void operator()(std::byte* store) const noexcept { std::free(store); }
+  };
+
   Geometry geometry_;
   LatencyModel latency_;
-  std::vector<std::byte> store_;  ///< capacity_blocks * block_size, contiguous
+  /// capacity_blocks * block_size, contiguous, from calloc: the zeros are
+  /// never written, so a large device is resident only where it has been
+  /// written and unwritten blocks read as zeros.
+  std::unique_ptr<std::byte, FreeStore> store_;
   DiskStats stats_;
   BlockAddr last_addr_ = kNilAddr;
   bool failed_ = false;

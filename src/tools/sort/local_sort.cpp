@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "src/efs/client.hpp"
@@ -42,33 +43,47 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
   };
 
   // --- Run formation: read c records, sort in core, emit a sorted run. ---
-  // A sorted temp is held as the writer that filled it: its file and length.
+  // The run's records sit back to back in one buffer, sorted through an
+  // index.  A sorted temp is held as the writer that filled it: its file
+  // and length.
+  struct Slot {
+    std::uint64_t key;
+    std::size_t begin;
+    std::size_t size;
+  };
   std::deque<ConstituentWriter> runs;
   ConstituentReader src(efs, task.src.lfs_file_id, task.run.size_blocks,
                         task.src.width, task.offset);
   bool single_run = task.run.size_blocks <= c;
+  std::vector<std::byte> in_core;
+  in_core.reserve(std::min<std::uint64_t>(c, task.run.size_blocks) *
+                  efs::kUserDataBytes);
+  std::vector<Slot> index;
   while (!src.exhausted()) {
-    std::vector<std::vector<std::byte>> records;
-    while (records.size() < c && !src.exhausted()) {
+    in_core.clear();
+    index.clear();
+    while (index.size() < c && !src.exhausted()) {
       auto record = src.next();
       if (!record.is_ok()) return fail(record.status());
-      records.push_back(std::move(record).value());
+      index.push_back({record_key(record.value()), in_core.size(),
+                       record.value().size()});
+      in_core.insert(in_core.end(), record.value().begin(),
+                     record.value().end());
     }
     // In-core sort: n log n comparisons plus a copy per record.
-    std::stable_sort(records.begin(), records.end(),
-                     [](const auto& a, const auto& b) {
-                       return record_key(a) < record_key(b);
-                     });
-    double nlogn = static_cast<double>(records.size()) *
+    std::stable_sort(index.begin(), index.end(),
+                     [](const Slot& a, const Slot& b) { return a.key < b.key; });
+    double nlogn = static_cast<double>(index.size()) *
                    std::log2(std::max<double>(
-                       2.0, static_cast<double>(records.size())));
+                       2.0, static_cast<double>(index.size())));
     ctx.charge(task.tuning.compare_cpu * static_cast<std::int64_t>(nlogn));
 
     // Small portion: write the sorted records straight into the run file.
     auto sink = next_sink(single_run);
     if (!sink.is_ok()) return fail(sink.status());
-    for (const auto& record : records) {
+    for (const Slot& slot : index) {
       ctx.charge(task.tuning.record_cpu);
+      auto record = std::span(in_core).subspan(slot.begin, slot.size);
       if (auto st = sink.value().put(record); !st.is_ok()) return fail(st);
     }
     if (!single_run) runs.push_back(std::move(sink).value());

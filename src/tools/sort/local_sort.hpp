@@ -5,7 +5,8 @@
 //
 // Each worker reads its node's constituent of the input file, forms sorted
 // runs of c records in core, then 2-way-merges runs (all node-local traffic)
-// until its portion is one sorted width-1 Bridge file.
+// until its portion is one sorted width-1 run: a tool-private LFS file, or
+// dst itself when the source has width 1.
 #pragma once
 
 #include <cstdint>

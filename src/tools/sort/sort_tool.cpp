@@ -11,9 +11,9 @@ namespace bridge::tools {
 
 namespace {
 
-/// Everything one sort has made and not yet discarded: dst and the named
-/// runs (Bridge files), and the tool-private merge outputs (LFS files with
-/// no directory entry, recognisable by their empty name).  Inputs leave as
+/// Everything one sort has made and not yet discarded: dst (a Bridge file)
+/// and the tool-private runs and merge outputs (LFS files with no directory
+/// entry, recognisable by their empty name).  Inputs leave as
 /// each pass consumes them; after an error, discard_all() takes back the
 /// rest so a failed sort leaves nothing behind.
 class SortFiles {
@@ -83,60 +83,53 @@ class SortFiles {
   std::vector<core::FileMeta> held_;
 };
 
-/// Phase 1: one local external sort per constituent LFS.  Run j is a named
-/// width-1 Bridge file on the source's j-th LFS and holds the records of
-/// src's constituent there; a width-1 source sorts straight into dst.
+/// Phase 1: one local external sort per constituent LFS.  Run j is a
+/// tool-private width-1 file on the source's j-th LFS and holds the records
+/// of src's constituent there.  The runs are merge "pass 0": they share one
+/// id, because they sit on disjoint LFSs, and are created in one batch.  A
+/// width-1 source sorts straight into dst.
 util::Result<std::vector<core::FileMeta>> sort_locally(
-    sim::Context& ctx, core::BridgeApi& client, const ToolEnv& env,
-    const core::FileMeta& src, const core::FileMeta& dst,
-    const SortOptions& options, SortFiles& files) {
-  std::uint32_t p = env.num_lfs();
+    sim::Context& ctx, const ToolEnv& env, const core::FileMeta& src,
+    const core::FileMeta& dst, const SortOptions& options, SortFiles& files) {
   std::uint32_t w = src.width;
-  std::vector<core::FileMeta> runs;
-  util::Status status = util::ok_status();
+  std::vector<core::FileMeta> runs(w, dst);
+  if (w > 1) {
+    auto run_id = tool_private_file_id(dst.id, 0);
+    if (!run_id.is_ok()) return run_id.status();
+    for (std::uint32_t j = 0; j < w; ++j) {
+      runs[j] = core::FileMeta{};
+      runs[j].width = 1;
+      runs[j].start_lfs = (src.start_lfs + j) % env.num_lfs();
+      runs[j].lfs_file_id = run_id.value();
+    }
+    if (auto st = files.create_private(runs); !st.is_ok()) return st;
+  }
+
   WorkerGroup<LocalSortResult> group(ctx, options.fanout);
   for (std::uint32_t j = 0; j < w; ++j) {
-    std::uint32_t lfs = (src.start_lfs + j) % p;
-    core::FileMeta run = dst;
-    if (w > 1) {
-      std::string name = dst.name + "#run" + std::to_string(j);
-      core::CreateOptions create;
-      create.width = 1;
-      create.start_lfs = lfs;
-      auto id = client.create(name, create);
-      if (!id.is_ok()) {
-        status = id.status();
-        break;
-      }
-      run = core::created_file_meta(name, id.value(), create, p);
-      files.hold(run);
-    }
-    run.size_blocks = src.size_blocks / w + (j < src.size_blocks % w ? 1 : 0);
-
+    std::uint32_t lfs = (src.start_lfs + j) % env.num_lfs();
+    runs[j].size_blocks =
+        src.size_blocks / w + (j < src.size_blocks % w ? 1 : 0);
     LocalSortTask task;
     task.lfs_service = env.lfs_service(lfs);
     task.lfs_index = lfs;
     task.offset = j;
     task.src = src;
-    task.run = run;
+    task.run = runs[j];
     task.owner = dst.id;
     task.tuning = options.tuning;
     group.spawn(env.lfs_node(lfs), "lsort@" + std::to_string(lfs),
                 [task](sim::Context& worker_ctx) {
                   return run_local_sort(worker_ctx, task);
                 });
-    runs.push_back(std::move(run));
   }
-  // Workers already started finish before the sort may clean up after them.
-  auto sorted = group.wait_all();
-  if (!status.is_ok()) return status;
-  if (!sorted.is_ok()) return sorted.status();
+  if (auto sorted = group.wait_all(); !sorted.is_ok()) return sorted.status();
   return runs;
 }
 
 /// Phase 2: the log-depth tree of token merges; returns the pass count.
-/// Every output but the final dst is tool-private.  One id serves all the
-/// outputs of a pass, because a pass's outputs span disjoint LFSs.
+/// Every output but the final dst is tool-private.  One id, slot k, serves
+/// all the outputs of pass k, because a pass's outputs span disjoint LFSs.
 util::Result<std::uint32_t> merge_runs(sim::Context& ctx, const ToolEnv& env,
                                        std::vector<core::FileMeta> runs,
                                        const core::FileMeta& dst,
@@ -147,7 +140,7 @@ util::Result<std::uint32_t> merge_runs(sim::Context& ctx, const ToolEnv& env,
     ++pass;
     bool final_pass = runs.size() == 2;
     std::size_t pair_count = runs.size() / 2;
-    auto private_id = tool_private_file_id(dst.id, pass - 1);
+    auto private_id = tool_private_file_id(dst.id, pass);
     if (!private_id.is_ok()) return private_id.status();
 
     std::vector<core::FileMeta> outputs;
@@ -226,8 +219,8 @@ util::Result<SortReport> run_sort_tool(sim::Context& ctx,
 
   SortReport report;
   report.records = src_meta.size_blocks;
-  auto runs = sort_locally(ctx, client, env.value(), src_meta, dst_meta,
-                           options, files);
+  auto runs =
+      sort_locally(ctx, env.value(), src_meta, dst_meta, options, files);
   if (!runs.is_ok()) {
     files.discard_all();
     return runs.status();

@@ -267,8 +267,8 @@ inline util::Result<ToolEnv> discover(core::BridgeApi& client) {
 
 // --- Tool-private LFS files ---------------------------------------------------
 //
-// Files only a tool reads (the sort's local temps and its non-final merge
-// outputs) are LFS files with no Bridge directory entry.  Their ids belong
+// Files only a tool reads (the sort's runs, its local temps and its
+// non-final merge outputs) are LFS files with no Bridge directory entry.  Their ids belong
 // to the Bridge file the tool produces, its *owner*, so two tools running
 // on one machine never collide:
 //
@@ -279,15 +279,17 @@ inline util::Result<ToolEnv> discover(core::BridgeApi& client) {
 //   bits 11..0   slot, chosen by the tool         (kPrivateSlots)
 //
 // Past any limit tool_private_file_id returns an error, never a reused id.
-// The sort gives merge pass k's outputs slot k - 1 (a 32-bit width needs at
-// most 32 passes) and local temp n slot kPrivateTempSlot0 + n; a temp lives
-// on one LFS, so every LFS reuses the same temp slots.
+// The sort gives its runs, merge "pass 0", slot 0 and merge pass k's outputs
+// slot k (a 32-bit width needs at most 32 passes); the files of one pass
+// sit on disjoint LFSs, so they share its slot.  Local temp n takes slot
+// kPrivateTempSlot0 + n; a temp lives on one LFS, so every LFS reuses the
+// same temp slots.
 inline constexpr std::uint32_t kPrivateSlotBits = 12;
 inline constexpr std::uint32_t kPrivateOwnerLocalBits = 14;
 inline constexpr std::uint32_t kPrivateSlots = 1u << kPrivateSlotBits;
 inline constexpr std::uint32_t kPrivateOwnerLocals = 1u << kPrivateOwnerLocalBits;
 inline constexpr std::uint32_t kPrivateOwnerHomes = 32;
-inline constexpr std::uint32_t kPrivateTempSlot0 = 32;
+inline constexpr std::uint32_t kPrivateTempSlot0 = 33;
 
 [[nodiscard]] inline util::Result<efs::FileId> tool_private_file_id(
     core::BridgeFileId owner, std::uint32_t slot) {

@@ -1,5 +1,9 @@
-// SimDisk: latency accounting, track reads, bounds, fault injection.
+// SimDisk: latency accounting, track reads, bounds, fault injection, and a
+// lazily-resident store whose unwritten blocks read as zeros.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
 
 #include "src/disk/disk.hpp"
 
@@ -188,6 +192,60 @@ TEST(Disk, PeekAndPokeAreUntimed) {
   EXPECT_TRUE(std::equal(view->begin(), view->end(), data.begin()));
   EXPECT_FALSE(disk.peek(64).has_value());
   EXPECT_EQ(disk.stats().block_reads, 0u);
+}
+
+TEST(Disk, UnwrittenBlocksReadAsZeros) {
+  // The default geometry is a 4 MiB device, whose store is a fresh
+  // mapping; the small one is not.  Neither is written at construction.
+  for (const Geometry& geometry : {Geometry{}, small_geometry()}) {
+    sim::Runtime rt(1);
+    SimDisk disk(geometry, LatencyModel{});
+    auto zeros = pattern_block(0, geometry.block_size);
+    BlockAddr last = geometry.capacity_blocks() - 1;
+    rt.spawn(0, "t", [&](sim::Context& ctx) {
+      for (BlockAddr addr : {BlockAddr{0}, BlockAddr{5}, last}) {
+        auto got = disk.read(ctx, addr);
+        ASSERT_TRUE(got.is_ok());
+        EXPECT_EQ(got.value(), zeros) << "block " << addr;
+      }
+      BlockAddr start = kNilAddr;
+      auto track = disk.read_track(ctx, last, &start);
+      ASSERT_TRUE(track.is_ok());
+      for (const auto& block : track.value()) EXPECT_EQ(block, zeros);
+    });
+    rt.run();
+    for (BlockAddr addr : {BlockAddr{0}, BlockAddr{9}, last}) {
+      auto view = disk.peek(addr);
+      ASSERT_TRUE(view.has_value());
+      EXPECT_TRUE(std::equal(view->begin(), view->end(), zeros.begin()))
+          << "block " << addr;
+    }
+  }
+}
+
+TEST(Disk, SparseImageRoundTrips) {
+  // Two blocks written far apart on a 4 MiB device: the image restores
+  // them and every other block still reads as zeros.
+  std::string path = ::testing::TempDir() + "/bridge_disk_sparse_image.bin";
+  Geometry geometry;
+  BlockAddr far = geometry.capacity_blocks() - 2;
+  SimDisk written(geometry, LatencyModel{});
+  written.poke(3, pattern_block(0x3C));
+  written.poke(far, pattern_block(0xC3));
+  ASSERT_TRUE(written.save_image(path).is_ok());
+
+  SimDisk loaded(geometry, LatencyModel{});
+  loaded.poke(7, pattern_block(0xEE));  // overwritten by the image's zeros
+  ASSERT_TRUE(loaded.load_image(path).is_ok());
+  std::remove(path.c_str());
+  for (BlockAddr addr = 0; addr < geometry.capacity_blocks(); ++addr) {
+    std::uint8_t fill = addr == 3 ? 0x3C : addr == far ? 0xC3 : 0;
+    auto expected = pattern_block(fill);
+    auto view = loaded.peek(addr);
+    ASSERT_TRUE(view.has_value());
+    ASSERT_TRUE(std::equal(view->begin(), view->end(), expected.begin()))
+        << "block " << addr;
+  }
 }
 
 }  // namespace

@@ -135,15 +135,15 @@ TEST(ToolEnv, DiscoverReturnsMachineShape) {
 
 TEST(ToolPrivateFileIds, DisjointFromBridgeIdsAndEachOther) {
   // Owners from several homes, at both ends of the local range, each with
-  // merge-pass and temp slots: every id is distinct and none is an id any
-  // Bridge Server of a machine with at most 128 servers can mint.
+  // run, merge-pass and temp slots: every id is distinct and none is an id
+  // any Bridge Server of a machine with at most 128 servers can mint.
   std::set<efs::FileId> seen;
   for (std::uint32_t home : {0u, 1u, 5u, kPrivateOwnerHomes - 1}) {
     core::BridgeFileId base = core::make_file_id_base(home);
     for (core::BridgeFileId owner :
          {base, base + 1, base + 57, base + kPrivateOwnerLocals - 1}) {
       for (std::uint32_t slot :
-           {0u, 1u, 31u, kPrivateTempSlot0, kPrivateTempSlot0 + 9,
+           {0u, 1u, 32u, kPrivateTempSlot0, kPrivateTempSlot0 + 9,
             kPrivateSlots - 1}) {
         auto id = tool_private_file_id(owner, slot);
         ASSERT_TRUE(id.is_ok()) << id.status().to_string();
@@ -154,6 +154,25 @@ TEST(ToolPrivateFileIds, DisjointFromBridgeIdsAndEachOther) {
       }
     }
   }
+}
+
+TEST(ToolPrivateFileIds, SortRunPassAndTempIdsAreDistinct) {
+  // The sort's runs take slot 0 (merge "pass 0"), pass k slot k up to the
+  // 32 passes a 32-bit width needs, and local temps start just past them.
+  EXPECT_EQ(kPrivateTempSlot0, 33u);
+  core::BridgeFileId owner = core::make_file_id_base(3) + 7;
+  std::set<efs::FileId> seen;
+  for (std::uint32_t pass = 0; pass <= 32; ++pass) {
+    auto id = tool_private_file_id(owner, pass);
+    ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+    EXPECT_TRUE(seen.insert(id.value()).second) << "pass " << pass;
+  }
+  for (std::uint32_t temp = 0; temp < 64; ++temp) {
+    auto id = tool_private_file_id(owner, kPrivateTempSlot0 + temp);
+    ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+    EXPECT_TRUE(seen.insert(id.value()).second) << "temp " << temp;
+  }
+  EXPECT_EQ(seen.size(), 33u + 64u);
 }
 
 TEST(ToolPrivateFileIds, PastTheLimitsIsAnErrorNotACollision) {

@@ -187,8 +187,8 @@ TEST(SortTool, EmptyFileSorts) {
 }
 
 TEST(SortTool, PhasesAreReportedAndIntermediatesCleaned) {
-  // p=3 is odd: a named run is carried into a pass whose other input is
-  // tool-private, and must still leave the Bridge directory.
+  // p=3 is odd: a run is carried into a later pass, and must still be
+  // discarded there.
   for (std::uint32_t p : {4u, 3u}) {
     SCOPED_TRACE("p=" + std::to_string(p));
     BridgeInstance inst(cfg(p));
@@ -250,26 +250,36 @@ TEST(SortTool, TwoConcurrentSortsOnOneMachine) {
 }
 
 TEST(SortTool, FailedSortLeavesNoDebris) {
-  // Each LFS holds 40 input records.  With c >= 40 the local phase needs 80
-  // data blocks per LFS (input + run); a merge pass needs 120 (input, its
-  // inputs and its output), more than the disk has.
-  BridgeInstance inst(cfg(4, 100));
-  make_keyed_file(inst, "input", random_keys(160, 5));
-  inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
-    SortOptions options;
-    options.tuning.in_core_records = 64;
-    auto result = run_sort_tool(ctx, client, "input", "sorted", options);
-    EXPECT_EQ(result.status().code(), util::ErrorCode::kOutOfSpace)
-        << result.status().to_string();
-  });
-  inst.run();
-  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
-  // dst, its runs and its private files are gone; only the input remains.
-  EXPECT_EQ(inst.server().directory_size(), 1u);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(inst.lfs(i).core().file_count(), 1u) << "lfs " << i;
+  // Each LFS holds 40 input records, and with c >= 40 each local sort
+  // writes its run directly.  The local phase needs 80 data blocks per LFS
+  // (input + run) and a merge pass 120 (input, its inputs and its output).
+  // A 100-block disk fails in the merge phase; a 60-block disk fails in the
+  // local phase, as the run writes fill it after one batch created every
+  // run.
+  struct Case {
+    const char* phase;
+    std::uint32_t blocks_per_lfs;
+  };
+  for (const Case& c : {Case{"merge", 100}, Case{"local", 60}}) {
+    SCOPED_TRACE(c.phase);
+    BridgeInstance inst(cfg(4, c.blocks_per_lfs));
+    make_keyed_file(inst, "input", random_keys(160, 5));
+    inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+      SortOptions options;
+      options.tuning.in_core_records = 64;
+      auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+      EXPECT_EQ(result.status().code(), util::ErrorCode::kOutOfSpace)
+          << result.status().to_string();
+    });
+    inst.run();
+    ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
+    // dst, its runs and its private files are gone; only the input remains.
+    EXPECT_EQ(inst.server().directory_size(), 1u);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(inst.lfs(i).core().file_count(), 1u) << "lfs " << i;
+    }
+    EXPECT_TRUE(inst.verify_all_lfs().is_ok());
   }
-  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
 }
 
 TEST(SortTool, RejectsMisplacedSourceBlock) {
@@ -305,21 +315,30 @@ TEST(SortTool, RejectsMisplacedSourceBlock) {
   }
 }
 
-TEST(SortTool, BridgeTrafficIsFourPlusWidthRequests) {
-  // Get Info, Open src, Create dst, one Create per run and one DeleteMany
-  // for the runs: sizes are computed, never asked for, and every other
-  // intermediate is tool-private.
-  BridgeInstance inst(cfg(8));
-  make_keyed_file(inst, "input", random_keys(128, 3));
-  std::uint64_t before = inst.server().stats().requests;
-  inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
-    SortOptions options;
-    options.tuning.in_core_records = 8;
-    ASSERT_TRUE(run_sort_tool(ctx, client, "input", "sorted", options).is_ok());
-  });
-  inst.run();
-  EXPECT_EQ(inst.server().stats().requests - before, 4u + 8u);
-  check_sorted_permutation(random_keys(128, 3), read_keys(inst, "sorted"));
+TEST(SortTool, BridgeTrafficIsThreeRequests) {
+  // Get Info, Open src and Create dst, whatever the width: sizes are
+  // computed, never asked for, and the runs and merge outputs are
+  // tool-private.  Width 5 carries a run into a later pass; width 1 sorts
+  // straight into dst.
+  for (std::uint32_t p : {8u, 5u, 1u}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    BridgeInstance inst(cfg(p));
+    make_keyed_file(inst, "input", random_keys(16 * p, 3));
+    std::uint64_t before = inst.server().stats().requests;
+    inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+      SortOptions options;
+      options.tuning.in_core_records = 8;
+      auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    });
+    inst.run();
+    EXPECT_EQ(inst.server().stats().requests - before, 3u);
+    check_sorted_permutation(random_keys(16 * p, 3), read_keys(inst, "sorted"));
+    EXPECT_EQ(inst.server().directory_size(), 2u);
+    for (std::uint32_t i = 0; i < p; ++i) {
+      EXPECT_EQ(inst.lfs(i).core().file_count(), 2u) << "lfs " << i;
+    }
+  }
 }
 
 TEST(SortTool, MissingInputFails) {
