@@ -41,6 +41,8 @@ double local_phase_sec(const Variant& variant, std::uint32_t p,
   double sec = -1;
   inst.run_client("sort", [&](sim::Context& ctx, core::BridgeClient& client) {
     tools::SortOptions options;
+    // The token tree: the rank merge ships keys back, which moves this phase.
+    options.merge = tools::SortMerge::kTokenTree;
     options.tuning.in_core_records = c;
     options.tuning.local_merge_fanin = variant.fanin;
     auto result = tools::run_sort_tool(ctx, client, "input", "out", options);

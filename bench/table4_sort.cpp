@@ -73,6 +73,7 @@ int main(int argc, char** argv) {
     inst.run_client("sort-tool", [&](bridge::sim::Context& ctx,
                                      bridge::core::BridgeClient& client) {
       bridge::tools::SortOptions options;
+      options.merge = bridge::tools::SortMerge::kTokenTree;  // §5.2, as Table 4
       options.tuning.in_core_records = static_cast<std::uint32_t>(in_core);
       auto result =
           bridge::tools::run_sort_tool(ctx, client, "input", "sorted", options);

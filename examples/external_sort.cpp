@@ -1,9 +1,11 @@
 // The merge-sort tool (§5.2) on a dataset that does not fit in core.
 //
 // Sorts a file of random-keyed records with the two-phase algorithm —
-// per-LFS external sorts, then the log-depth tree of token-passing merges —
-// and shows the super-linear speedup by running the same sort on machines
-// of different sizes.
+// per-LFS external sorts, then the tool's default one-pass rank merge (the
+// controller ranks every record, each destination constituent gathers its
+// own; SortMerge::kTokenTree selects the paper's log-depth tree of
+// token-passing merges instead) — and shows the speedup by running the
+// same sort on machines of different sizes.
 //
 // Build & run:  cmake --build build && ./build/examples/external_sort
 #include <cstdio>

@@ -14,6 +14,8 @@ namespace bridge::tools {
 util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
                                              const LocalSortTask& task) {
   LocalSortResult result;
+  result.offset = task.offset;
+  if (task.keep_keys) result.keys.reserve(task.run.size_blocks);
   sim::RpcClient rpc(ctx);
   efs::EfsClient efs(rpc, task.lfs_service);
   const std::uint32_t c = std::max<std::uint32_t>(task.tuning.in_core_records, 2);
@@ -83,6 +85,7 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
     if (!sink.is_ok()) return fail(sink.status());
     for (const Slot& slot : index) {
       ctx.charge(task.tuning.record_cpu);
+      if (single_run && task.keep_keys) result.keys.push_back(slot.key);
       auto record = std::span(in_core).subspan(slot.begin, slot.size);
       if (auto st = sink.value().put(record); !st.is_ok()) return fail(st);
     }
@@ -134,6 +137,7 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
         ctx.charge(task.tuning.compare_cpu *
                    static_cast<std::int64_t>(k > 1 ? k - 1 : 1));
         ctx.charge(task.tuning.record_cpu);
+        if (is_final && task.keep_keys) result.keys.push_back(best_key);
         if (auto st = sink.value().put(*readers[best].head()); !st.is_ok()) {
           return fail(st);
         }

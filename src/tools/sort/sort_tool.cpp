@@ -1,6 +1,7 @@
 #include "src/tools/sort/sort_tool.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -83,15 +84,25 @@ class SortFiles {
   std::vector<core::FileMeta> held_;
 };
 
+/// What the local phase leaves: the runs and, for the rank merge, each
+/// run's keys in run order.
+struct LocalRuns {
+  std::vector<core::FileMeta> runs;
+  std::vector<std::vector<std::uint64_t>> keys;
+};
+
 /// Phase 1: one local external sort per constituent LFS.  Run j is a
 /// tool-private width-1 file on the source's j-th LFS and holds the records
 /// of src's constituent there.  The runs are merge "pass 0": they share one
 /// id, because they sit on disjoint LFSs, and are created in one batch.  A
 /// width-1 source sorts straight into dst.
-util::Result<std::vector<core::FileMeta>> sort_locally(
-    sim::Context& ctx, const ToolEnv& env, const core::FileMeta& src,
-    const core::FileMeta& dst, const SortOptions& options, SortFiles& files) {
+util::Result<LocalRuns> sort_locally(sim::Context& ctx, const ToolEnv& env,
+                                     const core::FileMeta& src,
+                                     const core::FileMeta& dst,
+                                     const SortOptions& options,
+                                     SortFiles& files) {
   std::uint32_t w = src.width;
+  bool keep_keys = options.merge == SortMerge::kRank && w > 1;
   std::vector<core::FileMeta> runs(w, dst);
   if (w > 1) {
     auto run_id = tool_private_file_id(dst.id, 0);
@@ -117,14 +128,23 @@ util::Result<std::vector<core::FileMeta>> sort_locally(
     task.src = src;
     task.run = runs[j];
     task.owner = dst.id;
+    task.keep_keys = keep_keys;
     task.tuning = options.tuning;
     group.spawn(env.lfs_node(lfs), "lsort@" + std::to_string(lfs),
                 [task](sim::Context& worker_ctx) {
                   return run_local_sort(worker_ctx, task);
                 });
   }
-  if (auto sorted = group.wait_all(); !sorted.is_ok()) return sorted.status();
-  return runs;
+  auto sorted = group.wait_all();
+  if (!sorted.is_ok()) return sorted.status();
+  LocalRuns local{std::move(runs), {}};
+  if (keep_keys) {
+    local.keys.resize(w);
+    for (auto& result : sorted.value()) {
+      local.keys[result.offset] = std::move(result.keys);
+    }
+  }
+  return local;
 }
 
 /// Phase 2: the log-depth tree of token merges; returns the pass count.
@@ -185,6 +205,91 @@ util::Result<std::uint32_t> merge_runs(sim::Context& ctx, const ToolEnv& env,
   return pass;
 }
 
+/// Blocks per gather kReadMany and kWriteMany.
+constexpr std::uint32_t kGatherWindow = 8;
+
+/// Phase 2, rank arm: one pass; returns the pass count.  The controller
+/// stable-sorts every record's (key, run, local index), built run-major so
+/// equal keys keep (run, local) order.  Rank g goes to dst constituent
+/// g mod w at local block g div w, so worker m, on dst's m-th LFS, is
+/// handed the run of each of its ranks and, per run, the locals it needs,
+/// which ascend.  It reads them in list mode and appends in rank order.
+util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
+                                       LocalRuns local,
+                                       const core::FileMeta& dst,
+                                       const SortOptions& options,
+                                       SortFiles& files) {
+  auto w = static_cast<std::uint32_t>(local.runs.size());
+  if (w <= 1) return 0u;  // a width-1 source sorted straight into dst
+  struct Entry {
+    std::uint64_t key;
+    std::uint32_t run;
+    std::uint32_t local;
+  };
+  std::vector<Entry> entries;
+  for (std::uint32_t run = 0; run < w; ++run) {
+    const auto& keys = local.keys[run];
+    for (std::uint32_t l = 0; l < keys.size(); ++l) {
+      entries.push_back({keys[l], run, l});
+    }
+  }
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  double nlogw = static_cast<double>(entries.size()) * std::log2(w);
+  ctx.charge(options.tuning.compare_cpu * static_cast<std::int64_t>(nlogw));
+
+  struct Plan {
+    std::vector<std::uint32_t> run_of_rank;
+    std::vector<std::vector<std::uint32_t>> locals;  ///< per run
+  };
+  std::vector<Plan> plans(w);
+  for (Plan& plan : plans) plan.locals.resize(w);
+  for (std::size_t g = 0; g < entries.size(); ++g) {
+    Plan& plan = plans[g % w];
+    plan.run_of_rank.push_back(entries[g].run);
+    plan.locals[entries[g].run].push_back(entries[g].local);
+  }
+
+  const std::vector<core::FileMeta>& runs = local.runs;
+  WorkerGroup<std::uint64_t> group(ctx, options.fanout);
+  for (std::uint32_t m = 0; m < w; ++m) {
+    std::uint32_t lfs = (dst.start_lfs + m) % env.num_lfs();
+    // The plan travels 8 B per rank: its run and its local index.
+    std::size_t plan_bytes = plans[m].run_of_rank.size() * 8;
+    group.spawn(
+        env.lfs_node(lfs), "gather@" + std::to_string(lfs),
+        [&env, &runs, dst, m, lfs, record_cpu = options.tuning.record_cpu,
+         plan = std::move(plans[m])](
+            sim::Context& worker_ctx) mutable -> util::Result<std::uint64_t> {
+          sim::RpcClient rpc(worker_ctx);
+          auto lfs_clients = env.make_lfs_clients(rpc);
+          std::vector<ConstituentReader> readers;
+          for (std::size_t run = 0; run < runs.size(); ++run) {
+            readers.emplace_back(*lfs_clients[runs[run].start_lfs],
+                                 runs[run].lfs_file_id,
+                                 std::move(plan.locals[run]), 1, 0,
+                                 kGatherWindow);
+          }
+          ConstituentWriter out(*lfs_clients[lfs], dst.owner(), m,
+                                kGatherWindow);
+          for (std::uint32_t run : plan.run_of_rank) {
+            auto record = readers[run].next();
+            if (!record.is_ok()) return record.status();
+            worker_ctx.charge(record_cpu);
+            if (auto st = out.put(record.value()); !st.is_ok()) return st;
+          }
+          if (auto st = out.finish(); !st.is_ok()) return st;
+          return out.written();
+        },
+        plan_bytes);
+  }
+  if (auto gathered = group.wait_all(); !gathered.is_ok()) {
+    return gathered.status();
+  }
+  if (auto st = files.discard(runs); !st.is_ok()) return st;
+  return 1u;
+}
+
 }  // namespace
 
 util::Result<SortReport> run_sort_tool(sim::Context& ctx,
@@ -219,17 +324,21 @@ util::Result<SortReport> run_sort_tool(sim::Context& ctx,
 
   SortReport report;
   report.records = src_meta.size_blocks;
-  auto runs =
+  auto local =
       sort_locally(ctx, env.value(), src_meta, dst_meta, options, files);
-  if (!runs.is_ok()) {
+  if (!local.is_ok()) {
     files.discard_all();
-    return runs.status();
+    return local.status();
   }
   report.local_phase = ctx.now() - t0;
 
   sim::SimTime merge_start = ctx.now();
-  auto passes = merge_runs(ctx, env.value(), std::move(runs).value(), dst_meta,
-                           options, files);
+  auto passes =
+      options.merge == SortMerge::kRank
+          ? rank_merge(ctx, env.value(), std::move(local).value(), dst_meta,
+                       options, files)
+          : merge_runs(ctx, env.value(), std::move(local.value().runs),
+                       dst_meta, options, files);
   if (!passes.is_ok()) {
     files.discard_all();
     return passes.status();

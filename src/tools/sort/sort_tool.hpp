@@ -1,5 +1,7 @@
-// The merge-sort tool (§5.2): local external sorts, then a log(p)-depth
-// tree of token-passing parallel merges.
+// The merge-sort tool (§5.2): local external sorts, then one of two merges.
+//
+// The paper's token tree is a log(p)-depth tree of token-passing parallel
+// merges:
 //
 //   In parallel perform local external sorts on each LFS.
 //   x := p
@@ -9,6 +11,10 @@
 //     Consider the new files to be interleaved across p/x processors
 //     Discard the old files in parallel
 //   endwhile
+//
+// The rank merge (the default) makes one pass: the local sorts return their
+// runs' keys, the controller ranks every record once, and each dst
+// constituent gathers its own records from the runs, in rank order.
 #pragma once
 
 #include <string>
@@ -20,14 +26,20 @@
 
 namespace bridge::tools {
 
+enum class SortMerge {
+  kTokenTree,  ///< §5.2: log2(p) passes of token-passing pairwise merges
+  kRank,       ///< one pass: rank at the controller, gather at each writer
+};
+
 struct SortOptions {
   SortTuning tuning;
   FanOutConfig fanout;
+  SortMerge merge = SortMerge::kRank;
 };
 
 struct SortReport {
   std::uint64_t records = 0;
-  std::uint32_t merge_passes = 0;      ///< global (phase 2) passes
+  std::uint32_t merge_passes = 0;      ///< global (phase 2) passes; rank: 1
   sim::SimTime local_phase{};          ///< Table 4 "Local Sort"
   sim::SimTime merge_phase{};          ///< Table 4 "Merge"
   sim::SimTime total{};                ///< Table 4 "Total"

@@ -48,26 +48,35 @@ struct FanOutConfig {
 
 /// Spawns workers and gathers one util::Result<R> from each.  R must be
 /// copyable/movable; results are delivered through a channel on the
-/// coordinator's node.
+/// coordinator's node, each charged as a 64-B message plus, when R has
+/// one, its wire_bytes().
 template <typename R>
 class WorkerGroup {
  public:
+  static constexpr std::size_t kResultWireBytes = 64;
+
   WorkerGroup(sim::Context& ctx, FanOutConfig config)
       : ctx_(ctx),
         config_(config),
         results_(ctx.runtime().scheduler(), ctx.node()) {}
 
   /// Spawn the next worker on `node`.  `body` runs there and its result —
-  /// a value or an error — is shipped back to the coordinator.
+  /// a value or an error — is shipped back to the coordinator.  A worker
+  /// handed `input_bytes` of input (a plan) starts later by their transfer
+  /// time; the spawn message's fixed cost is in spawn_cost.
   void spawn(sim::NodeId node, const std::string& name,
-             std::function<util::Result<R>(sim::Context&)> body) {
-    sim::SimTime delay{0};
+             std::function<util::Result<R>(sim::Context&)> body,
+             std::size_t input_bytes = 0) {
+    const sim::Topology& topology = ctx_.runtime().topology();
+    sim::SimTime delay =
+        topology.message_latency(ctx_.node(), node, input_bytes) -
+        topology.message_latency(ctx_.node(), node, 0);
     if (config_.tree) {
       // Worker i sits at depth floor(log2(i+1)) of the startup tree; each
       // level costs one spawn_cost of forwarding.
       auto depth = static_cast<std::int64_t>(
           std::floor(std::log2(static_cast<double>(spawned_ + 1))));
-      delay = config_.spawn_cost * (depth + 1);
+      delay += config_.spawn_cost * (depth + 1);
     } else {
       // Sequential initiation: the coordinator pays for each spawn in turn.
       ctx_.charge(config_.spawn_cost);
@@ -77,7 +86,11 @@ class WorkerGroup {
         node, name,
         [results, body = std::move(body)](sim::Context& worker_ctx) {
           util::Result<R> result = body(worker_ctx);
-          worker_ctx.send(*results, std::move(result), /*payload_bytes=*/64);
+          std::size_t bytes = kResultWireBytes;
+          if constexpr (requires(const R& r) { r.wire_bytes(); }) {
+            if (result.is_ok()) bytes += result.value().wire_bytes();
+          }
+          worker_ctx.send(*results, std::move(result), bytes);
         },
         delay);
     ++spawned_;
@@ -118,7 +131,9 @@ class WorkerGroup {
 /// Streams a constituent — `count` local blocks on one LFS, local block l
 /// holding global block l * stride + offset of file `file` — and returns
 /// each block's user payload, `window` blocks per kReadMany.  A block whose
-/// header names another file or global block is kCorrupt.
+/// header names another file or global block is kCorrupt.  In list mode the
+/// reader streams only the listed local blocks, in list order, so one
+/// kReadMany names up to `window` blocks that need not be adjacent.
 class ConstituentReader {
  public:
   ConstituentReader(efs::EfsClient& lfs, efs::FileId file, std::uint64_t count,
@@ -131,10 +146,18 @@ class ConstituentReader {
         offset_(offset),
         window_(window) {}
 
+  /// List mode: stream local blocks `locals` only.
+  ConstituentReader(efs::EfsClient& lfs, efs::FileId file,
+                    std::vector<std::uint32_t> locals, std::uint32_t stride,
+                    std::uint32_t offset, std::uint32_t window = 1)
+      : ConstituentReader(lfs, file, locals.size(), stride, offset, window) {
+    locals_ = std::move(locals);
+  }
+
   [[nodiscard]] bool exhausted() const noexcept { return next_ >= count_; }
   /// Global block number of the block next() returns.
   [[nodiscard]] std::uint64_t next_global() const noexcept {
-    return next_ * stride_ + offset_;
+    return local(next_) * stride_ + offset_;
   }
 
   /// The next block's user payload; reads a window when none is buffered.
@@ -145,7 +168,7 @@ class ConstituentReader {
           std::min<std::uint64_t>(window_, count_ - next_));
       std::vector<std::uint32_t> locals(n);
       for (std::uint32_t j = 0; j < n; ++j) {
-        locals[j] = static_cast<std::uint32_t>(next_ + j);
+        locals[j] = static_cast<std::uint32_t>(local(next_ + j));
       }
       auto read = lfs_->read_many(file_, std::move(locals));
       if (!read.is_ok()) return read.status();
@@ -177,12 +200,18 @@ class ConstituentReader {
   }
 
  private:
+  /// The local block number of the i-th block streamed.
+  [[nodiscard]] std::uint64_t local(std::uint64_t i) const noexcept {
+    return locals_.empty() ? i : locals_[i];
+  }
+
   efs::EfsClient* lfs_;
   efs::FileId file_;
   std::uint64_t count_;
   std::uint32_t stride_;
   std::uint32_t offset_;
   std::uint32_t window_;
+  std::vector<std::uint32_t> locals_;  ///< list mode: the locals to stream
   std::uint64_t next_ = 0;
   std::vector<std::vector<std::byte>> window_blocks_;
   std::size_t buffered_ = 0;  ///< next unread entry of window_blocks_

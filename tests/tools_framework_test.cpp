@@ -1,5 +1,6 @@
 // Tool framework: WorkerGroup fan-out semantics (tree vs sequential timing,
-// result collection, node placement) and ToolEnv discovery.
+// result collection, node placement, wire cost of inputs and results),
+// ConstituentReader's list mode and ToolEnv discovery.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -117,6 +118,121 @@ TEST(WorkerGroup, WaitAllDrainsEveryWorkerThenReturnsFirstError) {
   rt.run();
   EXPECT_EQ(status.code(), util::ErrorCode::kCorrupt);
   EXPECT_EQ(status.message(), "early");
+}
+
+TEST(WorkerGroup, InputAndResultBytesCostTheirTransferTime) {
+  // A worker on another node returns 8n bytes of result beyond the 64-B
+  // message, or is handed 8n bytes of input: either way its result arrives
+  // later than the bare 64-B baseline by exactly the topology's transfer
+  // time for 8n bytes.
+  struct Keys {
+    std::vector<std::uint64_t> keys;
+    [[nodiscard]] std::size_t wire_bytes() const noexcept {
+      return keys.size() * 8;
+    }
+  };
+  constexpr std::size_t n = 1000;
+  auto arrival_us = [&](std::size_t result_keys, std::size_t input_bytes) {
+    sim::Runtime rt(2);
+    std::int64_t arrived = 0;
+    rt.spawn(0, "coordinator", [&](sim::Context& ctx) {
+      WorkerGroup<Keys> group(ctx, FanOutConfig{});
+      group.spawn(
+          1, "w",
+          [result_keys](sim::Context&) -> util::Result<Keys> {
+            return Keys{std::vector<std::uint64_t>(result_keys)};
+          },
+          input_bytes);
+      ASSERT_TRUE(group.wait_all().is_ok());
+      arrived = ctx.now().us();
+    });
+    rt.run();
+    return arrived;
+  };
+  sim::Topology topology;
+  auto transfer_us =
+      static_cast<std::int64_t>(topology.remote_us_per_byte * 8 * n);
+  std::int64_t baseline = arrival_us(0, 0);
+  EXPECT_EQ(arrival_us(n, 0) - baseline, transfer_us);
+  EXPECT_EQ(arrival_us(0, 8 * n) - baseline, transfer_us);
+}
+
+/// A width-2 file of 16 records on a 2-LFS machine; record i's first byte
+/// is i.  Returns its metadata.
+core::FileMeta make_two_lfs_file(core::BridgeInstance& inst) {
+  core::FileMeta meta;
+  inst.run_client("mkfile", [&](sim::Context&, core::BridgeClient& client) {
+    ASSERT_TRUE(client.create("f").is_ok());
+    auto open = client.open("f");
+    ASSERT_TRUE(open.is_ok());
+    for (std::uint8_t i = 0; i < 16; ++i) {
+      std::vector<std::byte> record(efs::kUserDataBytes, std::byte{i});
+      ASSERT_TRUE(client.seq_write(open.value().session, record).is_ok());
+    }
+    meta = client.open("f").value().meta;
+  });
+  inst.run();
+  return meta;
+}
+
+TEST(ConstituentReader, ListModeStreamsOnlyTheListedLocals) {
+  // LFS 1 holds constituent 1 of the width-2 file: local l is global
+  // 2l + 1.  Locals {0, 2, 5, 6} with window 2 take two kReadMany, one per
+  // pair of locals.
+  core::BridgeInstance inst(cfg(2));
+  core::FileMeta meta = make_two_lfs_file(inst);
+  ASSERT_EQ(meta.start_lfs, 0u);
+  inst.run_client("reader", [&](sim::Context&, core::BridgeClient& client) {
+    auto env = discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    sim::MessageStats before = inst.runtime().message_stats();
+    ConstituentReader reader(*lfs[1], meta.lfs_file_id,
+                             std::vector<std::uint32_t>{0, 2, 5, 6}, 2, 1, 2);
+    for (std::uint32_t local : {0u, 2u, 5u, 6u}) {
+      ASSERT_FALSE(reader.exhausted());
+      std::uint64_t global = 2 * local + 1;
+      EXPECT_EQ(reader.next_global(), global);
+      auto block = reader.next();
+      ASSERT_TRUE(block.is_ok()) << block.status().to_string();
+      EXPECT_EQ(block.value(),
+                std::vector<std::byte>(efs::kUserDataBytes,
+                                       std::byte(static_cast<std::uint8_t>(
+                                           global))));
+    }
+    EXPECT_TRUE(reader.exhausted());
+    sim::MessageStats used = inst.runtime().message_stats() - before;
+    // Two kReadMany requests and their two replies.
+    EXPECT_EQ(used.local_messages + used.remote_messages, 4u);
+  });
+  inst.run();
+}
+
+TEST(ConstituentReader, ListModeRejectsMisplacedBlockAndEmptyListIsExhausted) {
+  core::BridgeInstance inst(cfg(2));
+  core::FileMeta meta = make_two_lfs_file(inst);
+  inst.run_client("reader", [&](sim::Context&, core::BridgeClient& client) {
+    auto env = discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    // LFS 1's local 0 copied over its local 5: checksum-valid, misplaced.
+    auto local0 = lfs[1]->read(meta.lfs_file_id, 0);
+    ASSERT_TRUE(local0.is_ok());
+    ASSERT_TRUE(lfs[1]->write(meta.lfs_file_id, 5, local0.value()).is_ok());
+    ConstituentReader reader(*lfs[1], meta.lfs_file_id,
+                             std::vector<std::uint32_t>{2, 5}, 2, 1, 2);
+    EXPECT_TRUE(reader.next().is_ok());
+    EXPECT_EQ(reader.next().status().code(), util::ErrorCode::kCorrupt);
+
+    sim::MessageStats before = inst.runtime().message_stats();
+    ConstituentReader empty(*lfs[1], meta.lfs_file_id,
+                            std::vector<std::uint32_t>{}, 2, 1, 8);
+    EXPECT_TRUE(empty.exhausted());
+    EXPECT_FALSE(empty.next().is_ok());
+    sim::MessageStats used = inst.runtime().message_stats() - before;
+    EXPECT_EQ(used.local_messages + used.remote_messages, 0u);
+  });
+  inst.run();
 }
 
 TEST(ToolEnv, DiscoverReturnsMachineShape) {

@@ -1,10 +1,12 @@
 // Sort tool: output sorted + permutation of input (property, multiple p and
 // sizes), merge invariants, phase reporting, degenerate inputs, cleanup after
-// success and failure, concurrent sorts, and the sort's Bridge traffic.
+// success and failure, concurrent sorts, the sort's Bridge traffic, and the
+// rank merge against the token tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <span>
+#include <tuple>
 
 #include "src/core/instance.hpp"
 #include "src/tools/sort/sort_tool.hpp"
@@ -20,6 +22,12 @@ SystemConfig cfg(std::uint32_t p, std::uint32_t blocks_per_lfs = 2048) {
   return SystemConfig::paper_profile(p, blocks_per_lfs);
 }
 
+constexpr SortMerge kBothMerges[] = {SortMerge::kTokenTree, SortMerge::kRank};
+
+const char* merge_name(SortMerge merge) {
+  return merge == SortMerge::kRank ? "rank" : "token tree";
+}
+
 /// A record whose payload starts with the little-endian key, then filler
 /// derived from the key (so payload identity follows key identity).
 std::vector<std::byte> keyed_record(std::uint64_t key) {
@@ -33,38 +41,110 @@ std::vector<std::byte> keyed_record(std::uint64_t key) {
   return data;
 }
 
-void make_keyed_file(BridgeInstance& inst, const std::string& name,
-                     const std::vector<std::uint64_t>& keys) {
+/// A record with key `key` whose filler names `tag`, so records with equal
+/// keys stay distinguishable.
+std::vector<std::byte> tagged_record(std::uint64_t key, std::uint64_t tag) {
+  std::vector<std::byte> data(efs::kUserDataBytes);
+  util::Writer w;
+  w.u64(key);
+  w.u64(tag);
+  std::copy(w.buffer().begin(), w.buffer().end(), data.begin());
+  return data;
+}
+
+std::uint64_t record_tag(std::span<const std::byte> payload) {
+  util::Reader r(payload.subspan(8, 8));
+  return r.u64();
+}
+
+void make_file(BridgeInstance& inst, const std::string& name,
+               const std::vector<std::vector<std::byte>>& records) {
   inst.run_client("mkfile", [&](sim::Context&, BridgeClient& client) {
     ASSERT_TRUE(client.create(name).is_ok());
     auto open = client.open(name);
     ASSERT_TRUE(open.is_ok());
-    for (auto key : keys) {
-      ASSERT_TRUE(
-          client.seq_write(open.value().session, keyed_record(key)).is_ok());
+    for (const auto& record : records) {
+      ASSERT_TRUE(client.seq_write(open.value().session, record).is_ok());
     }
   });
   inst.run();
+}
+
+void make_keyed_file(BridgeInstance& inst, const std::string& name,
+                     const std::vector<std::uint64_t>& keys) {
+  std::vector<std::vector<std::byte>> records;
+  for (auto key : keys) records.push_back(keyed_record(key));
+  make_file(inst, name, records);
+}
+
+/// Every block of `name` as its LFSs store it, header included, in
+/// (constituent, local block) order.
+std::vector<std::vector<std::byte>> raw_blocks(BridgeInstance& inst,
+                                               const std::string& name) {
+  std::vector<std::vector<std::byte>> blocks;
+  inst.run_client("raw", [&](sim::Context&, BridgeClient& client) {
+    auto open = client.open(name);
+    ASSERT_TRUE(open.is_ok());
+    const core::FileMeta& meta = open.value().meta;
+    auto env = discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    for (std::uint32_t j = 0; j < meta.width; ++j) {
+      std::uint64_t count = meta.size_blocks / meta.width +
+                            (j < meta.size_blocks % meta.width ? 1 : 0);
+      auto& efs = *lfs[(meta.start_lfs + j) % env.value().num_lfs()];
+      for (std::uint32_t l = 0; l < count; ++l) {
+        auto block = efs.read(meta.lfs_file_id, l);
+        ASSERT_TRUE(block.is_ok()) << block.status().to_string();
+        blocks.push_back(std::move(block).value());
+      }
+    }
+  });
+  inst.run();
+  return blocks;
+}
+
+/// Every record of `name`, in file order.
+std::vector<std::vector<std::byte>> read_records(BridgeInstance& inst,
+                                                 const std::string& name) {
+  std::vector<std::vector<std::byte>> records;
+  inst.run_client("readback", [&](sim::Context&, BridgeClient& client) {
+    auto open = client.open(name);
+    ASSERT_TRUE(open.is_ok());
+    for (std::uint64_t i = 0; i < open.value().meta.size_blocks; ++i) {
+      auto r = client.seq_read(open.value().session);
+      ASSERT_TRUE(r.is_ok());
+      records.push_back(std::move(r.value().data));
+    }
+  });
+  inst.run();
+  return records;
+}
+
+/// Sort `input` into `sorted` with `merge` and in-core capacity `c`.
+void sort_with(BridgeInstance& inst, SortMerge merge, std::uint32_t c) {
+  inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+    SortOptions options;
+    options.merge = merge;
+    options.tuning.in_core_records = c;
+    auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  });
+  inst.run();
+  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
 }
 
 /// Read the whole file back and return its keys in order; also verifies
 /// each record's payload matches its key.
 std::vector<std::uint64_t> read_keys(BridgeInstance& inst,
                                      const std::string& name) {
-  auto keys = std::make_shared<std::vector<std::uint64_t>>();
-  inst.run_client("readback", [&, keys](sim::Context&, BridgeClient& client) {
-    auto open = client.open(name);
-    ASSERT_TRUE(open.is_ok());
-    for (std::uint64_t i = 0; i < open.value().meta.size_blocks; ++i) {
-      auto r = client.seq_read(open.value().session);
-      ASSERT_TRUE(r.is_ok());
-      std::uint64_t key = record_key(r.value().data);
-      EXPECT_EQ(r.value().data, keyed_record(key)) << "payload mangled";
-      keys->push_back(key);
-    }
-  });
-  inst.run();
-  return *keys;
+  std::vector<std::uint64_t> keys;
+  for (const auto& record : read_records(inst, name)) {
+    std::uint64_t key = record_key(record);
+    EXPECT_EQ(record, keyed_record(key)) << "payload mangled";
+    keys.push_back(key);
+  }
+  return keys;
 }
 
 void check_sorted_permutation(std::vector<std::uint64_t> input,
@@ -93,25 +173,29 @@ class SortProperty : public ::testing::TestWithParam<SortCase> {};
 
 TEST_P(SortProperty, SortsToPermutation) {
   auto param = GetParam();
-  BridgeInstance inst(cfg(param.p));
-  auto keys = random_keys(param.records, 1234 + param.p);
-  make_keyed_file(inst, "input", keys);
+  for (SortMerge merge : kBothMerges) {
+    SCOPED_TRACE(merge_name(merge));
+    BridgeInstance inst(cfg(param.p));
+    auto keys = random_keys(param.records, 1234 + param.p);
+    make_keyed_file(inst, "input", keys);
 
-  SortReport report;
-  inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
-    SortOptions options;
-    options.tuning.in_core_records = param.in_core;
-    options.tuning.local_merge_fanin = param.fanin;
-    auto result = run_sort_tool(ctx, client, "input", "sorted", options);
-    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-    report = result.value();
-  });
-  inst.run();
-  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
+    SortReport report;
+    inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+      SortOptions options;
+      options.merge = merge;
+      options.tuning.in_core_records = param.in_core;
+      options.tuning.local_merge_fanin = param.fanin;
+      auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+      report = result.value();
+    });
+    inst.run();
+    ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
 
-  EXPECT_EQ(report.records, param.records);
-  check_sorted_permutation(keys, read_keys(inst, "sorted"));
-  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+    EXPECT_EQ(report.records, param.records);
+    check_sorted_permutation(keys, read_keys(inst, "sorted"));
+    EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -187,33 +271,37 @@ TEST(SortTool, EmptyFileSorts) {
 }
 
 TEST(SortTool, PhasesAreReportedAndIntermediatesCleaned) {
-  // p=3 is odd: a run is carried into a later pass, and must still be
-  // discarded there.
-  for (std::uint32_t p : {4u, 3u}) {
-    SCOPED_TRACE("p=" + std::to_string(p));
-    BridgeInstance inst(cfg(p));
-    make_keyed_file(inst, "input", random_keys(80, 9));
-    SortReport report;
-    inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
-      SortOptions options;
-      options.tuning.in_core_records = 8;
-      auto result = run_sort_tool(ctx, client, "input", "sorted", options);
-      ASSERT_TRUE(result.is_ok());
-      report = result.value();
-    });
-    inst.run();
-    EXPECT_GT(report.local_phase.us(), 0);
-    EXPECT_GT(report.merge_phase.us(), 0);
-    EXPECT_GE(report.total.us(),
-              report.local_phase.us() + report.merge_phase.us());
-    EXPECT_EQ(report.merge_passes, 2u);  // ceil(log2(p)) passes
-    // Only "input" and "sorted" remain in the Bridge directory.
-    EXPECT_EQ(inst.server().directory_size(), 2u);
-    // Temp LFS files are gone; only the two files' constituents remain.
-    for (std::uint32_t i = 0; i < p; ++i) {
-      EXPECT_EQ(inst.lfs(i).core().file_count(), 2u) << "lfs " << i;
+  // p=3 is odd: the token tree carries a run into a later pass, and must
+  // still discard it there.  The rank merge makes one pass at any p.
+  for (SortMerge merge : kBothMerges) {
+    for (std::uint32_t p : {4u, 3u}) {
+      SCOPED_TRACE(std::string(merge_name(merge)) + " p=" + std::to_string(p));
+      BridgeInstance inst(cfg(p));
+      make_keyed_file(inst, "input", random_keys(80, 9));
+      SortReport report;
+      inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+        SortOptions options;
+        options.merge = merge;
+        options.tuning.in_core_records = 8;
+        auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+        ASSERT_TRUE(result.is_ok());
+        report = result.value();
+      });
+      inst.run();
+      EXPECT_GT(report.local_phase.us(), 0);
+      EXPECT_GT(report.merge_phase.us(), 0);
+      EXPECT_GE(report.total.us(),
+                report.local_phase.us() + report.merge_phase.us());
+      // ceil(log2(p)) token-tree passes; one rank pass.
+      EXPECT_EQ(report.merge_passes, merge == SortMerge::kRank ? 1u : 2u);
+      // Only "input" and "sorted" remain in the Bridge directory.
+      EXPECT_EQ(inst.server().directory_size(), 2u);
+      // Temp LFS files are gone; only the two files' constituents remain.
+      for (std::uint32_t i = 0; i < p; ++i) {
+        EXPECT_EQ(inst.lfs(i).core().file_count(), 2u) << "lfs " << i;
+      }
+      check_sorted_permutation(random_keys(80, 9), read_keys(inst, "sorted"));
     }
-    check_sorted_permutation(random_keys(80, 9), read_keys(inst, "sorted"));
   }
 }
 
@@ -252,20 +340,27 @@ TEST(SortTool, TwoConcurrentSortsOnOneMachine) {
 TEST(SortTool, FailedSortLeavesNoDebris) {
   // Each LFS holds 40 input records, and with c >= 40 each local sort
   // writes its run directly.  The local phase needs 80 data blocks per LFS
-  // (input + run) and a merge pass 120 (input, its inputs and its output).
-  // A 100-block disk fails in the merge phase; a 60-block disk fails in the
-  // local phase, as the run writes fill it after one batch created every
-  // run.
+  // (input + run), a token-tree pass 120 (input, its inputs and its output)
+  // and the rank merge's gather 120 (input, run and dst at once).  A
+  // 100-block disk fails in the merge phase: a token pass or the gather.  A
+  // 60-block disk fails in the local phase, as the run writes fill it after
+  // one batch created every run.
   struct Case {
     const char* phase;
+    SortMerge merge;
     std::uint32_t blocks_per_lfs;
   };
-  for (const Case& c : {Case{"merge", 100}, Case{"local", 60}}) {
+  for (const Case& c :
+       {Case{"token merge", SortMerge::kTokenTree, 100},
+        Case{"rank gather", SortMerge::kRank, 100},
+        Case{"token local", SortMerge::kTokenTree, 60},
+        Case{"rank local", SortMerge::kRank, 60}}) {
     SCOPED_TRACE(c.phase);
     BridgeInstance inst(cfg(4, c.blocks_per_lfs));
     make_keyed_file(inst, "input", random_keys(160, 5));
     inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
       SortOptions options;
+      options.merge = c.merge;
       options.tuning.in_core_records = 64;
       auto result = run_sort_tool(ctx, client, "input", "sorted", options);
       EXPECT_EQ(result.status().code(), util::ErrorCode::kOutOfSpace)
@@ -316,27 +411,100 @@ TEST(SortTool, RejectsMisplacedSourceBlock) {
 }
 
 TEST(SortTool, BridgeTrafficIsThreeRequests) {
-  // Get Info, Open src and Create dst, whatever the width: sizes are
-  // computed, never asked for, and the runs and merge outputs are
-  // tool-private.  Width 5 carries a run into a later pass; width 1 sorts
-  // straight into dst.
-  for (std::uint32_t p : {8u, 5u, 1u}) {
-    SCOPED_TRACE("p=" + std::to_string(p));
-    BridgeInstance inst(cfg(p));
-    make_keyed_file(inst, "input", random_keys(16 * p, 3));
-    std::uint64_t before = inst.server().stats().requests;
-    inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
-      SortOptions options;
-      options.tuning.in_core_records = 8;
-      auto result = run_sort_tool(ctx, client, "input", "sorted", options);
-      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-    });
-    inst.run();
-    EXPECT_EQ(inst.server().stats().requests - before, 3u);
-    check_sorted_permutation(random_keys(16 * p, 3), read_keys(inst, "sorted"));
-    EXPECT_EQ(inst.server().directory_size(), 2u);
-    for (std::uint32_t i = 0; i < p; ++i) {
-      EXPECT_EQ(inst.lfs(i).core().file_count(), 2u) << "lfs " << i;
+  // Get Info, Open src and Create dst, whatever the width and the merge:
+  // sizes are computed, never asked for, and the runs and merge outputs are
+  // tool-private.  Width 5 carries a run into a later token pass; width 1
+  // sorts straight into dst.
+  for (SortMerge merge : kBothMerges) {
+    for (std::uint32_t p : {8u, 5u, 1u}) {
+      SCOPED_TRACE(std::string(merge_name(merge)) + " p=" + std::to_string(p));
+      BridgeInstance inst(cfg(p));
+      make_keyed_file(inst, "input", random_keys(16 * p, 3));
+      std::uint64_t before = inst.server().stats().requests;
+      sort_with(inst, merge, 8);
+      EXPECT_EQ(inst.server().stats().requests - before, 3u);
+      check_sorted_permutation(random_keys(16 * p, 3),
+                               read_keys(inst, "sorted"));
+      EXPECT_EQ(inst.server().directory_size(), 2u);
+      for (std::uint32_t i = 0; i < p; ++i) {
+        EXPECT_EQ(inst.lfs(i).core().file_count(), 2u) << "lfs " << i;
+      }
+    }
+  }
+}
+
+TEST(SortTool, RankMergeMatchesTokenTree) {
+  // Distinct keys: both merges write byte-identical dst blocks, headers
+  // included, at every width, for sizes that are no multiple of the width
+  // and for an empty file.
+  for (std::uint32_t p : {1u, 2u, 3u, 5u, 8u}) {
+    for (std::uint32_t n : {0u, 4 * p + 1, 13 * p + p / 2 + 3}) {
+      SCOPED_TRACE("p=" + std::to_string(p) + " n=" + std::to_string(n));
+      std::vector<std::uint64_t> keys(n);
+      for (std::uint32_t i = 0; i < n; ++i) keys[i] = 7 * i + 3;
+      sim::Rng rng(100 + n);
+      for (std::uint32_t i = n; i > 1; --i) {
+        std::swap(keys[i - 1], keys[rng.next_u64() % i]);
+      }
+      std::vector<std::vector<std::vector<std::byte>>> dst;
+      for (SortMerge merge : kBothMerges) {
+        BridgeInstance inst(cfg(p));
+        make_keyed_file(inst, "input", keys);
+        sort_with(inst, merge, 8);
+        dst.push_back(raw_blocks(inst, "sorted"));
+        EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+      }
+      EXPECT_EQ(dst[0].size(), n);
+      EXPECT_EQ(dst[0], dst[1]);
+    }
+  }
+
+  // Duplicate keys: both merges give the same key sequence and the same
+  // multiset of records.  The local sort is stable and the rank merge
+  // orders equal keys by (run, local index), so its output is the input
+  // stably sorted by (key, i mod w, i div w).
+  for (std::uint32_t p : {3u, 4u}) {
+    SCOPED_TRACE("duplicates p=" + std::to_string(p));
+    std::vector<std::vector<std::byte>> input;
+    sim::Rng rng(77 + p);
+    for (std::uint64_t i = 0; i < 90; ++i) {
+      input.push_back(tagged_record(rng.next_u64() % 6, i));
+    }
+    std::vector<std::vector<std::vector<std::byte>>> out;
+    for (SortMerge merge : kBothMerges) {
+      BridgeInstance inst(cfg(p));
+      make_file(inst, "input", input);
+      sort_with(inst, merge, 8);
+      out.push_back(read_records(inst, "sorted"));
+    }
+    const auto& token = out[0];
+    const auto& rank = out[1];
+    ASSERT_EQ(token.size(), input.size());
+    ASSERT_EQ(rank.size(), input.size());
+    for (std::size_t g = 0; g < input.size(); ++g) {
+      EXPECT_EQ(record_key(token[g]), record_key(rank[g])) << "rank " << g;
+    }
+    // Tags are distinct, so ordering by tag puts each multiset in one order.
+    auto by_tag = [](const auto& a, const auto& b) {
+      return record_tag(a) < record_tag(b);
+    };
+    auto token_set = token;
+    auto rank_set = rank;
+    std::sort(token_set.begin(), token_set.end(), by_tag);
+    std::sort(rank_set.begin(), rank_set.end(), by_tag);
+    EXPECT_EQ(token_set, rank_set);
+
+    std::vector<std::uint64_t> expected(input.size());
+    for (std::uint64_t i = 0; i < expected.size(); ++i) expected[i] = i;
+    auto order = [&](std::uint64_t i) {
+      return std::tuple(record_key(input[i]), i % p, i / p);
+    };
+    std::sort(expected.begin(), expected.end(),
+              [&](std::uint64_t a, std::uint64_t b) {
+                return order(a) < order(b);
+              });
+    for (std::size_t g = 0; g < rank.size(); ++g) {
+      EXPECT_EQ(record_tag(rank[g]), expected[g]) << "rank " << g;
     }
   }
 }
