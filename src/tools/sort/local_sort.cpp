@@ -36,12 +36,15 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
   // Where a sorted run goes: the width-1 run file itself, or the next temp,
   // created on this LFS.
   auto next_sink = [&](bool to_run) -> util::Result<ConstituentWriter> {
-    if (to_run) return ConstituentWriter(efs, task.run.owner(), 0);
+    if (to_run) {
+      return ConstituentWriter(efs, task.run.owner(), 0, kSortWindow);
+    }
     auto temp = temp_id(temp_seq);
     if (!temp.is_ok()) return temp.status();
     ++temp_seq;
     if (auto st = efs.create(temp.value()); !st.is_ok()) return st;
-    return ConstituentWriter(efs, {temp.value(), 1, task.lfs_index}, 0);
+    return ConstituentWriter(efs, {temp.value(), 1, task.lfs_index}, 0,
+                             kSortWindow);
   };
 
   // --- Run formation: read c records, sort in core, emit a sorted run. ---
@@ -55,7 +58,7 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
   };
   std::deque<ConstituentWriter> runs;
   ConstituentReader src(efs, task.src.lfs_file_id, task.run.size_blocks,
-                        task.src.width, task.offset);
+                        task.src.width, task.offset, kSortWindow);
   bool single_run = task.run.size_blocks <= c;
   std::vector<std::byte> in_core;
   in_core.reserve(std::min<std::uint64_t>(c, task.run.size_blocks) *
@@ -89,6 +92,7 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
       auto record = std::span(in_core).subspan(slot.begin, slot.size);
       if (auto st = sink.value().put(record); !st.is_ok()) return fail(st);
     }
+    if (auto st = sink.value().finish(); !st.is_ok()) return fail(st);
     if (!single_run) runs.push_back(std::move(sink).value());
   }
   result.records = task.run.size_blocks;
@@ -119,7 +123,8 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
       // only change the CPU constant we charge anyway).
       std::vector<ConstituentReader> readers;
       for (const auto& run : group) {
-        readers.emplace_back(efs, run.file(), run.written(), 1, 0);
+        readers.emplace_back(efs, run.file(), run.written(), 1, 0,
+                             kSortWindow);
         if (auto st = readers.back().advance(); !st.is_ok()) return fail(st);
       }
       while (true) {
@@ -143,6 +148,7 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
         }
         if (auto st = readers[best].advance(); !st.is_ok()) return fail(st);
       }
+      if (auto st = sink.value().finish(); !st.is_ok()) return fail(st);
 
       // "Discard the old files": the prototype's EFS frees block by block.
       for (const auto& run : group) {

@@ -21,6 +21,12 @@ inline std::uint64_t record_key(std::span<const std::byte> payload) {
   return r.u64();
 }
 
+/// Blocks per LFS request on the sort's streams: the local sort's source,
+/// run, temp and merge streams, the rank merge's gather and the token
+/// merge's writers.  The token merge's readers stay at one block, since a
+/// window there makes the token wait while its holder refills.
+inline constexpr std::uint32_t kSortWindow = 8;
+
 /// Tuning for both sort phases.
 struct SortTuning {
   /// c: records the local sort can hold in core (the prototype used 512).

@@ -205,15 +205,18 @@ util::Result<std::uint32_t> merge_runs(sim::Context& ctx, const ToolEnv& env,
   return pass;
 }
 
-/// Blocks per gather kReadMany and kWriteMany.
-constexpr std::uint32_t kGatherWindow = 8;
+/// Ranks per gather round: two windows.  A worker holds at most two
+/// rounds, the one it appends and the one in flight.
+constexpr std::size_t kGatherRound = 2 * kSortWindow;
 
 /// Phase 2, rank arm: one pass; returns the pass count.  The controller
 /// stable-sorts every record's (key, run, local index), built run-major so
 /// equal keys keep (run, local) order.  Rank g goes to dst constituent
 /// g mod w at local block g div w, so worker m, on dst's m-th LFS, is
 /// handed the run of each of its ranks and, per run, the locals it needs,
-/// which ascend.  It reads them in list mode and appends in rank order.
+/// which ascend.  It walks its ranks in rounds: the list-mode kReadMany of
+/// round k+1, one per run it touches and window, go out in one batch
+/// before round k's records are appended in rank order.
 util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
                                        LocalRuns local,
                                        const core::FileMeta& dst,
@@ -268,15 +271,58 @@ util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
             readers.emplace_back(*lfs_clients[runs[run].start_lfs],
                                  runs[run].lfs_file_id,
                                  std::move(plan.locals[run]), 1, 0,
-                                 kGatherWindow);
+                                 kSortWindow);
           }
           ConstituentWriter out(*lfs_clients[lfs], dst.owner(), m,
-                                kGatherWindow);
-          for (std::uint32_t run : plan.run_of_rank) {
-            auto record = readers[run].next();
-            if (!record.is_ok()) return record.status();
-            worker_ctx.charge(record_cpu);
-            if (auto st = out.put(record.value()); !st.is_ok()) return st;
+                                kSortWindow);
+          const std::vector<std::uint32_t>& order = plan.run_of_rank;
+          // The batch in flight, and the run each of its calls reads.
+          sim::AsyncBatch batch(rpc);
+          std::vector<std::uint32_t> posted;
+          std::vector<std::uint64_t> demand(runs.size(), 0);
+          auto post_round = [&](std::size_t first) {
+            std::size_t last = std::min(first + kGatherRound, order.size());
+            for (std::size_t g = first; g < last; ++g) ++demand[order[g]];
+            for (std::size_t g = first; g < last; ++g) {
+              std::uint32_t run = order[g];
+              std::size_t n = 0;
+              while (demand[run] > 0 &&
+                     (n = readers[run].post(batch, demand[run])) > 0) {
+                demand[run] -= n;
+                posted.push_back(run);
+              }
+            }
+          };
+          // Wait for every reply, then hand each to its reader.
+          auto collect = [&]() -> util::Status {
+            auto replies = batch.wait_all();
+            util::Status first = util::ok_status();
+            for (std::size_t i = 0; i < replies.size(); ++i) {
+              auto st = readers[posted[i]].deliver(replies[i]);
+              if (!st.is_ok() && first.is_ok()) first = st;
+            }
+            posted.clear();
+            return first;
+          };
+          auto append_round = [&](std::size_t first) -> util::Status {
+            std::size_t last = std::min(first + kGatherRound, order.size());
+            for (std::size_t g = first; g < last; ++g) {
+              auto record = readers[order[g]].next();
+              if (!record.is_ok()) return record.status();
+              worker_ctx.charge(record_cpu);
+              if (auto st = out.put(record.value()); !st.is_ok()) return st;
+            }
+            return util::ok_status();
+          };
+          post_round(0);
+          for (std::size_t first = 0; first < order.size();
+               first += kGatherRound) {
+            if (auto st = collect(); !st.is_ok()) return st;
+            post_round(first + kGatherRound);  // none past the last round
+            if (auto st = append_round(first); !st.is_ok()) {
+              (void)collect();  // drain the next round; `st` is the error
+              return st;
+            }
           }
           if (auto st = out.finish(); !st.is_ok()) return st;
           return out.written();

@@ -175,7 +175,7 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
           MergeWorkerResult result;
           sim::RpcClient rpc(ctx);
           efs::EfsClient efs(rpc, service);
-          ConstituentWriter out(efs, dst.owner(), wdx);
+          ConstituentWriter out(efs, dst.owner(), wdx, kSortWindow);
 
           std::map<std::uint64_t, std::vector<std::byte>> pending;
           bool total_known = false;
@@ -191,15 +191,17 @@ void TokenMerge::launch(WorkerGroup<MergeWorkerResult>& group) {
               pending.emplace(message.seq / t, std::move(message.payload));
             }
             // Append every contiguous record we now hold; records may arrive
-            // out of order across senders.
+            // out of order across senders.  The writer flushes a window at a
+            // time, so the records put, not written(), say what comes next.
             while (!pending.empty() &&
-                   pending.begin()->first == out.written()) {
+                   pending.begin()->first == result.records) {
               auto node = pending.extract(pending.begin());
               if (auto st = out.put(node.mapped()); !st.is_ok()) return st;
               ++result.records;
             }
-            if (total_known && out.written() >= my_total) break;
+            if (total_known && result.records >= my_total) break;
           }
+          if (auto st = out.finish(); !st.is_ok()) return st;
           return result;
         });
   }

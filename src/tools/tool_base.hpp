@@ -18,7 +18,8 @@
 // constituent at stripe offset o of a width-w file is global block
 // l * w + o; the reader checks every header against that (bridge_block.hpp)
 // and the writer stamps it.  Both move `window` blocks per vectored LFS
-// request.
+// request; a reader can also post its windows into a caller's batch, so one
+// worker keeps several LFSs busy at once.
 #pragma once
 
 #include <algorithm>
@@ -134,6 +135,11 @@ class WorkerGroup {
 /// header names another file or global block is kCorrupt.  In list mode the
 /// reader streams only the listed local blocks, in list order, so one
 /// kReadMany names up to `window` blocks that need not be adjacent.
+///
+/// next() reads a window itself when none is buffered.  A caller that keeps
+/// several readers busy at once instead post()s their windows into one
+/// sim::AsyncBatch and deliver()s each reply; next() then returns the
+/// delivered blocks, checked as on the blocking path.
 class ConstituentReader {
  public:
   ConstituentReader(efs::EfsClient& lfs, efs::FileId file, std::uint64_t count,
@@ -160,29 +166,52 @@ class ConstituentReader {
     return local(next_) * stride_ + offset_;
   }
 
-  /// The next block's user payload; reads a window when none is buffered.
+  /// The next block's user payload; reads a window when none is buffered
+  /// and none is posted.
   util::Result<std::vector<std::byte>> next() {
     if (exhausted()) return util::invalid_argument("constituent exhausted");
-    if (buffered_ == window_blocks_.size()) {
-      auto n = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(window_, count_ - next_));
-      std::vector<std::uint32_t> locals(n);
-      for (std::uint32_t j = 0; j < n; ++j) {
-        locals[j] = static_cast<std::uint32_t>(local(next_ + j));
+    if (taken_ == buffered_.size()) {
+      if (!in_flight_.empty()) {
+        return util::invalid_argument("a posted window is not delivered");
       }
-      auto read = lfs_->read_many(file_, std::move(locals));
-      if (!read.is_ok()) return read.status();
-      if (read.value().size() != n) {
-        return util::corrupt("LFS returned a short vectored read");
+      auto locals = ask(window_);
+      std::size_t n = locals.size();
+      if (auto st = buffer(lfs_->read_many(file_, std::move(locals)), n);
+          !st.is_ok()) {
+        return st;
       }
-      window_blocks_ = std::move(read).value();
-      buffered_ = 0;
     }
-    auto block =
-        core::unwrap_block(window_blocks_[buffered_++], file_, next_global());
+    auto block = core::unwrap_block(buffered_[taken_], file_, next_global());
+    buffered_[taken_++] = {};  // free the raw block
     if (!block.is_ok()) return block.status();
     ++next_;
     return std::move(block.value().user_data);
+  }
+
+  /// Post one kReadMany for the next min(limit, window) blocks not yet
+  /// asked for into `batch`, without waiting for it.  Returns how many it
+  /// named: 0, and nothing posted, once every block is asked for.
+  std::size_t post(sim::AsyncBatch& batch, std::uint64_t limit) {
+    auto locals = ask(std::min<std::uint64_t>(limit, window_));
+    if (locals.empty()) return 0;
+    in_flight_.push_back(locals.size());
+    batch.call(lfs_->service(),
+               static_cast<std::uint32_t>(efs::MsgType::kReadMany),
+               util::encode_to_bytes(
+                   efs::ReadManyRequest{file_, std::move(locals)}));
+    return in_flight_.back();
+  }
+
+  /// Take the reply to the oldest posted kReadMany; its blocks queue behind
+  /// those already buffered.
+  util::Status deliver(const util::Result<std::vector<std::byte>>& reply) {
+    if (in_flight_.empty()) return util::invalid_argument("nothing posted");
+    std::size_t n = in_flight_.front();
+    in_flight_.erase(in_flight_.begin());
+    if (!reply.is_ok()) return reply.status();
+    return buffer(
+        util::decode_from_bytes<efs::ReadManyResponse>(reply.value()).blocks,
+        n);
   }
 
   /// Merge-style access: head() is the block the last advance() took, null
@@ -205,6 +234,33 @@ class ConstituentReader {
     return locals_.empty() ? i : locals_[i];
   }
 
+  /// The locals of the next `n` blocks not yet asked for (fewer at the end),
+  /// now asked for.
+  std::vector<std::uint32_t> ask(std::uint64_t n) {
+    n = std::min(n, count_ - asked_);
+    std::vector<std::uint32_t> locals(n);
+    for (std::uint64_t j = 0; j < n; ++j) {
+      locals[j] = static_cast<std::uint32_t>(local(asked_ + j));
+    }
+    asked_ += n;
+    return locals;
+  }
+
+  /// Queue a read reply of `n` blocks behind the buffered ones.
+  util::Status buffer(util::Result<std::vector<std::vector<std::byte>>> read,
+                      std::size_t n) {
+    if (!read.is_ok()) return read.status();
+    if (read.value().size() != n) {
+      return util::corrupt("LFS returned a short vectored read");
+    }
+    if (taken_ == buffered_.size()) {
+      buffered_.clear();
+      taken_ = 0;
+    }
+    for (auto& block : read.value()) buffered_.push_back(std::move(block));
+    return util::ok_status();
+  }
+
   efs::EfsClient* lfs_;
   efs::FileId file_;
   std::uint64_t count_;
@@ -212,9 +268,11 @@ class ConstituentReader {
   std::uint32_t offset_;
   std::uint32_t window_;
   std::vector<std::uint32_t> locals_;  ///< list mode: the locals to stream
-  std::uint64_t next_ = 0;
-  std::vector<std::vector<std::byte>> window_blocks_;
-  std::size_t buffered_ = 0;  ///< next unread entry of window_blocks_
+  std::uint64_t next_ = 0;             ///< blocks returned by next()
+  std::uint64_t asked_ = 0;            ///< blocks read or posted
+  std::vector<std::size_t> in_flight_;  ///< block count of each posted read
+  std::vector<std::vector<std::byte>> buffered_;  ///< read blocks, in order
+  std::size_t taken_ = 0;  ///< buffered_ entries next() has returned
   std::optional<std::vector<std::byte>> head_;
 };
 

@@ -1,6 +1,6 @@
 // Tool framework: WorkerGroup fan-out semantics (tree vs sequential timing,
 // result collection, node placement, wire cost of inputs and results),
-// ConstituentReader's list mode and ToolEnv discovery.
+// ConstituentReader's list mode and posted windows, and ToolEnv discovery.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -231,6 +231,98 @@ TEST(ConstituentReader, ListModeRejectsMisplacedBlockAndEmptyListIsExhausted) {
     EXPECT_FALSE(empty.next().is_ok());
     sim::MessageStats used = inst.runtime().message_stats() - before;
     EXPECT_EQ(used.local_messages + used.remote_messages, 0u);
+  });
+  inst.run();
+}
+
+TEST(ConstituentReader, PostedWindowsMatchTheBlockingPath) {
+  // Three readers post into one batch, so three kReadMany are sent before
+  // any reply is awaited: LFS 0's locals {1, 4, 7} and LFS 1's locals
+  // {0, 3}, each with window 8, and all 8 of LFS 1's locals with window 2.
+  // The first post is capped by its limit, the second by the list's end,
+  // the third by the window; next() reads the rest itself.  Every reader
+  // returns what the blocking path returns, checked the same way.
+  core::BridgeInstance inst(cfg(2));
+  core::FileMeta meta = make_two_lfs_file(inst);
+  ASSERT_EQ(meta.start_lfs, 0u);
+  inst.run_client("reader", [&](sim::Context&, core::BridgeClient& client) {
+    auto env = discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    auto make_readers = [&] {
+      std::vector<ConstituentReader> readers;
+      readers.emplace_back(*lfs[0], meta.lfs_file_id,
+                           std::vector<std::uint32_t>{1, 4, 7}, 2, 0, 8);
+      readers.emplace_back(*lfs[1], meta.lfs_file_id,
+                           std::vector<std::uint32_t>{0, 3}, 2, 1, 8);
+      readers.emplace_back(*lfs[1], meta.lfs_file_id, 8, 2, 1, 2);
+      return readers;
+    };
+    // A stream's (global, payload) pairs.
+    auto drain = [](ConstituentReader& reader) {
+      std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> blocks;
+      while (!reader.exhausted()) {
+        std::uint64_t global = reader.next_global();
+        auto block = reader.next();
+        EXPECT_TRUE(block.is_ok()) << block.status().to_string();
+        if (!block.is_ok()) break;
+        blocks.emplace_back(global, std::move(block).value());
+      }
+      return blocks;
+    };
+    auto blocking = make_readers();
+    std::vector<std::vector<std::pair<std::uint64_t, std::vector<std::byte>>>>
+        expected;
+    for (auto& reader : blocking) expected.push_back(drain(reader));
+    ASSERT_EQ(expected[0].size(), 3u);
+    EXPECT_EQ(expected[0][2].first, 14u);
+    EXPECT_EQ(expected[0][2].second,
+              std::vector<std::byte>(efs::kUserDataBytes, std::byte{14}));
+
+    auto posted = make_readers();
+    sim::MessageStats before = inst.runtime().message_stats();
+    sim::AsyncBatch batch(client.rpc());
+    EXPECT_EQ(posted[0].post(batch, 2), 2u);  // the limit caps it
+    EXPECT_EQ(posted[1].post(batch, 8), 2u);  // the list ends
+    EXPECT_EQ(posted[2].post(batch, 8), 2u);  // the window caps it
+    EXPECT_EQ(posted[1].post(batch, 8), 0u);  // nothing left to ask for
+    sim::MessageStats sent = inst.runtime().message_stats() - before;
+    EXPECT_EQ(sent.local_messages + sent.remote_messages, 3u);
+    // A reader does not read past its own undelivered post.
+    EXPECT_EQ(posted[0].next().status().code(),
+              util::ErrorCode::kInvalidArgument);
+    auto replies = batch.wait_all();
+    ASSERT_EQ(replies.size(), 3u);
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      auto st = posted[i].deliver(replies[i]);
+      EXPECT_TRUE(st.is_ok()) << st.to_string();
+    }
+    for (std::size_t i = 0; i < posted.size(); ++i) {
+      EXPECT_EQ(drain(posted[i]), expected[i]) << "reader " << i;
+    }
+    // Three posts, then blocking reads: one for reader 0's last local and
+    // three for reader 2's last 6.
+    sim::MessageStats used = inst.runtime().message_stats() - before;
+    EXPECT_EQ(used.local_messages + used.remote_messages, 14u);
+
+    // LFS 1's local 0 copied over its local 3: a delivered block is checked
+    // like a read one.
+    auto local0 = lfs[1]->read(meta.lfs_file_id, 0);
+    ASSERT_TRUE(local0.is_ok());
+    ASSERT_TRUE(lfs[1]->write(meta.lfs_file_id, 3, local0.value()).is_ok());
+    for (bool post : {false, true}) {
+      SCOPED_TRACE(post ? "posted" : "blocking");
+      auto readers = make_readers();
+      ConstituentReader& reader = readers[1];
+      if (post) {
+        ASSERT_EQ(reader.post(batch, 8), 2u);
+        auto reply = batch.wait_all();
+        ASSERT_TRUE(reader.deliver(reply[0]).is_ok());
+      }
+      EXPECT_TRUE(reader.next().is_ok());
+      EXPECT_EQ(reader.next_global(), 7u);
+      EXPECT_EQ(reader.next().status().code(), util::ErrorCode::kCorrupt);
+    }
   });
   inst.run();
 }

@@ -1,7 +1,7 @@
 // Sort tool: output sorted + permutation of input (property, multiple p and
 // sizes), merge invariants, phase reporting, degenerate inputs, cleanup after
-// success and failure, concurrent sorts, the sort's Bridge traffic, and the
-// rank merge against the token tree.
+// success and failure, concurrent sorts, the sort's Bridge and local-phase LFS
+// traffic, and the rank merge against the token tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "src/core/instance.hpp"
+#include "src/tools/sort/local_sort.hpp"
 #include "src/tools/sort/sort_tool.hpp"
 
 namespace bridge::tools {
@@ -342,22 +343,27 @@ TEST(SortTool, FailedSortLeavesNoDebris) {
   // writes its run directly.  The local phase needs 80 data blocks per LFS
   // (input + run), a token-tree pass 120 (input, its inputs and its output)
   // and the rank merge's gather 120 (input, run and dst at once).  A
-  // 100-block disk fails in the merge phase: a token pass or the gather.  A
-  // 60-block disk fails in the local phase, as the run writes fill it after
-  // one batch created every run.
+  // 100-block disk fails in the merge phase: a token pass or the gather.
+  // A gather worker walks its 40 ranks in rounds of 16, 16 and 8.  dst
+  // runs out of space in round 1, while round 2's reads are in flight, and
+  // the worker drains them before it returns.  A 60-block disk fails in the
+  // local phase, as the run writes fill it after one batch created every
+  // run.
   struct Case {
     const char* phase;
     SortMerge merge;
     std::uint32_t blocks_per_lfs;
+    const char* merge_worker;  ///< spawned only if the local phase succeeds
   };
   for (const Case& c :
-       {Case{"token merge", SortMerge::kTokenTree, 100},
-        Case{"rank gather", SortMerge::kRank, 100},
-        Case{"token local", SortMerge::kTokenTree, 60},
-        Case{"rank local", SortMerge::kRank, 60}}) {
+       {Case{"token merge", SortMerge::kTokenTree, 100, "merge-wr"},
+        Case{"rank gather", SortMerge::kRank, 100, "gather@"},
+        Case{"token local", SortMerge::kTokenTree, 60, nullptr},
+        Case{"rank local", SortMerge::kRank, 60, nullptr}}) {
     SCOPED_TRACE(c.phase);
     BridgeInstance inst(cfg(4, c.blocks_per_lfs));
     make_keyed_file(inst, "input", random_keys(160, 5));
+    inst.runtime().tracer().enable();  // names every process it spawns
     inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
       SortOptions options;
       options.merge = c.merge;
@@ -368,6 +374,12 @@ TEST(SortTool, FailedSortLeavesNoDebris) {
     });
     inst.run();
     ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
+    std::string trace = inst.runtime().tracer().chrome_trace_json();
+    for (const char* worker : {"merge-wr", "gather@"}) {
+      bool expected =
+          c.merge_worker != nullptr && std::string(c.merge_worker) == worker;
+      EXPECT_EQ(trace.find(worker) != std::string::npos, expected) << worker;
+    }
     // dst, its runs and its private files are gone; only the input remains.
     EXPECT_EQ(inst.server().directory_size(), 1u);
     for (std::uint32_t i = 0; i < 4; ++i) {
@@ -433,12 +445,83 @@ TEST(SortTool, BridgeTrafficIsThreeRequests) {
   }
 }
 
+/// Occurrences of `needle` in `haystack`.
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SortTool, LocalPhaseMovesAWindowPerRequest) {
+  // p=2, c=8: LFS 0 sorts 38 records and LFS 1 37.  Each forms runs of 8,
+  // 8, 8, 8 and r (6 or 5) in temps, then merges them 2 ways in three
+  // passes: 8+8 twice (r carries), 16+16 (r carries), and 32+r into the
+  // run.  Every stream moves ceil(blocks / 8) blocks per LFS request: the
+  // source, each run and merge output written, each merge input read.
+  BridgeInstance inst(cfg(2));
+  make_keyed_file(inst, "input", random_keys(75, 11));
+  auto windows = [](std::uint64_t blocks) {
+    return (blocks + kSortWindow - 1) / kSortWindow;
+  };
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  inst.run_client("lsort", [&](sim::Context& ctx, BridgeClient& client) {
+    auto open = client.open("input");
+    ASSERT_TRUE(open.is_ok());
+    const core::FileMeta& src = open.value().meta;
+    ASSERT_EQ(src.start_lfs, 0u);
+    auto env = discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    auto run_id = tool_private_file_id(src.id, 0);
+    ASSERT_TRUE(run_id.is_ok());
+    inst.runtime().tracer().enable();
+    for (std::uint32_t j = 0; j < 2; ++j) {
+      ASSERT_TRUE(lfs[j]->create(run_id.value()).is_ok());
+      LocalSortTask task;
+      task.lfs_service = env.value().lfs_service(j);
+      task.lfs_index = j;
+      task.offset = j;
+      task.src = src;
+      task.run.width = 1;
+      task.run.start_lfs = j;
+      task.run.lfs_file_id = run_id.value();
+      task.run.size_blocks = j == 0 ? 38 : 37;
+      task.owner = src.id;
+      task.tuning.in_core_records = 8;
+      auto sorted = run_local_sort(ctx, task);
+      ASSERT_TRUE(sorted.is_ok()) << sorted.status().to_string();
+      EXPECT_EQ(sorted.value().merge_passes, 3u);
+      std::uint64_t n = task.run.size_blocks;
+      std::uint64_t r = n - 32;
+      reads += windows(n) + 4 * windows(8) + 2 * windows(16) + windows(32) +
+               windows(r);
+      writes += 4 * windows(8) + windows(r) + 2 * windows(16) + windows(32) +
+                windows(n);
+    }
+  });
+  inst.run();
+  EXPECT_EQ(reads, 36u);
+  EXPECT_EQ(writes, 36u);
+  std::string trace = inst.runtime().tracer().chrome_trace_json();
+  // Two creates are the runs'; each local sort created 8 temps and removed
+  // them all.
+  EXPECT_EQ(count_of(trace, "\"efs.ReadMany\""), reads);
+  EXPECT_EQ(count_of(trace, "\"efs.WriteMany\""), writes);
+  EXPECT_EQ(count_of(trace, "\"efs.Create\""), 2u + 2 * 8);
+  EXPECT_EQ(count_of(trace, "\"efs.Delete\""), 2u * 8);
+}
+
 TEST(SortTool, RankMergeMatchesTokenTree) {
   // Distinct keys: both merges write byte-identical dst blocks, headers
   // included, at every width, for sizes that are no multiple of the width
-  // and for an empty file.
+  // and for an empty file.  At 33p + 2 records (101 at p=3) each gather
+  // worker walks three rounds of ranks, the last one partial.
   for (std::uint32_t p : {1u, 2u, 3u, 5u, 8u}) {
-    for (std::uint32_t n : {0u, 4 * p + 1, 13 * p + p / 2 + 3}) {
+    for (std::uint32_t n : {0u, 4 * p + 1, 13 * p + p / 2 + 3, 33 * p + 2}) {
       SCOPED_TRACE("p=" + std::to_string(p) + " n=" + std::to_string(n));
       std::vector<std::uint64_t> keys(n);
       for (std::uint32_t i = 0; i < n; ++i) keys[i] = 7 * i + 3;
