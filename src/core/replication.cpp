@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <span>
 
 #include "src/core/bridge_block.hpp"
@@ -11,10 +12,6 @@
 namespace bridge::core {
 
 namespace {
-
-constexpr std::uint32_t msg(efs::MsgType type) {
-  return static_cast<std::uint32_t>(type);
-}
 
 /// Open `name`, creating it (width = all LFSs) if absent.
 util::Result<FileMeta> open_or_create(BridgeApi& client,
@@ -38,15 +35,26 @@ constexpr std::uint32_t offset_count(std::uint64_t size, std::uint32_t width,
          (o < size % width ? 1u : 0u);
 }
 
+using Payloads = std::vector<std::vector<std::byte>>;
+
+/// A run-of-one read of file `id`, checked to be global block `global_no`.
+util::Result<UnwrappedBlock> unwrap_one(util::Result<Payloads> read,
+                                        efs::FileId id,
+                                        std::uint64_t global_no) {
+  if (!read.is_ok()) return read.status();
+  auto payload = efs::ReadManyResponse{std::move(read).value()}.take_one();
+  if (!payload.is_ok()) return payload.status();
+  return unwrap_block(payload.value(), id, global_no);
+}
+
 /// Read local block `local_block` of `meta`'s constituent on `lfs`, which
 /// must hold global block `global_no`.
 util::Result<UnwrappedBlock> read_block(efs::EfsClient& lfs,
                                         const FileMeta& meta,
                                         std::uint32_t local_block,
                                         std::uint64_t global_no) {
-  auto read = lfs.read(meta.lfs_file_id, local_block);
-  if (!read.is_ok()) return read.status();
-  return unwrap_block(read.value(), meta.lfs_file_id, global_no);
+  return unwrap_one(lfs.read_many(meta.lfs_file_id, {local_block}),
+                    meta.lfs_file_id, global_no);
 }
 
 util::Result<std::vector<std::byte>> read_unwrapped(efs::EfsClient& lfs,
@@ -73,45 +81,6 @@ void rollback_truncate(efs::EfsClient& lfs, efs::FileId id, std::uint32_t len,
   }
 }
 
-// --- AsyncBatch plumbing ----------------------------------------------------
-//
-// The replication layer speaks the raw EFS wire ops through sim::AsyncBatch
-// (the PR-1 scatter-gather engine), so every multi-LFS operation has all its
-// requests in flight together.  Data moves only through the vectored ops; a
-// single block is a run of one.
-
-void issue_info(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id) {
-  efs::InfoRequest req{id};
-  batch.call(lfs.service(), msg(efs::MsgType::kInfo),
-             util::encode_to_bytes(req));
-}
-
-void issue_read_many(sim::AsyncBatch& batch, efs::EfsClient& lfs,
-                     efs::FileId id, std::vector<std::uint32_t> locals) {
-  efs::ReadManyRequest req{id, std::move(locals)};
-  batch.call(lfs.service(), msg(efs::MsgType::kReadMany),
-             util::encode_to_bytes(req));
-}
-
-void issue_read(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id,
-                std::uint32_t local_block) {
-  issue_read_many(batch, lfs, id, {local_block});
-}
-
-void issue_write_run(sim::AsyncBatch& batch, efs::EfsClient& lfs,
-                     efs::FileId id, std::vector<efs::BlockWrite> writes) {
-  efs::WriteManyRequest req{id, std::move(writes)};
-  batch.call(lfs.service(), msg(efs::MsgType::kWriteMany),
-             util::encode_to_bytes(req));
-}
-
-void issue_write(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id,
-                 std::uint32_t local_block, std::vector<std::byte> payload) {
-  auto req = efs::WriteManyRequest::one(id, local_block, std::move(payload));
-  batch.call(lfs.service(), msg(efs::MsgType::kWriteMany),
-             util::encode_to_bytes(req));
-}
-
 /// Number `payloads` as consecutive local blocks starting at `lo`.
 std::vector<efs::BlockWrite> run_at(std::uint32_t lo,
                                     std::vector<std::vector<std::byte>> payloads) {
@@ -123,56 +92,29 @@ std::vector<efs::BlockWrite> run_at(std::uint32_t lo,
   return writes;
 }
 
-util::Result<efs::InfoResponse> take_info(
-    util::Result<std::vector<std::byte>> reply) {
-  if (!reply.is_ok()) return reply.status();
-  return util::decode_from_bytes<efs::InfoResponse>(reply.value());
-}
-
-util::Result<std::vector<std::vector<std::byte>>> take_read_many(
-    util::Result<std::vector<std::byte>> reply) {
-  if (!reply.is_ok()) return reply.status();
-  return util::decode_from_bytes<efs::ReadManyResponse>(reply.value()).blocks;
-}
-
-util::Result<std::vector<std::byte>> take_read(
-    util::Result<std::vector<std::byte>> reply) {
-  if (!reply.is_ok()) return reply.status();
-  return util::decode_from_bytes<efs::ReadManyResponse>(reply.value())
-      .take_one();
-}
-
 /// A spare/repaired LFS starts from scratch: whatever survives of the old
 /// constituent is truncated away (every lost block gets a fresh free marker,
 /// so stale content cannot mask a broken rebuild) and the rebuild re-appends
 /// from zero.  Truncate's track-coalesced frees make this far cheaper than a
-/// per-block delete; a constituent missing entirely is created instead.
-util::Status reset_constituent(efs::EfsClient& lfs, efs::FileId id) {
-  auto truncated = lfs.truncate(id, 0);
-  if (truncated.is_ok()) return util::ok_status();
-  if (truncated.status().code() != util::ErrorCode::kNotFound) {
+/// per-block delete.  Given the reply to the kTruncate to 0, this creates a
+/// constituent that was missing entirely.
+util::Status finish_reset(efs::EfsClient& lfs, efs::FileId id,
+                          util::Result<efs::TruncateResponse> truncated) {
+  if (truncated.is_ok() ||
+      truncated.status().code() != util::ErrorCode::kNotFound) {
     return truncated.status();
   }
   return lfs.create(id);
 }
 
-/// Async variant of reset_constituent: the truncate rides in the same batch
-/// as the first window's surviving-copy reads (the reset busies only the
-/// repaired LFS, the reads only the survivors — no reason to serialize).
-void issue_reset(sim::AsyncBatch& batch, efs::EfsClient& lfs,
-                 efs::FileId id) {
-  efs::TruncateRequest req{id, 0};
-  batch.call(lfs.service(), msg(efs::MsgType::kTruncate),
-             util::encode_to_bytes(req));
-}
-
-util::Status take_reset(util::Result<std::vector<std::byte>> reply,
-                        efs::EfsClient& lfs, efs::FileId id) {
-  if (reply.is_ok()) return util::ok_status();
-  if (reply.status().code() != util::ErrorCode::kNotFound) {
-    return reply.status();
-  }
-  return lfs.create(id);
+/// Posts an Info for `id` on `lfs` whose completion records the
+/// constituent's size in `size`, or leaves it empty if the LFS failed.
+void post_size(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id,
+               std::optional<std::uint32_t>& size) {
+  lfs.info(batch, id, [&size](util::Result<efs::InfoResponse> info) {
+    if (info.is_ok()) size = info.value().size_blocks;
+    return util::ok_status();
+  });
 }
 
 std::vector<std::uint32_t> local_range(std::uint32_t lo, std::uint32_t hi) {
@@ -220,8 +162,6 @@ util::Result<std::vector<std::byte>> recover_block(
 // surviving constituents to read, the constituents to re-create on the
 // repaired LFS, and how one window's surviving blocks become the lost ones.
 
-using Payloads = std::vector<std::vector<std::byte>>;
-
 /// A surviving constituent the rebuild reads.  Its local block l must carry
 /// global_block_no `l * stride + offset`; any other header is corruption.
 struct RebuildSource {
@@ -266,9 +206,9 @@ util::Result<RebuildReport> stream_rebuild(
   RebuildReport report;
   if (todo == 0 || !options.vectored) {
     for (const auto& target : targets) {
-      if (auto st = reset_constituent(repaired, target.id); !st.is_ok()) {
-        return st;
-      }
+      auto truncated = repaired.truncate(target.id, 0);
+      auto st = finish_reset(repaired, target.id, std::move(truncated));
+      if (!st.is_ok()) return st;
     }
     if (todo == 0) return report;
   }
@@ -305,78 +245,73 @@ util::Result<RebuildReport> stream_rebuild(
     // so the repaired LFS lands data while the survivors stream ahead.  The
     // resets ride in batch 0 (they busy only the repaired LFS, the reads
     // only the survivors — no reason to serialize).
-    auto issue_window_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
-      for (const auto& source : sources) {
-        if (auto n = run_len(source.count, lo); n > 0) {
-          issue_read_many(batch, *source.lfs, source.id,
-                          local_range(lo, lo + n));
-        }
+    sim::AsyncBatch batch(rpc);
+    std::vector<Payloads> raw(sources.size());  ///< the window being read
+    auto post_reads = [&](std::uint32_t lo) {
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        const auto& source = sources[i];
+        raw[i].clear();
+        auto n = run_len(source.count, lo);
+        if (n == 0) continue;
+        source.lfs->read_many(batch, source.id, local_range(lo, lo + n),
+                              [&raw, i](util::Result<Payloads> run) {
+                                if (!run.is_ok()) return run.status();
+                                raw[i] = std::move(run).value();
+                                return util::ok_status();
+                              });
       }
     };
-
-    auto batch = std::make_unique<sim::AsyncBatch>(rpc);
-    for (const auto& target : targets) issue_reset(*batch, repaired, target.id);
-    issue_window_reads(*batch, 0);
-    std::vector<std::size_t> pending;  ///< block count of each write
+    // The writes in flight: the window they start at, their blocks and the
+    // first of their failures.
     std::uint32_t pending_lo = 0;
-
-    // Reap the writes riding at the front of a drained batch.
-    auto reap_pending =
-        [&](std::vector<util::Result<std::vector<std::byte>>>& replies,
-            std::size_t& b) -> util::Status {
-      util::Status write_status = util::ok_status();
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        auto st = replies[b++].status();
-        if (!st.is_ok() && write_status.is_ok()) write_status = st;
-      }
+    std::uint64_t pending_blocks = 0;
+    util::Status write_status = util::ok_status();
+    auto note_write = [&write_status](util::Status st) {
+      if (write_status.is_ok()) write_status = st;
+      return st;
+    };
+    // Wait for the batch; a failed write rolls the targets back to the
+    // start of its window.
+    auto drain = [&]() -> util::Status {
+      auto st = batch.wait_all_ok();
       if (!write_status.is_ok()) {
         rollback(pending_lo);
         return write_status;
       }
-      for (auto blocks : pending) report.blocks_rebuilt += blocks;
-      if (!pending.empty()) ++report.windows;
-      pending.clear();
+      if (!st.is_ok()) return st;
+      if (pending_blocks > 0) {
+        report.blocks_rebuilt += pending_blocks;
+        ++report.windows;
+        pending_blocks = 0;
+      }
       return util::ok_status();
     };
 
+    for (const auto& target : targets) {
+      auto reset = [&repaired, id = target.id](
+                       util::Result<efs::TruncateResponse> truncated) {
+        return finish_reset(repaired, id, std::move(truncated));
+      };
+      repaired.truncate(batch, target.id, 0, reset);
+    }
+    post_reads(0);
     for (std::uint32_t lo = 0; lo < todo; lo += window) {
       sim::ScopedSpan window_span(ctx, "rebuild.window");
-      auto replies = batch->wait_all();
-      std::size_t b = 0;
-      if (lo == 0) {  // batch 0 leads with the resets
-        for (const auto& target : targets) {
-          auto st = take_reset(std::move(replies[b++]), repaired, target.id);
-          if (!st.is_ok()) return st;
-        }
-      }
-      if (auto st = reap_pending(replies, b); !st.is_ok()) return st;
-
-      std::vector<Payloads> raw(sources.size());
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        if (run_len(sources[i].count, lo) == 0) continue;
-        auto run = take_read_many(std::move(replies[b++]));
-        if (!run.is_ok()) return run.status();
-        raw[i] = std::move(run).value();
-      }
+      if (auto st = drain(); !st.is_ok()) return st;
       auto runs = rebuild_window(lo, raw);
       if (!runs.is_ok()) return runs.status();
-
-      batch = std::make_unique<sim::AsyncBatch>(rpc);
       for (std::size_t t = 0; t < targets.size(); ++t) {
         auto& run = runs.value()[t];
         if (run.empty()) continue;
-        pending.push_back(run.size());
-        issue_write_run(*batch, repaired, targets[t].id,
-                        run_at(lo, std::move(run)));
+        pending_blocks += run.size();
+        repaired.write_many(batch, targets[t].id, run_at(lo, std::move(run)),
+                            note_write);
       }
       pending_lo = lo;
-      if (lo + window < todo) issue_window_reads(*batch, lo + window);
+      if (lo + window < todo) post_reads(lo + window);
     }
-
     // Drain the final window's writes.
-    auto replies = batch->wait_all();
-    std::size_t b = 0;
-    if (auto st = reap_pending(replies, b); !st.is_ok()) return st;
+    if (auto st = drain(); !st.is_ok()) return st;
     return report;
   }
 
@@ -451,28 +386,25 @@ util::Result<MirroredFile> MirroredFile::open(sim::Context& ctx,
 
 util::Status MirroredFile::derive_size() {
   std::uint32_t p = env_.num_lfs();
+  // Primary constituent i's size, then mirror constituent i's.
+  std::vector<std::optional<std::uint32_t>> sizes(2 * p);
   sim::AsyncBatch batch(*rpc_);
   for (std::uint32_t i = 0; i < p; ++i) {
-    issue_info(batch, *lfs_[i], primary_.lfs_file_id);
+    post_size(batch, *lfs_[i], primary_.lfs_file_id, sizes[i]);
   }
   for (std::uint32_t i = 0; i < p; ++i) {
-    issue_info(batch, *lfs_[i], mirror_.lfs_file_id);
+    post_size(batch, *lfs_[i], mirror_.lfs_file_id, sizes[p + i]);
   }
-  auto replies = batch.wait_all();
+  (void)batch.wait_all();  // every completion is ok; a gap is in `sizes`
   std::uint64_t size = 0;
   for (std::uint32_t o = 0; o < p; ++o) {
     std::uint32_t home = (primary_.start_lfs + o) % p;
     std::uint32_t partner = (home + p / 2) % p;
-    auto primary_info = take_info(std::move(replies[home]));
-    if (primary_info.is_ok()) {
-      size += primary_info.value().size_blocks;
-      continue;
-    }
-    auto mirror_info = take_info(std::move(replies[p + partner]));
-    if (!mirror_info.is_ok()) {
+    auto constituent = sizes[home] ? sizes[home] : sizes[p + partner];
+    if (!constituent) {
       return util::unavailable("double failure: cannot derive mirrored size");
     }
-    size += mirror_info.value().size_blocks;
+    size += *constituent;
   }
   size_ = size;
   return util::ok_status();
@@ -519,13 +451,13 @@ util::Status MirroredFile::append_many(
   for (std::uint32_t j = 0; j < p; ++j) {
     if (!primary_groups[j].writes.empty()) {
       issued.push_back({j, primary_.lfs_file_id});
-      issue_write_run(batch, *lfs_[j], primary_.lfs_file_id,
-                      std::move(primary_groups[j].writes));
+      lfs_[j]->write_many(batch, primary_.lfs_file_id,
+                          std::move(primary_groups[j].writes));
     }
     if (!mirror_groups[j].writes.empty()) {
       issued.push_back({j, mirror_.lfs_file_id});
-      issue_write_run(batch, *lfs_[j], mirror_.lfs_file_id,
-                      std::move(mirror_groups[j].writes));
+      lfs_[j]->write_many(batch, mirror_.lfs_file_id,
+                          std::move(mirror_groups[j].writes));
     }
   }
   if (auto first_error = batch.wait_all_ok(); !first_error.is_ok()) {
@@ -668,20 +600,22 @@ util::Result<ParityFile> ParityFile::open(sim::Context& ctx,
 util::Status ParityFile::derive_size() {
   std::uint32_t width = data_width();
   std::uint32_t total = env_.num_lfs();
+  // Data constituent o's size, then the parity constituent's.
+  std::vector<std::optional<std::uint32_t>> sizes(width + 1);
   sim::AsyncBatch batch(*rpc_);
   for (std::uint32_t o = 0; o < width; ++o) {
-    issue_info(batch, *lfs_[(data_.start_lfs + o) % total],
-               data_.lfs_file_id);
+    post_size(batch, *lfs_[(data_.start_lfs + o) % total], data_.lfs_file_id,
+              sizes[o]);
   }
-  issue_info(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id);
-  auto replies = batch.wait_all();
+  post_size(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
+            sizes[width]);
+  (void)batch.wait_all();  // every completion is ok; a gap is in `sizes`
 
   std::uint64_t known_sum = 0;
   std::uint32_t unknown = 0;
   for (std::uint32_t o = 0; o < width; ++o) {
-    auto info = take_info(std::move(replies[o]));
-    if (info.is_ok()) {
-      known_sum += info.value().size_blocks;
+    if (sizes[o]) {
+      known_sum += *sizes[o];
     } else {
       ++unknown;
     }
@@ -695,11 +629,10 @@ util::Status ParityFile::derive_size() {
   }
   // One data constituent is unreachable: the parity file knows the stripe
   // count, and the last parity block's fill word pins the exact size.
-  auto parity_info = take_info(std::move(replies[width]));
-  if (!parity_info.is_ok()) {
+  if (!sizes[width]) {
     return util::unavailable("double failure: cannot derive parity size");
   }
-  std::uint32_t stripes = parity_info.value().size_blocks;
+  std::uint32_t stripes = *sizes[width];
   if (stripes == 0) {
     size_ = 0;
     return util::ok_status();
@@ -753,11 +686,12 @@ util::Status ParityFile::append_stripe(
   // LFS, data and parity all in flight together.
   sim::AsyncBatch batch(*rpc_);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    issue_write(batch, *lfs_[data_lfs[i]], data_.lfs_file_id, stripe,
-                std::move(wrapped[i]));
+    lfs_[data_lfs[i]]->write_many(batch, data_.lfs_file_id,
+                                  {{stripe, std::move(wrapped[i])}});
   }
-  issue_write(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id, stripe,
-              std::move(parity_wrapped).value());
+  lfs_[parity_lfs_index()]->write_many(
+      batch, parity_.lfs_file_id,
+      {{stripe, std::move(parity_wrapped).value()}});
   if (auto first_error = batch.wait_all_ok(); !first_error.is_ok()) {
     // Compensate: every constituent of this stripe rolls back to `stripe`
     // local blocks — no torn stripe whose parity silently XORs garbage.
@@ -792,38 +726,38 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
   std::uint64_t stripe_first = stripe * width;
   std::uint64_t stripe_end = std::min<std::uint64_t>(stripe_first + width,
                                                      size_);
+  StripeFold fold;
+  std::optional<UnwrappedBlock> parity;
   sim::AsyncBatch batch(*rpc_);
-  std::vector<std::uint64_t> siblings;
   for (std::uint64_t m = stripe_first; m < stripe_end; ++m) {
     if (m == n) continue;
     auto sibling_place = striped_placement(m, width, data_.start_lfs, total);
-    issue_read(batch, *lfs_[sibling_place.lfs_index], data_.lfs_file_id,
-               sibling_place.local_block);
-    siblings.push_back(m);
+    auto fold_in = [this, &fold, m](util::Result<Payloads> raw) {
+      if (!raw.is_ok()) {
+        return util::unavailable("double failure: cannot reconstruct");
+      }
+      auto sibling = unwrap_one(std::move(raw), data_.lfs_file_id, m);
+      if (!sibling.is_ok()) return sibling.status();
+      fold.add(sibling.value().user_data);
+      return util::ok_status();
+    };
+    lfs_[sibling_place.lfs_index]->read_many(
+        batch, data_.lfs_file_id, {sibling_place.local_block}, fold_in);
   }
-  issue_read(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
-             static_cast<std::uint32_t>(stripe));
-  auto replies = batch.wait_all();
-
-  StripeFold fold;
-  for (std::size_t b = 0; b < siblings.size(); ++b) {
-    auto raw = take_read(std::move(replies[b]));
-    if (!raw.is_ok()) {
-      return util::unavailable("double failure: cannot reconstruct");
-    }
-    auto sibling = unwrap_block(raw.value(), data_.lfs_file_id, siblings[b]);
-    if (!sibling.is_ok()) return sibling.status();
-    fold.add(sibling.value().user_data);
-  }
-  auto parity_raw = take_read(std::move(replies[siblings.size()]));
-  if (!parity_raw.is_ok()) return parity_raw.status();
-  auto parity =
-      unwrap_block(parity_raw.value(), parity_.lfs_file_id, stripe);
-  if (!parity.is_ok()) return parity.status();
-  if (parity.value().header.reserved1 != stripe_end - stripe_first) {
+  auto take_parity = [this, &parity, stripe](util::Result<Payloads> raw) {
+    auto block = unwrap_one(std::move(raw), parity_.lfs_file_id, stripe);
+    if (!block.is_ok()) return block.status();
+    parity = std::move(block).value();
+    return util::ok_status();
+  };
+  lfs_[parity_lfs_index()]->read_many(batch, parity_.lfs_file_id,
+                                      {static_cast<std::uint32_t>(stripe)},
+                                      take_parity);
+  if (auto st = batch.wait_all_ok(); !st.is_ok()) return st;
+  if (parity->header.reserved1 != stripe_end - stripe_first) {
     return util::corrupt("parity fill word disagrees with file size");
   }
-  return recover_block(std::move(fold), parity.value());
+  return recover_block(std::move(fold), *parity);
 }
 
 util::Result<RebuildReport> ParityFile::rebuild_lfs(std::uint32_t failed_idx,

@@ -11,9 +11,6 @@ namespace bridge::core {
 
 namespace {
 constexpr std::uint32_t msg(BridgeMsg m) { return static_cast<std::uint32_t>(m); }
-constexpr std::uint32_t msg(efs::MsgType m) {
-  return static_cast<std::uint32_t>(m);
-}
 
 /// One-way delivery to a parallel-open worker.
 void post_worker_data(const sim::Context& ctx, const sim::Address& worker,
@@ -224,7 +221,8 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   for (auto lfs : span) {
     if (!config_.tree_create) wire.ctx.charge(config_.create_dispatch_cpu);
     pending.push_back(wire.rpc.call_async(
-        lfs_services_[lfs], msg(efs::MsgType::kCreate), payload));
+        lfs_services_[lfs], static_cast<std::uint32_t>(efs::MsgType::kCreate),
+        payload));
   }
   util::Status first_error = util::ok_status();
   for (auto corr : pending) {
@@ -256,12 +254,14 @@ void BridgeServer::handle_delete_many(Wire& wire, const sim::Envelope& env) {
 
 util::Status BridgeServer::delete_files(Wire& wire,
                                         std::span<const std::string> names) {
+  // A name listed twice is deleted once.
   std::vector<const FileRecord*> records;
+  std::unordered_set<BridgeFileId> listed;
   records.reserve(names.size());
   for (const auto& name : names) {
     const FileRecord* record = find_by_name(name);
     if (record == nullptr) return util::not_found("file " + name);
-    records.push_back(record);
+    if (listed.insert(record->id).second) records.push_back(record);
   }
   // "The Delete operation runs in parallel on all instances of the LFS"
   // (§4.5): dispatch to every LFS each file spans, for EVERY file before
@@ -270,9 +270,8 @@ util::Status BridgeServer::delete_files(Wire& wire,
   // Delete commands).
   sim::AsyncBatch batch(wire.rpc);
   for (const FileRecord* record : records) {
-    auto payload = util::encode_to_bytes(efs::DeleteRequest{record->lfs_file_id});
-    for (auto lfs : record->placement.span()) {
-      batch.call(lfs_services_[lfs], msg(efs::MsgType::kDelete), payload);
+    for (auto i : record->placement.span()) {
+      lfs(wire, i).remove(batch, record->lfs_file_id);
     }
   }
   if (auto st = batch.wait_all_ok(); !st.is_ok()) return st;
@@ -291,16 +290,17 @@ util::Status BridgeServer::refresh_size(Wire& wire, FileRecord& record) {
   // Tools append to LFS files directly, so the authoritative size is the sum
   // of the constituent sizes ("initial reads of file header and directory
   // information" are part of what Open pays for, §4.5).
-  auto payload = util::encode_to_bytes(efs::InfoRequest{record.lfs_file_id});
-  sim::AsyncBatch batch(wire.rpc);
-  for (auto lfs : record.placement.span()) {
-    batch.call(lfs_services_[lfs], msg(efs::MsgType::kInfo), payload);
-  }
   std::uint64_t total = 0;
-  for (auto& reply : batch.wait_all()) {
-    if (!reply.is_ok()) return reply.status();
-    total += util::decode_from_bytes<efs::InfoResponse>(reply.value()).size_blocks;
+  sim::AsyncBatch batch(wire.rpc);
+  for (auto i : record.placement.span()) {
+    lfs(wire, i).info(batch, record.lfs_file_id,
+                      [&total](util::Result<efs::InfoResponse> info) {
+                        if (!info.is_ok()) return info.status();
+                        total += info.value().size_blocks;
+                        return util::ok_status();
+                      });
   }
+  if (auto st = batch.wait_all_ok(); !st.is_ok()) return st;
   BRIDGE_RACE_WRITE(wire.ctx, &kPlacementRaceAnchor, record.lfs_file_id,
                     "bridge.placement");
   record.placement.set_size_closed_form(total);
@@ -351,55 +351,41 @@ util::Result<std::vector<std::vector<std::byte>>> BridgeServer::read_run(
   }
 
   // Fan one vectored request out per involved LFS, all in flight at once
-  // (a single-block group is a run of one).
+  // (a single-block group is a run of one).  Replies arrive in any order;
+  // each group's completion checks and places its blocks once all are in.
+  std::vector<std::vector<std::byte>> out(count);
   sim::AsyncBatch batch(wire.rpc);
-  std::vector<std::uint32_t> batch_lfs;
-  for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
-    auto& group = groups[lfs];
-    if (group.local_blocks.empty()) continue;
-    efs::ReadManyRequest req{record.lfs_file_id, group.local_blocks};
-    batch.call(lfs_services_[lfs], msg(efs::MsgType::kReadMany),
-               util::encode_to_bytes(req));
-    batch_lfs.push_back(lfs);
+  for (std::uint32_t i = 0; i < groups.size(); ++i) {
+    if (groups[i].local_blocks.empty()) continue;
+    auto gather = [&, i](util::Result<efs::EfsClient::Blocks> payloads) {
+      const auto& group = groups[i];
+      if (!payloads.is_ok()) return payloads.status();
+      if (payloads.value().size() != group.run_pos.size()) {
+        return util::corrupt("LFS returned a short vectored read");
+      }
+      util::Status first_error = util::ok_status();
+      for (std::size_t j = 0; j < payloads.value().size(); ++j) {
+        std::uint64_t n = first + group.run_pos[j];
+        auto unwrapped =
+            unwrap_block(payloads.value()[j], record.lfs_file_id, n);
+        if (!unwrapped.is_ok()) {
+          if (first_error.is_ok()) first_error = unwrapped.status();
+          continue;
+        }
+        wire.ctx.charge(config_.forward_cpu);
+        ++stats_.blocks_forwarded;
+        out[group.run_pos[j]] = std::move(unwrapped.value().user_data);
+      }
+      return first_error;
+    };
+    lfs(wire, i).read_many(batch, record.lfs_file_id,
+                           std::move(groups[i].local_blocks), gather);
   }
   if (count > 1) {
     ++stats_.vectored_batches;
     stats_.vectored_blocks += count;
   }
-
-  // Gather: replies arrive in any order; AsyncBatch surfaces them in issue
-  // order and drains everything even when one LFS fails mid-batch.
-  auto replies = batch.wait_all();
-  std::vector<std::vector<std::byte>> out(count);
-  util::Status first_error = util::ok_status();
-  for (std::size_t b = 0; b < replies.size(); ++b) {
-    if (!replies[b].is_ok()) {
-      if (first_error.is_ok()) first_error = replies[b].status();
-      continue;
-    }
-    const auto& group = groups[batch_lfs[b]];
-    auto payloads =
-        util::decode_from_bytes<efs::ReadManyResponse>(replies[b].value())
-            .blocks;
-    if (payloads.size() != group.run_pos.size()) {
-      if (first_error.is_ok()) {
-        first_error = util::corrupt("LFS returned a short vectored read");
-      }
-      continue;
-    }
-    for (std::size_t j = 0; j < payloads.size(); ++j) {
-      std::uint64_t n = first + group.run_pos[j];
-      auto unwrapped = unwrap_block(payloads[j], record.lfs_file_id, n);
-      if (!unwrapped.is_ok()) {
-        if (first_error.is_ok()) first_error = unwrapped.status();
-        continue;
-      }
-      wire.ctx.charge(config_.forward_cpu);
-      ++stats_.blocks_forwarded;
-      out[group.run_pos[j]] = std::move(unwrapped.value().user_data);
-    }
-  }
-  if (!first_error.is_ok()) return first_error;
+  if (auto st = batch.wait_all_ok(); !st.is_ok()) return st;
   return out;
 }
 
@@ -422,6 +408,7 @@ util::Status BridgeServer::write_run(
     std::vector<efs::BlockWrite> writes;  ///< (local block, wrapped payload)
     std::uint32_t appends = 0;  ///< blocks of this group that grow the file
     std::uint32_t pre_run_local = 0;  ///< constituent length before the run
+    bool landed = false;  ///< its scatter write succeeded
   };
   std::vector<LfsGroup> groups(num_lfs());
   BlockOwner owner{record.lfs_file_id, record.placement.width(),
@@ -482,28 +469,21 @@ util::Status BridgeServer::write_run(
   }
   if (grows && involved >= 2) {
     sim::AsyncBatch preflight(wire.rpc);
-    std::vector<std::uint32_t> preflight_lfs;
-    efs::InfoRequest info_req{record.lfs_file_id};
-    auto info_payload = util::encode_to_bytes(info_req);
-    for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
-      if (groups[lfs].appends == 0) continue;
-      preflight.call(lfs_services_[lfs], msg(efs::MsgType::kInfo),
-                     info_payload);
-      preflight_lfs.push_back(lfs);
+    for (std::uint32_t i = 0; i < groups.size(); ++i) {
+      if (groups[i].appends == 0) continue;
+      auto check = [&groups, i](util::Result<efs::InfoResponse> info) {
+        if (!info.is_ok()) return info.status();
+        if (info.value().free_blocks < groups[i].appends) {
+          return util::out_of_space("LFS " + std::to_string(i) +
+                                    " cannot hold this run's appends");
+        }
+        return util::ok_status();
+      };
+      lfs(wire, i).info(preflight, record.lfs_file_id, check);
     }
-    auto infos = preflight.wait_all();
-    for (std::size_t b = 0; b < infos.size(); ++b) {
-      if (!infos[b].is_ok()) {
-        rollback();
-        return infos[b].status();
-      }
-      auto info = util::decode_from_bytes<efs::InfoResponse>(infos[b].value());
-      if (info.free_blocks < groups[preflight_lfs[b]].appends) {
-        rollback();
-        return util::out_of_space(
-            "LFS " + std::to_string(preflight_lfs[b]) +
-            " cannot hold this run's appends");
-      }
+    if (auto st = preflight.wait_all_ok(); !st.is_ok()) {
+      rollback();
+      return st;
     }
   }
 
@@ -511,36 +491,29 @@ util::Status BridgeServer::write_run(
   // (the LFS preflights runs of two or more so an out-of-space run fails
   // without leaving a partial tail behind).
   sim::AsyncBatch batch(wire.rpc);
-  std::vector<std::uint32_t> batch_lfs;
-  for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
-    if (groups[lfs].writes.empty()) continue;
-    efs::WriteManyRequest req{record.lfs_file_id,
-                              std::move(groups[lfs].writes)};
-    batch.call(lfs_services_[lfs], msg(efs::MsgType::kWriteMany),
-               util::encode_to_bytes(req));
-    batch_lfs.push_back(lfs);
+  for (std::uint32_t i = 0; i < groups.size(); ++i) {
+    if (groups[i].writes.empty()) continue;
+    auto land = [&groups, i](util::Status st) {
+      groups[i].landed = st.is_ok();
+      return st;
+    };
+    lfs(wire, i).write_many(batch, record.lfs_file_id,
+                            std::move(groups[i].writes), land);
   }
   if (user_blocks.size() > 1) {
     ++stats_.vectored_batches;
     stats_.vectored_blocks += user_blocks.size();
   }
 
-  // Gather completions; one failed LFS (e.g. a dead disk) fails the run
-  // whole.  Its peers may have committed their appends already: truncate
-  // each back to its pre-run length, the way MirroredFile rolls back torn
-  // appends, or the next Open's refresh_size would count them.
-  auto replies = batch.wait_all();
-  auto failed = std::find_if(replies.begin(), replies.end(),
-                             [](const auto& reply) { return !reply.is_ok(); });
-  if (failed != replies.end()) {
-    auto status = failed->status();
+  // One failed LFS (e.g. a dead disk) fails the run whole.  Its peers may
+  // have committed their appends already: truncate each back to its pre-run
+  // length, the way MirroredFile rolls back torn appends, or the next Open's
+  // refresh_size would count them.
+  if (auto status = batch.wait_all_ok(); !status.is_ok()) {
     sim::AsyncBatch undo(wire.rpc);
-    for (std::size_t b = 0; b < replies.size(); ++b) {
-      const auto& group = groups[batch_lfs[b]];
-      if (!replies[b].is_ok() || group.appends == 0) continue;
-      efs::TruncateRequest req{record.lfs_file_id, group.pre_run_local};
-      undo.call(lfs_services_[batch_lfs[b]], msg(efs::MsgType::kTruncate),
-                util::encode_to_bytes(req));
+    for (std::uint32_t i = 0; i < groups.size(); ++i) {
+      if (!groups[i].landed || groups[i].appends == 0) continue;
+      lfs(wire, i).truncate(undo, record.lfs_file_id, groups[i].pre_run_local);
     }
     for (auto& undone : undo.wait_all()) {
       if (undone.is_ok()) continue;
@@ -758,30 +731,25 @@ void BridgeServer::handle_truncate(Wire& wire, const sim::Envelope& env) {
 
   // Current constituent sizes, gathered from the involved LFSs in one
   // concurrent round (tools may have appended past our record).
-  efs::InfoRequest info_req{record->lfs_file_id};
-  auto info_payload = util::encode_to_bytes(info_req);
-  std::vector<std::uint32_t> involved;
+  std::vector<std::uint32_t> new_local(num_lfs(), 0);
   sim::AsyncBatch info_batch(wire.rpc);
   for (std::uint32_t i = 0; i < num_lfs(); ++i) {
     if (removed[i] == 0) continue;
-    involved.push_back(i);
-    info_batch.call(lfs_services_[i], msg(efs::MsgType::kInfo), info_payload);
+    auto shrink = [&removed, &new_local,
+                   i](util::Result<efs::InfoResponse> info) {
+      if (!info.is_ok()) return info.status();
+      if (info.value().size_blocks < removed[i]) {
+        return util::corrupt("constituent on LFS " + std::to_string(i) +
+                             " shorter than the tail being truncated");
+      }
+      new_local[i] =
+          info.value().size_blocks - static_cast<std::uint32_t>(removed[i]);
+      return util::ok_status();
+    };
+    lfs(wire, i).info(info_batch, record->lfs_file_id, shrink);
   }
-  auto infos = info_batch.wait_all();
-  std::vector<std::uint32_t> new_local(involved.size(), 0);
-  for (std::size_t k = 0; k < involved.size(); ++k) {
-    if (!infos[k].is_ok()) {
-      return sim::send_reply(wire.ctx, env, infos[k].status());
-    }
-    auto info = util::decode_from_bytes<efs::InfoResponse>(infos[k].value());
-    std::uint64_t rm = removed[involved[k]];
-    if (info.size_blocks < rm) {
-      return sim::send_reply(
-          wire.ctx, env,
-          util::corrupt("constituent on LFS " + std::to_string(involved[k]) +
-                        " shorter than the tail being truncated"));
-    }
-    new_local[k] = info.size_blocks - static_cast<std::uint32_t>(rm);
+  if (auto st = info_batch.wait_all_ok(); !st.is_ok()) {
+    return sim::send_reply(wire.ctx, env, st);
   }
 
   // Fan the constituent truncates out concurrently.  EFS kTruncate to a
@@ -789,10 +757,9 @@ void BridgeServer::handle_truncate(Wire& wire, const sim::Envelope& env) {
   // constituents shrunk, others not) is repaired by retrying this op:
   // already-shrunk constituents see a no-op.
   sim::AsyncBatch batch(wire.rpc);
-  for (std::size_t k = 0; k < involved.size(); ++k) {
-    efs::TruncateRequest lfs_req{record->lfs_file_id, new_local[k]};
-    batch.call(lfs_services_[involved[k]], msg(efs::MsgType::kTruncate),
-               util::encode_to_bytes(lfs_req));
+  for (std::uint32_t i = 0; i < num_lfs(); ++i) {
+    if (removed[i] == 0) continue;
+    lfs(wire, i).truncate(batch, record->lfs_file_id, new_local[i]);
   }
   if (auto st = batch.wait_all_ok(); !st.is_ok()) {
     return sim::send_reply(wire.ctx, env, st);

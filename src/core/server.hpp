@@ -23,7 +23,7 @@
 
 #include "src/core/config.hpp"
 #include "src/core/protocol.hpp"
-#include "src/efs/protocol.hpp"
+#include "src/efs/client.hpp"
 #include "src/sim/rpc.hpp"
 #include "src/sim/runtime.hpp"
 
@@ -158,6 +158,10 @@ class BridgeServer {
 
   void serve(sim::Context& ctx);
   void handle(Wire& wire, const sim::Envelope& env);
+  /// LFS `i`'s EFS client, over the serve loop's RpcClient.
+  efs::EfsClient lfs(Wire& wire, std::uint32_t i) const {
+    return {wire.rpc, lfs_services_[i]};
+  }
 
   /// A fresh file's lfs_file_id is its Bridge id; created_file_meta (api.hpp)
   /// relies on that to build a creator's FileMeta without an Open.

@@ -1,10 +1,25 @@
 // Typed EFS client.
 //
-// Wraps an RpcClient with the EFS protocol.  The client holds no per-file
-// state: every request names its file and block numbers, and the LFS's
-// extent maps locate the blocks.  Single-block read()/write() are runs of
-// one on the vectored ops, so there is one data path on the wire.
+// Wraps an RpcClient with the EFS protocol, and is the one place that
+// encodes an EFS request or decodes an EFS reply.  Each op comes in two
+// forms built on the same codec:
+//
+// - blocking: send the request and wait for its decoded reply;
+// - posted: put the same request bytes into a caller's sim::AsyncBatch,
+//   with a typed completion `done` that receives the decoded reply (or the
+//   call's error) once the batch's wait_all() has every reply in, and
+//   returns the call's status.  `done` takes util::Result<T> for the reply
+//   type T the blocking form returns, or util::Status for a bare-status
+//   reply.  Where it is optional and left out, the call's status alone
+//   joins the batch's.
+//
+// The client holds no per-file state: every request names its file and
+// block numbers, and the LFS's extent maps locate the blocks.  Single-block
+// read()/write() are runs of one on the vectored ops, so there is one data
+// path on the wire.
 #pragma once
+
+#include <type_traits>
 
 #include "src/efs/protocol.hpp"
 #include "src/sim/rpc.hpp"
@@ -14,6 +29,10 @@ namespace bridge::efs {
 
 class EfsClient {
  public:
+  using Blocks = std::vector<std::vector<std::byte>>;
+  /// The `done` of a posted call that has none.
+  struct NoCompletion {};
+
   /// `service` is the EFS server's mailbox address.  The client uses the
   /// calling process's RpcClient (one per process), so several EfsClients —
   /// one per LFS the caller talks to — can share it.
@@ -23,58 +42,88 @@ class EfsClient {
   [[nodiscard]] sim::Address service() const noexcept { return service_; }
 
   util::Status create(FileId id) {
-    return call(MsgType::kCreate, CreateRequest{id}).status();
+    return call<status_of>(MsgType::kCreate, CreateRequest{id});
+  }
+  template <typename Done = NoCompletion>
+  void create(sim::AsyncBatch& batch, FileId id, Done done = {}) {
+    post<status_of>(batch, MsgType::kCreate, CreateRequest{id},
+                    std::move(done));
   }
 
   util::Status remove(FileId id) {
-    return call(MsgType::kDelete, DeleteRequest{id}).status();
+    return call<status_of>(MsgType::kDelete, DeleteRequest{id});
+  }
+  template <typename Done = NoCompletion>
+  void remove(sim::AsyncBatch& batch, FileId id, Done done = {}) {
+    post<status_of>(batch, MsgType::kDelete, DeleteRequest{id},
+                    std::move(done));
   }
 
   util::Result<InfoResponse> info(FileId id) {
-    auto reply = call(MsgType::kInfo, InfoRequest{id});
-    if (!reply.is_ok()) return reply.status();
-    return util::decode_from_bytes<InfoResponse>(reply.value());
+    return call<decoded<InfoResponse>>(MsgType::kInfo, InfoRequest{id});
+  }
+  template <typename Done>
+  void info(sim::AsyncBatch& batch, FileId id, Done done) {
+    post<decoded<InfoResponse>>(batch, MsgType::kInfo, InfoRequest{id},
+                                std::move(done));
   }
 
   /// One block's payload (a vectored read of one).
   util::Result<std::vector<std::byte>> read(FileId id, std::uint32_t block_no) {
-    auto reply = call(MsgType::kReadMany, ReadManyRequest{id, {block_no}});
-    if (!reply.is_ok()) return reply.status();
-    return util::decode_from_bytes<ReadManyResponse>(reply.value()).take_one();
+    auto blocks = read_many(id, {block_no});
+    if (!blocks.is_ok()) return blocks.status();
+    return ReadManyResponse{std::move(blocks).value()}.take_one();
   }
 
   /// Write one block (a vectored write of one; the LFS writes it through).
   util::Status write(FileId id, std::uint32_t block_no,
                      std::span<const std::byte> data) {
-    return call(MsgType::kWriteMany,
-                WriteManyRequest::one(
-                    id, block_no, std::vector<std::byte>(data.begin(), data.end())))
-        .status();
+    std::vector<std::byte> payload(data.begin(), data.end());
+    return call<status_of>(
+        MsgType::kWriteMany,
+        WriteManyRequest::one(id, block_no, std::move(payload)));
   }
 
   /// Vectored read: fetch `block_nos` (request order preserved) in one
   /// round trip.
-  util::Result<std::vector<std::vector<std::byte>>> read_many(
-      FileId id, std::vector<std::uint32_t> block_nos) {
-    auto reply =
-        call(MsgType::kReadMany, ReadManyRequest{id, std::move(block_nos)});
-    if (!reply.is_ok()) return reply.status();
-    return util::decode_from_bytes<ReadManyResponse>(reply.value()).blocks;
+  util::Result<Blocks> read_many(FileId id,
+                                 std::vector<std::uint32_t> block_nos) {
+    return call<blocks_of>(MsgType::kReadMany,
+                           ReadManyRequest{id, std::move(block_nos)});
+  }
+  template <typename Done>
+  void read_many(sim::AsyncBatch& batch, FileId id,
+                 std::vector<std::uint32_t> block_nos, Done done) {
+    post<blocks_of>(batch, MsgType::kReadMany,
+                    ReadManyRequest{id, std::move(block_nos)},
+                    std::move(done));
   }
 
   /// Vectored write: apply `writes` in order in one round trip.
   util::Status write_many(FileId id, std::vector<BlockWrite> writes) {
-    return call(MsgType::kWriteMany, WriteManyRequest{id, std::move(writes)})
-        .status();
+    return call<status_of>(MsgType::kWriteMany,
+                           WriteManyRequest{id, std::move(writes)});
+  }
+  template <typename Done = NoCompletion>
+  void write_many(sim::AsyncBatch& batch, FileId id,
+                  std::vector<BlockWrite> writes, Done done = {}) {
+    post<status_of>(batch, MsgType::kWriteMany,
+                    WriteManyRequest{id, std::move(writes)}, std::move(done));
   }
 
   /// Truncate to `new_size_blocks` constituent blocks (the compensation op
   /// for torn multi-LFS appends).
   util::Result<TruncateResponse> truncate(FileId id,
                                           std::uint32_t new_size_blocks) {
-    auto reply = call(MsgType::kTruncate, TruncateRequest{id, new_size_blocks});
-    if (!reply.is_ok()) return reply.status();
-    return util::decode_from_bytes<TruncateResponse>(reply.value());
+    return call<decoded<TruncateResponse>>(
+        MsgType::kTruncate, TruncateRequest{id, new_size_blocks});
+  }
+  template <typename Done = NoCompletion>
+  void truncate(sim::AsyncBatch& batch, FileId id,
+                std::uint32_t new_size_blocks, Done done = {}) {
+    post<decoded<TruncateResponse>>(batch, MsgType::kTruncate,
+                                    TruncateRequest{id, new_size_blocks},
+                                    std::move(done));
   }
 
   util::Status sync() {
@@ -83,10 +132,38 @@ class EfsClient {
   }
 
  private:
-  template <typename Request>
-  util::Result<std::vector<std::byte>> call(MsgType type, const Request& req) {
-    return rpc_->call(service_, static_cast<std::uint32_t>(type),
-                      util::encode_to_bytes(req));
+  using Reply = sim::AsyncBatch::Reply;
+
+  // The reply decoders: one per reply shape.
+  static util::Status status_of(Reply reply) { return reply.status(); }
+  template <typename T>
+  static util::Result<T> decoded(Reply reply) {
+    if (!reply.is_ok()) return reply.status();
+    return util::decode_from_bytes<T>(reply.value());
+  }
+  static util::Result<Blocks> blocks_of(Reply reply) {
+    if (!reply.is_ok()) return reply.status();
+    return util::decode_from_bytes<ReadManyResponse>(reply.value()).blocks;
+  }
+
+  template <auto Decode, typename Request>
+  std::invoke_result_t<decltype(Decode), Reply> call(MsgType type,
+                                                     const Request& req) {
+    return Decode(rpc_->call(service_, static_cast<std::uint32_t>(type),
+                             util::encode_to_bytes(req)));
+  }
+
+  template <auto Decode, typename Request, typename Done>
+  void post(sim::AsyncBatch& batch, MsgType type, const Request& req,
+            Done done) {
+    sim::AsyncBatch::Completion completion;
+    if constexpr (!std::is_same_v<Done, NoCompletion>) {
+      completion = [done = std::move(done)](Reply reply) {
+        return done(Decode(std::move(reply)));
+      };
+    }
+    batch.call(service_, static_cast<std::uint32_t>(type),
+               util::encode_to_bytes(req), std::move(completion));
   }
 
   sim::RpcClient* rpc_;

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -218,45 +220,70 @@ class RpcClient {
   std::uint64_t next_correlation_ = 1;
 };
 
-/// Completion helper for a fan-out of async calls: issue N `call_async`,
-/// then collect the replies — which may arrive in any order — without
-/// hand-rolling correlation bookkeeping at every call site.
+/// Fan-out helper: issue N calls, then collect the replies — which may
+/// arrive in any order — without correlation bookkeeping at the call site.
 ///
-/// Replies are surfaced in ISSUE order regardless of arrival order (the
-/// underlying wait_reply stashes early arrivals).  wait_all() always drains
-/// every outstanding reply, so an error in one call never leaves stray
+/// A call may carry a completion: it takes the call's reply and returns a
+/// status.  wait_all() first waits for every reply, inside one
+/// rpc.batch_wait span, and only then runs the completions, in issue order
+/// and outside the span — so the CPU a completion charges lands after the
+/// slowest reply.  Element i of its result is call i's reply or, for a call
+/// with a completion, that completion's status (an empty body when ok).
+///
+/// Every reply is drained, so an error in one call never leaves stray
 /// replies queued against the client for a later operation to trip over.
+/// A batch destroyed with calls in flight drains them (without running
+/// their completions), unless its process is unwinding from teardown and
+/// cannot park again.  A teardown that comes while the destructor drains
+/// unwinds out of it, so the destructor may throw.
 class AsyncBatch {
  public:
+  using Reply = util::Result<std::vector<std::byte>>;
+  using Completion = std::function<util::Status(Reply)>;
+
   explicit AsyncBatch(RpcClient& rpc) : rpc_(&rpc) {}
+  AsyncBatch(const AsyncBatch&) = delete;
+  AsyncBatch& operator=(const AsyncBatch&) = delete;
+  ~AsyncBatch() noexcept(false) {
+    if (std::uncaught_exceptions() > 0) return;
+    for (const auto& call : calls_) {
+      (void)rpc_->wait_reply(call.correlation);  // its owner has moved on
+    }
+  }
 
   /// Issue one call; returns its index within the batch.
   std::size_t call(const Address& service, std::uint32_t type,
-                   std::span<const std::byte> request) {
-    correlations_.push_back(rpc_->call_async(service, type, request));
-    return correlations_.size() - 1;
+                   std::span<const std::byte> request, Completion done = {}) {
+    calls_.push_back(
+        {rpc_->call_async(service, type, request), std::move(done)});
+    return calls_.size() - 1;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return correlations_.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return calls_.size(); }
 
-  /// Block until every reply has arrived; element i is call i's result.
-  std::vector<util::Result<std::vector<std::byte>>> wait_all() {
-    // One span covering the whole reassembly wait: the gap between the
-    // fan-out and the slowest constituent's reply.
-    ScopedSpan span(rpc_->context(), "rpc.batch_wait");
-    std::vector<util::Result<std::vector<std::byte>>> results;
-    results.reserve(correlations_.size());
-    for (auto corr : correlations_) {
-      results.push_back(rpc_->wait_reply(corr));
+  /// Block until every reply has arrived, then run the completions.
+  std::vector<Reply> wait_all() {
+    std::vector<Reply> results;
+    results.reserve(calls_.size());
+    {
+      // The gap between the fan-out and the slowest reply.
+      ScopedSpan span(rpc_->context(), "rpc.batch_wait");
+      for (const auto& call : calls_) {
+        results.push_back(rpc_->wait_reply(call.correlation));
+      }
     }
-    correlations_.clear();
+    std::vector<Call> calls = std::move(calls_);
+    calls_.clear();  // a completion may issue into the batch again
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      if (!calls[i].done) continue;
+      util::Status st = calls[i].done(std::move(results[i]));
+      results[i] = st.is_ok() ? Reply(std::vector<std::byte>{}) : Reply(st);
+    }
     return results;
   }
 
-  /// Drain every reply and report the first error (ok if all succeeded).
-  /// For callers that only need success/failure, not the payloads.
+  /// wait_all(), reporting the first failure among replies and completions
+  /// (ok if all succeeded).
   util::Status wait_all_ok() {
     util::Status first = util::ok_status();
     for (auto& result : wait_all()) {
@@ -266,8 +293,13 @@ class AsyncBatch {
   }
 
  private:
+  struct Call {
+    std::uint64_t correlation;
+    Completion done;
+  };
+
   RpcClient* rpc_;
-  std::vector<std::uint64_t> correlations_;
+  std::vector<Call> calls_;
 };
 
 }  // namespace bridge::sim

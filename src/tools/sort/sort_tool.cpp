@@ -20,7 +20,7 @@ namespace {
 class SortFiles {
  public:
   SortFiles(sim::Context& ctx, core::BridgeApi& client, const ToolEnv& env)
-      : client_(client), env_(env), rpc_(ctx) {}
+      : client_(client), rpc_(ctx), lfs_(env.make_lfs_clients(rpc_)) {}
 
   void hold(const core::FileMeta& meta) { held_.push_back(meta); }
 
@@ -29,7 +29,7 @@ class SortFiles {
   util::Status create_private(const std::vector<core::FileMeta>& outputs) {
     sim::AsyncBatch batch(rpc_);
     for (const auto& meta : outputs) {
-      post(batch, efs::MsgType::kCreate, meta);
+      for (auto* lfs : constituents(meta)) lfs->create(batch, meta.lfs_file_id);
       hold(meta);
     }
     return batch.wait_all_ok();
@@ -48,7 +48,9 @@ class SortFiles {
                held.start_lfs == meta.start_lfs;
       });
       if (meta.name.empty()) {
-        post(batch, efs::MsgType::kDelete, meta);
+        for (auto* lfs : constituents(meta)) {
+          lfs->remove(batch, meta.lfs_file_id);
+        }
       } else {
         names.push_back(meta.name);
       }
@@ -66,21 +68,18 @@ class SortFiles {
   }
 
  private:
-  void post(sim::AsyncBatch& batch, efs::MsgType type,
-            const core::FileMeta& meta) {
-    auto payload =
-        type == efs::MsgType::kCreate
-            ? util::encode_to_bytes(efs::CreateRequest{meta.lfs_file_id})
-            : util::encode_to_bytes(efs::DeleteRequest{meta.lfs_file_id});
+  /// The EFS clients of the LFSs `meta` spans, in stripe order.
+  std::vector<efs::EfsClient*> constituents(const core::FileMeta& meta) {
+    std::vector<efs::EfsClient*> spanned;
     for (std::uint32_t i = 0; i < meta.width; ++i) {
-      batch.call(env_.lfs_service((meta.start_lfs + i) % env_.num_lfs()),
-                 static_cast<std::uint32_t>(type), payload);
+      spanned.push_back(lfs_[(meta.start_lfs + i) % lfs_.size()].get());
     }
+    return spanned;
   }
 
   core::BridgeApi& client_;
-  const ToolEnv& env_;
   sim::RpcClient rpc_;
+  std::vector<std::unique_ptr<efs::EfsClient>> lfs_;
   std::vector<core::FileMeta> held_;
 };
 
@@ -276,9 +275,9 @@ util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
           ConstituentWriter out(*lfs_clients[lfs], dst.owner(), m,
                                 kSortWindow);
           const std::vector<std::uint32_t>& order = plan.run_of_rank;
-          // The batch in flight, and the run each of its calls reads.
+          // The batch in flight: each call's completion buffers its blocks
+          // in its run's reader.
           sim::AsyncBatch batch(rpc);
-          std::vector<std::uint32_t> posted;
           std::vector<std::uint64_t> demand(runs.size(), 0);
           auto post_round = [&](std::size_t first) {
             std::size_t last = std::min(first + kGatherRound, order.size());
@@ -289,20 +288,8 @@ util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
               while (demand[run] > 0 &&
                      (n = readers[run].post(batch, demand[run])) > 0) {
                 demand[run] -= n;
-                posted.push_back(run);
               }
             }
-          };
-          // Wait for every reply, then hand each to its reader.
-          auto collect = [&]() -> util::Status {
-            auto replies = batch.wait_all();
-            util::Status first = util::ok_status();
-            for (std::size_t i = 0; i < replies.size(); ++i) {
-              auto st = readers[posted[i]].deliver(replies[i]);
-              if (!st.is_ok() && first.is_ok()) first = st;
-            }
-            posted.clear();
-            return first;
           };
           auto append_round = [&](std::size_t first) -> util::Status {
             std::size_t last = std::min(first + kGatherRound, order.size());
@@ -317,12 +304,9 @@ util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
           post_round(0);
           for (std::size_t first = 0; first < order.size();
                first += kGatherRound) {
-            if (auto st = collect(); !st.is_ok()) return st;
+            if (auto st = batch.wait_all_ok(); !st.is_ok()) return st;
             post_round(first + kGatherRound);  // none past the last round
-            if (auto st = append_round(first); !st.is_ok()) {
-              (void)collect();  // drain the next round; `st` is the error
-              return st;
-            }
+            if (auto st = append_round(first); !st.is_ok()) return st;
           }
           if (auto st = out.finish(); !st.is_ok()) return st;
           return out.written();

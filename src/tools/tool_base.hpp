@@ -18,8 +18,9 @@
 // constituent at stripe offset o of a width-w file is global block
 // l * w + o; the reader checks every header against that (bridge_block.hpp)
 // and the writer stamps it.  Both move `window` blocks per vectored LFS
-// request; a reader can also post its windows into a caller's batch, so one
-// worker keeps several LFSs busy at once.
+// request; a reader can also post its windows, each with a completion that
+// buffers its blocks, into a caller's batch, so one worker keeps several
+// LFSs busy at once.
 #pragma once
 
 #include <algorithm>
@@ -138,8 +139,10 @@ class WorkerGroup {
 ///
 /// next() reads a window itself when none is buffered.  A caller that keeps
 /// several readers busy at once instead post()s their windows into one
-/// sim::AsyncBatch and deliver()s each reply; next() then returns the
-/// delivered blocks, checked as on the blocking path.
+/// sim::AsyncBatch: each post's completion buffers its blocks when the
+/// batch's wait_all() runs, and next() then returns them, checked as on the
+/// blocking path.  A reader must stay put (not move) while a post of its is
+/// in flight.
 class ConstituentReader {
  public:
   ConstituentReader(efs::EfsClient& lfs, efs::FileId file, std::uint64_t count,
@@ -171,8 +174,8 @@ class ConstituentReader {
   util::Result<std::vector<std::byte>> next() {
     if (exhausted()) return util::invalid_argument("constituent exhausted");
     if (taken_ == buffered_.size()) {
-      if (!in_flight_.empty()) {
-        return util::invalid_argument("a posted window is not delivered");
+      if (in_flight_ > 0) {
+        return util::invalid_argument("a posted window is in flight");
       }
       auto locals = ask(window_);
       std::size_t n = locals.size();
@@ -189,29 +192,21 @@ class ConstituentReader {
   }
 
   /// Post one kReadMany for the next min(limit, window) blocks not yet
-  /// asked for into `batch`, without waiting for it.  Returns how many it
-  /// named: 0, and nothing posted, once every block is asked for.
+  /// asked for into `batch`, without waiting for it; its blocks queue
+  /// behind those already buffered once the batch is waited for.  Returns
+  /// how many it named: 0, and nothing posted, once every block is asked
+  /// for.
   std::size_t post(sim::AsyncBatch& batch, std::uint64_t limit) {
     auto locals = ask(std::min<std::uint64_t>(limit, window_));
-    if (locals.empty()) return 0;
-    in_flight_.push_back(locals.size());
-    batch.call(lfs_->service(),
-               static_cast<std::uint32_t>(efs::MsgType::kReadMany),
-               util::encode_to_bytes(
-                   efs::ReadManyRequest{file_, std::move(locals)}));
-    return in_flight_.back();
-  }
-
-  /// Take the reply to the oldest posted kReadMany; its blocks queue behind
-  /// those already buffered.
-  util::Status deliver(const util::Result<std::vector<std::byte>>& reply) {
-    if (in_flight_.empty()) return util::invalid_argument("nothing posted");
-    std::size_t n = in_flight_.front();
-    in_flight_.erase(in_flight_.begin());
-    if (!reply.is_ok()) return reply.status();
-    return buffer(
-        util::decode_from_bytes<efs::ReadManyResponse>(reply.value()).blocks,
-        n);
+    std::size_t n = locals.size();
+    if (n == 0) return 0;
+    ++in_flight_;
+    lfs_->read_many(batch, file_, std::move(locals),
+                    [this, n](util::Result<efs::EfsClient::Blocks> read) {
+                      --in_flight_;
+                      return buffer(std::move(read), n);
+                    });
+    return n;
   }
 
   /// Merge-style access: head() is the block the last advance() took, null
@@ -270,7 +265,7 @@ class ConstituentReader {
   std::vector<std::uint32_t> locals_;  ///< list mode: the locals to stream
   std::uint64_t next_ = 0;             ///< blocks returned by next()
   std::uint64_t asked_ = 0;            ///< blocks read or posted
-  std::vector<std::size_t> in_flight_;  ///< block count of each posted read
+  std::size_t in_flight_ = 0;          ///< posted reads not yet buffered
   std::vector<std::vector<std::byte>> buffered_;  ///< read blocks, in order
   std::size_t taken_ = 0;  ///< buffered_ entries next() has returned
   std::optional<std::vector<std::byte>> head_;

@@ -768,6 +768,25 @@ TEST(DeleteMany, MissingFileFailsCleanly) {
   inst.run();
 }
 
+TEST(DeleteMany, NameListedTwiceIsRemovedOnce) {
+  // Each constituent gets one kDelete however often its name is listed, so
+  // the batch succeeds and the directory entry goes with it.
+  BridgeInstance inst(cfg(4));
+  inst.run_client("deleter", [&](sim::Context&, BridgeClient& client) {
+    ASSERT_TRUE(client.create("dup").is_ok());
+    ASSERT_TRUE(client.create("other").is_ok());
+    auto st = client.remove_many({"dup", "other", "dup"});
+    EXPECT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_EQ(client.open("dup").status().code(), util::ErrorCode::kNotFound);
+    EXPECT_EQ(client.remove("dup").code(), util::ErrorCode::kNotFound);
+    ASSERT_TRUE(client.create("dup").is_ok());
+    EXPECT_TRUE(client.remove("dup").is_ok());
+  });
+  inst.run();
+  EXPECT_EQ(inst.server().directory_size(), 0u);
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
 TEST(AnalysisModel, CopyPredictionIsNearLinear) {
   CostModel model;
   double t2 = predicted_copy_seconds(10240, 2, model);

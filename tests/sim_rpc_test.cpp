@@ -197,6 +197,119 @@ TEST(Rpc, AsyncBatchCollectsInIssueOrder) {
   EXPECT_TRUE(checked);
 }
 
+TEST(Rpc, AsyncBatchCompletionsRunInIssueOrder) {
+  // Replies arrive in reverse (call 4 first), yet the completions run in
+  // issue order, and only once every reply is in.  Each completion sees its
+  // own reply or error; wait_all_ok reports the first failure among replies
+  // and completions.
+  Runtime rt(2);
+  Mailbox box(rt.scheduler(), 1);
+  Address svc = spawn_test_server(rt, 1, box);
+  bool checked = false;
+  rt.spawn(0, "client", [&](Context& ctx) {
+    RpcClient cli(ctx);
+    AsyncBatch batch(cli);
+    std::vector<std::string> seen;
+    auto slow = [](std::uint64_t ms) {
+      Writer w;
+      w.u64(ms);
+      return std::move(w).take();
+    };
+    auto doubled = [&](std::string tag, util::Status result) {
+      return [&, tag, result](AsyncBatch::Reply reply) {
+        EXPECT_GE(ctx.now().ms(), 40.0) << tag << " ran before the last reply";
+        seen.push_back(tag + "=" +
+                       (reply.is_ok()
+                            ? std::to_string(Reader(reply.value()).u64())
+                            : reply.status().to_string()));
+        return result;
+      };
+    };
+    batch.call(svc, kSlowDouble, slow(40), doubled("0", util::ok_status()));
+    batch.call(svc, kFail, {}, doubled("1", util::ok_status()));
+    batch.call(svc, kSlowDouble, slow(20), doubled("2", util::corrupt("no")));
+    batch.call(svc, kFail, {});  // no completion: its error stands
+    batch.call(svc, kSlowDouble, slow(10), doubled("4", util::ok_status()));
+    auto status = batch.wait_all_ok();
+    EXPECT_EQ(status.code(), ErrorCode::kCorrupt);
+    std::string not_found = util::not_found("no such thing").to_string();
+    EXPECT_EQ(seen, (std::vector<std::string>{"0=80", "1=" + not_found,
+                                              "2=40", "4=20"}));
+
+    // A failed reply ahead of a failed completion is the one reported, and
+    // wait_all shows each completion's status in its call's slot.
+    seen.clear();
+    batch.call(svc, kFail, {});
+    batch.call(svc, kSlowDouble, slow(1), doubled("b", util::corrupt("no")));
+    batch.call(svc, kSlowDouble, slow(1), doubled("c", util::ok_status()));
+    EXPECT_EQ(batch.wait_all_ok().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(seen, (std::vector<std::string>{"b=2", "c=2"}));
+    batch.call(svc, kSlowDouble, slow(1), doubled("d", util::corrupt("no")));
+    auto replies = batch.wait_all();
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].status().code(), ErrorCode::kCorrupt);
+    checked = true;
+  });
+  rt.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST(Rpc, AsyncBatchDrainsWhenDestroyed) {
+  // A batch that goes out of scope with a call in flight waits for its
+  // reply, so the reply never lands in a mailbox whose owner has moved on.
+  Runtime rt(2);
+  Mailbox box(rt.scheduler(), 1);
+  Address svc = spawn_test_server(rt, 1, box);
+  SimTime after_scope{0};
+  bool checked = false;
+  rt.spawn(0, "client", [&](Context& ctx) {
+    RpcClient cli(ctx);
+    {
+      AsyncBatch batch(cli);
+      Writer w;
+      w.u64(30);
+      batch.call(svc, kSlowDouble, w.buffer());
+    }
+    after_scope = ctx.now();
+    // Outlive the slow reply either way, so it never meets a dead mailbox.
+    ctx.sleep(msec(100));
+    checked = cli.call(svc, kEcho, {}).is_ok();
+  });
+  rt.run();
+  EXPECT_TRUE(checked);
+  EXPECT_GE(after_scope.ms(), 30.0);
+}
+
+TEST(Rpc, AsyncBatchParkedAtTeardownUnwinds) {
+  // Processes parked on a batch when the Runtime is destroyed unwind: one
+  // in wait_all, whose batch's destructor must not park again, and one in
+  // that destructor's own drain, which the teardown must leave.
+  std::vector<bool> unwound(2, false);
+  {
+    Runtime rt(2);
+    Mailbox silent(rt.scheduler(), 1);  // nobody serves it
+    for (int i = 0; i < 2; ++i) {
+      rt.spawn(0, "client" + std::to_string(i), [&, i](Context& ctx) {
+        struct Flag {
+          std::vector<bool>* set;
+          int i;
+          ~Flag() { (*set)[i] = true; }
+        } flag{&unwound, i};
+        RpcClient cli(ctx);
+        {
+          AsyncBatch batch(cli);
+          batch.call(silent.address(), kEcho, {});
+          if (i == 0) (void)batch.wait_all();  // never returns
+        }
+        ADD_FAILURE() << "client " << i << " got past its batch";
+      });
+    }
+    rt.run();
+    EXPECT_EQ(unwound, (std::vector<bool>{false, false}));
+  }
+  EXPECT_EQ(unwound, (std::vector<bool>{true, true}));
+}
+
 TEST(Rpc, ManyClientsOneServer) {
   Runtime rt(4);
   Mailbox box(rt.scheduler(), 0);
