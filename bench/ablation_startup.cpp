@@ -4,8 +4,9 @@
 // messages through an embedded binary tree" (Create), and the copy tool's
 // O(n/p + log p) depends on tree fan-out of its workers.
 //
-// Two experiments: Create latency vs p for both dispatch modes, and copy-
-// tool time on a SMALL file (where startup dominates) for both fan-outs.
+// Two experiments: Create latency vs p for both dispatch modes (the Create
+// request's tree bit), and copy-tool time on a SMALL file (where startup
+// dominates) for both worker fan-outs.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -15,13 +16,13 @@ namespace bridge::bench {
 namespace {
 
 double create_latency(std::uint32_t p, bool tree) {
-  auto cfg = core::SystemConfig::paper_profile(p, 128);
-  cfg.bridge.tree_create = tree;
-  core::BridgeInstance inst(cfg);
+  core::BridgeInstance inst(core::SystemConfig::paper_profile(p, 128));
   double ms = 0;
   inst.run_client("bench", [&](sim::Context& ctx, core::BridgeClient& client) {
+    core::CreateOptions options;
+    options.tree = tree;
     auto start = ctx.now();
-    if (!client.create("f").is_ok()) return;
+    if (!client.create("f", options).is_ok()) return;
     ms = (ctx.now() - start).ms();
   });
   inst.run();
@@ -50,6 +51,7 @@ double copy_time(std::uint32_t p, bool tree, std::uint64_t records) {
 int main(int argc, char** argv) {
   using namespace bridge::bench;
   std::uint64_t records = flag_value(argc, argv, "records", 128);
+  JsonReporter json(argc, argv);
 
   print_header("Ablation A4: sequential vs binary-tree startup");
   std::printf("\nCreate latency (paper: 145 + 17.5p ms with sequential "
@@ -58,14 +60,20 @@ int main(int argc, char** argv) {
               "saving");
   std::printf("-----+----------------+----------------+---------\n");
   for (std::uint32_t p : {2u, 4u, 8u, 16u, 32u, 64u}) {
-    double seq = create_latency(p, false);
-    double tree = create_latency(p, true);
-    std::printf("%4u | %11.1f ms | %11.1f ms | %6.2fx\n", p, seq, tree,
-                seq / tree);
+    double ms[2];
+    for (bool tree : {false, true}) {
+      ms[tree] = create_latency(p, tree);
+      json.emit("ablation_startup_create", {{"p", p},
+                                            {"tree", tree ? 1.0 : 0.0},
+                                            {"create_ms", ms[tree]}});
+    }
+    std::printf("%4u | %11.1f ms | %11.1f ms | %6.2fx\n", p, ms[0], ms[1],
+                ms[0] / ms[1]);
   }
 
   std::printf("\ncopy tool on a small (%llu-block) file, where startup "
-              "matters:\n",
+              "matters\n(worker fan-out; dst's Create is a tree Create in "
+              "both):\n",
               static_cast<unsigned long long>(records));
   std::printf("%4s | %14s | %14s | %8s\n", "p", "sequential", "tree",
               "saving");

@@ -19,22 +19,22 @@
 namespace bridge::bench {
 namespace {
 
-double run_copy(std::uint32_t p, std::uint64_t records, ObsOptions& trace,
-                std::string& metrics) {
+tools::CopyReport run_copy(std::uint32_t p, std::uint64_t records,
+                           ObsOptions& trace, std::string& metrics) {
   auto cfg = core::SystemConfig::paper_profile(
       p, static_cast<std::uint32_t>(2 * records / p + 128));
   core::BridgeInstance inst(cfg);
   trace.arm(inst);
   fill_random_file(inst, "src", records, 11 + p);
-  sim::SimTime elapsed{};
+  tools::CopyReport report;
   inst.run_client("copy", [&](sim::Context& ctx, core::BridgeClient& client) {
     auto result = tools::run_copy_tool(ctx, client, "src", "dst");
-    if (result.is_ok()) elapsed = result.value().elapsed;
+    if (result.is_ok()) report = result.value();
   });
   inst.run();
   metrics = inst.metrics_summary_json();
   trace.capture();
-  return elapsed.sec();
+  return report;
 }
 
 /// One sort at width p with `merge`; `bridge_requests` counts what the sort
@@ -84,26 +84,32 @@ int main(int argc, char** argv) {
   print_header("Figure: copy tool records/second vs processors");
   std::printf("file: %llu records; model overlay: O(n/p + log p)\n\n",
               static_cast<unsigned long long>(records));
-  std::printf("%4s | %10s | %10s | %10s %10s\n", "p", "time", "rec/sec",
-              "speedup", "(model)");
-  std::printf("-----+------------+------------+----------------------\n");
+  std::printf("%4s | %10s | %10s | %10s | %10s | %10s %10s\n", "p", "time",
+              "startup", "transfer", "rec/sec", "speedup", "(model)");
+  std::printf("-----+------------+------------+------------+------------+-----"
+              "-----------------\n");
   double copy_base = 0, copy_model_base = 0;
   for (std::uint32_t p : {2u, 4u, 8u, 16u, 32u, 64u}) {
     if (p > max_p) break;
     std::string metrics;
-    double sec = run_copy(p, records, trace, metrics);
+    auto report = run_copy(p, records, trace, metrics);
+    double sec = report.elapsed.sec();
+    double startup = report.startup.sec();
     double model_sec = bridge::core::predicted_copy_seconds(records, p, model);
     if (p == 2) {
       copy_base = sec;
       copy_model_base = model_sec;
     }
-    std::printf("%4u | %8.1f s | %10.0f | %9.2fx %9.2fx\n", p, sec,
-                records / sec, copy_base / sec, copy_model_base / model_sec);
+    std::printf("%4u | %8.2f s | %8.3f s | %8.2f s | %10.0f | %9.2fx %9.2fx\n",
+                p, sec, startup, sec - startup, records / sec, copy_base / sec,
+                copy_model_base / model_sec);
     std::fflush(stdout);
     json.emit("fig_speedup_copy",
               {{"p", p},
                {"records", static_cast<double>(records)},
                {"copy_sec", sec},
+               {"startup_sec", startup},
+               {"transfer_sec", sec - startup},
                {"speedup", copy_base / sec},
                {"model_speedup", copy_model_base / model_sec}},
               metrics, trace.timeseries_json());

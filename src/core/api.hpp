@@ -22,6 +22,9 @@ struct CreateOptions {
   std::uint32_t start_lfs = 0;
   std::uint32_t chunk_blocks = 0;  ///< chunked distribution only
   std::uint64_t hash_seed = 0;     ///< hashed distribution only
+  /// Fan the Create out through an embedded binary tree: dispatch and reply
+  /// cost one charge per tree level instead of one per spanned LFS (§4.5).
+  bool tree = false;
 };
 
 /// The FileMeta that Open would return for a file just made by

@@ -23,7 +23,8 @@ class BridgeClient final : public BridgeApi {
                                     CreateOptions options = {}) override {
     CreateFileRequest req;
     req.name = name;
-    req.distribution = static_cast<std::uint8_t>(options.distribution);
+    req.distribution = static_cast<std::uint8_t>(options.distribution) |
+                       (options.tree ? kCreateTreeBit : 0);
     req.width = options.width;
     req.start_lfs = options.start_lfs;
     req.chunk_blocks = options.chunk_blocks;

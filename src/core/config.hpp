@@ -27,13 +27,11 @@ struct BridgeConfig {
   /// was expensive; the paper measured 145 ms + 17.5 ms per node).
   sim::SimTime create_base_cpu = sim::msec(136.0);
   /// Create: sequential initiation per LFS the file spans (§4.5: "the
-  /// initiation and termination are sequential").
+  /// initiation and termination are sequential"), or per tree level when the
+  /// request sets kCreateTreeBit.
   sim::SimTime create_dispatch_cpu = sim::msec(9.0);
-  /// Create: sequential completion processing per LFS the file spans.
+  /// Create: completion processing, charged like create_dispatch_cpu.
   sim::SimTime create_reply_cpu = sim::msec(8.0);
-  /// If true, Create fans out through an embedded binary tree instead of the
-  /// sequential loop — the improvement §4.5 suggests (startup ablation).
-  bool tree_create = false;
 };
 
 struct SystemConfig {

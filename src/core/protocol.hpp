@@ -197,9 +197,14 @@ struct FileMeta {
   }
 };
 
+/// Top bit of CreateFileRequest::distribution: fan the Create out through
+/// an embedded binary tree (§4.5's suggested improvement) instead of the
+/// sequential loop.  The low bits carry the Distribution.
+inline constexpr std::uint8_t kCreateTreeBit = 0x80;
+
 struct CreateFileRequest {
   std::string name;
-  std::uint8_t distribution = 0;
+  std::uint8_t distribution = 0;  ///< Distribution, | kCreateTreeBit for tree
   std::uint32_t width = 0;  ///< 0 = interleave across all LFSs
   std::uint32_t start_lfs = 0;
   std::uint32_t chunk_blocks = 0;  ///< chunked only: per-LFS capacity

@@ -185,7 +185,16 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   }
   std::uint32_t p = num_lfs();
   std::uint32_t width = (req.width == 0 || req.width > p) ? p : req.width;
-  auto dist = static_cast<Distribution>(req.distribution);
+  bool tree = (req.distribution & kCreateTreeBit) != 0;
+  auto dist_bits =
+      static_cast<std::uint8_t>(req.distribution & ~kCreateTreeBit);
+  if (dist_bits > static_cast<std::uint8_t>(Distribution::kLinked)) {
+    return sim::send_reply(
+        wire.ctx, env,
+        util::invalid_argument("unknown distribution " +
+                               std::to_string(dist_bits)));
+  }
+  auto dist = static_cast<Distribution>(dist_bits);
   if (dist == Distribution::kChunked && req.chunk_blocks == 0) {
     return sim::send_reply(
         wire.ctx, env,
@@ -211,15 +220,16 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   efs::CreateRequest lfs_req{record.lfs_file_id};
   auto payload = util::encode_to_bytes(lfs_req);
   auto span = record.placement.span();
-  // Embedded-binary-tree fan-out: dispatch and reply cost one charge per
-  // tree level rather than one per node.
+  // A tree Create (kCreateTreeBit) fans out through an embedded binary tree:
+  // dispatch and reply cost one charge per tree level rather than one per
+  // node.
   auto levels = static_cast<std::int64_t>(
       std::ceil(std::log2(double(span.size()) + 1.0)));
-  if (config_.tree_create) wire.ctx.charge(config_.create_dispatch_cpu * levels);
+  if (tree) wire.ctx.charge(config_.create_dispatch_cpu * levels);
   std::vector<std::uint64_t> pending;
   pending.reserve(span.size());
   for (auto lfs : span) {
-    if (!config_.tree_create) wire.ctx.charge(config_.create_dispatch_cpu);
+    if (!tree) wire.ctx.charge(config_.create_dispatch_cpu);
     pending.push_back(wire.rpc.call_async(
         lfs_services_[lfs], static_cast<std::uint32_t>(efs::MsgType::kCreate),
         payload));
@@ -228,9 +238,9 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   for (auto corr : pending) {
     auto reply = wire.rpc.wait_reply(corr);
     if (!reply.is_ok() && first_error.is_ok()) first_error = reply.status();
-    if (!config_.tree_create) wire.ctx.charge(config_.create_reply_cpu);
+    if (!tree) wire.ctx.charge(config_.create_reply_cpu);
   }
-  if (config_.tree_create) wire.ctx.charge(config_.create_reply_cpu * levels);
+  if (tree) wire.ctx.charge(config_.create_reply_cpu * levels);
   if (!first_error.is_ok()) return sim::send_reply(wire.ctx, env, first_error);
 
   BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
@@ -283,6 +293,14 @@ util::Status BridgeServer::delete_files(Wire& wire,
       directory_.erase(name);
     }
   }
+  // Sessions and parallel jobs name their file, so a later file of the same
+  // name must not inherit them: they go with the file.
+  auto deleted = [names](const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  std::erase_if(sessions_,
+                [&](const auto& s) { return deleted(s.second.name); });
+  std::erase_if(jobs_, [&](const auto& j) { return deleted(j.second.name); });
   return util::ok_status();
 }
 

@@ -77,17 +77,18 @@ util::Result<CopyReport> run_filter_tool(sim::Context& ctx,
         "copy tool requires a round-robin interleaved source");
   }
 
+  std::uint32_t p = env.value().num_lfs();
   core::FileMeta dst_meta;  // id 0 = scan-only
   if (!dst.empty()) {
     core::CreateOptions create;
     create.width = src_meta.width;
     create.start_lfs = src_meta.start_lfs;
+    create.tree = true;
     auto created = client.create(dst, create);
     if (!created.is_ok()) return created.status();
-    auto dst_open = client.open(dst);
-    if (!dst_open.is_ok()) return dst_open.status();
-    dst_meta = dst_open.value().meta;
+    dst_meta = core::created_file_meta(dst, created.value(), create, p);
   }
+  sim::SimTime startup = ctx.now() - start;
 
   auto factory = options.filter_factory;
   if (!factory) {
@@ -96,7 +97,6 @@ util::Result<CopyReport> run_filter_tool(sim::Context& ctx,
     };
   }
 
-  std::uint32_t p = env.value().num_lfs();
   std::uint32_t w = src_meta.width;
   WorkerGroup<EcopyResult> group(ctx, options.fanout);
   for (std::uint32_t j = 0; j < w; ++j) {
@@ -116,6 +116,7 @@ util::Result<CopyReport> run_filter_tool(sim::Context& ctx,
   }
 
   CopyReport report;
+  report.startup = startup;
   report.workers = group.spawned();
   auto results = group.wait_all();
   if (!results.is_ok()) return results.status();

@@ -31,6 +31,7 @@ struct CopyReport {
   std::uint64_t blocks = 0;       ///< blocks processed across all workers
   std::uint64_t summary = 0;      ///< sum of per-worker filter summaries
   sim::SimTime elapsed{};         ///< tool wall time (startup + work + join)
+  sim::SimTime startup{};         ///< discover + Open src + Create dst
   std::uint32_t workers = 0;
 };
 

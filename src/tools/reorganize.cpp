@@ -55,12 +55,11 @@ util::Result<ReorganizeReport> run_reorganize_tool(sim::Context& ctx,
   create.distribution = core::Distribution::kRoundRobin;
   create.width = p;
   create.start_lfs = 0;
-  if (auto created = client.create(dst, create); !created.is_ok()) {
-    return created.status();
-  }
-  auto dst_open = client.open(dst);
-  if (!dst_open.is_ok()) return dst_open.status();
-  core::FileMeta dst_meta = dst_open.value().meta;
+  create.tree = true;
+  auto created = client.create(dst, create);
+  if (!created.is_ok()) return created.status();
+  core::FileMeta dst_meta =
+      core::created_file_meta(dst, created.value(), create, p);
 
   // Partition the moves by destination LFS (global block g lands on LFS
   // g mod p at local g div p, so each list is in local order).

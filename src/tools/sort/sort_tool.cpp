@@ -341,10 +341,11 @@ util::Result<SortReport> run_sort_tool(sim::Context& ctx,
   std::uint32_t p = env.value().num_lfs();
 
   // dst is created first, where the merge tree's root lands: the source's
-  // width, starting on its first LFS.
+  // width, starting on its first LFS, through the embedded tree.
   core::CreateOptions dst_create;
   dst_create.width = src_meta.width;
   dst_create.start_lfs = src_meta.start_lfs;
+  dst_create.tree = true;
   auto dst_id = client.create(dst, dst_create);
   if (!dst_id.is_ok()) return dst_id.status();
   core::FileMeta dst_meta =

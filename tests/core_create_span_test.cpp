@@ -167,15 +167,15 @@ TEST(CreateSpan, CreateOpenDeleteTouchOnlyTheSpan) {
   EXPECT_TRUE(inst.verify_all_lfs().is_ok());
 }
 
-/// Virtual latency of one Create of `width` on a fresh p=8 machine.
+/// Virtual latency of one Create of `width` on a fresh p=8 machine, through
+/// the embedded tree if `tree`.
 std::int64_t create_latency_us(bool tree, std::uint32_t width) {
-  auto cfg = SystemConfig::paper_profile(kP, 256);
-  cfg.bridge.tree_create = tree;
-  BridgeInstance inst(cfg);
+  BridgeInstance inst(SystemConfig::paper_profile(kP, 256));
   std::int64_t latency = -1;
   inst.run_client("c", [&](sim::Context& ctx, BridgeClient& client) {
     CreateOptions options;
     options.width = width;
+    options.tree = tree;
     sim::SimTime t0 = ctx.now();
     ASSERT_TRUE(client.create("f", options).is_ok());
     latency = (ctx.now() - t0).us();
@@ -197,6 +197,33 @@ TEST(CreateSpan, TreeCreateLevelsComeFromTheSpanWidth) {
             create_latency_us(/*tree=*/false, kP));
   EXPECT_LT(create_latency_us(/*tree=*/true, 1),
             create_latency_us(/*tree=*/true, kP));
+}
+
+TEST(CreateSpan, TreeIsChosenPerRequest) {
+  // One machine, one config: a naive Create keeps §4.5's sequential cost and
+  // the next one, with the tree bit, costs the tree's.
+  BridgeInstance inst(SystemConfig::paper_profile(kP, 256));
+  std::int64_t naive = -1;
+  std::int64_t tree = -1;
+  inst.run_client("c", [&](sim::Context& ctx, BridgeClient& client) {
+    auto timed = [&](const std::string& name, bool tree_bit) {
+      CreateOptions options;
+      options.tree = tree_bit;
+      sim::SimTime t0 = ctx.now();
+      EXPECT_TRUE(client.create(name, options).is_ok());
+      return (ctx.now() - t0).us();
+    };
+    naive = timed("naive", false);
+    tree = timed("tree", true);
+  });
+  inst.run();
+  EXPECT_EQ(naive, 273'321);
+  EXPECT_EQ(tree, 206'635);
+  // Width 8 is ceil(log2 9) = 4 tree levels against 8 sequential dispatch
+  // and reply charges: four fewer of each (4 x 17 ms), less the LFS latency
+  // the sequential loop hid behind its later dispatches.
+  EXPECT_GT(naive - tree, 3 * (9'000 + 8'000));
+  EXPECT_LE(naive - tree, 4 * (9'000 + 8'000));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/instance.hpp"
@@ -170,6 +171,40 @@ TEST(MessageStats, NaiveViewWireSizesArePinned) {
     EXPECT_EQ(rd.remote_bytes,
               kReadOneRequestBytes + sim::kEnvelopeOverheadBytes +
                   reply_wire_size(std::vector<std::byte>(kReadOneReplyBytes)));
+  });
+  inst.run();
+}
+
+TEST(MessageStats, CreateTreeBitKeepsTheMessageSize) {
+  CreateFileRequest plain;
+  plain.name = "f";
+  plain.distribution = static_cast<std::uint8_t>(Distribution::kHashed);
+  CreateFileRequest tree = plain;
+  tree.distribution |= kCreateTreeBit;
+  auto plain_bytes = util::encode_to_bytes(plain);
+  auto tree_bytes = util::encode_to_bytes(tree);
+  EXPECT_EQ(tree_bytes.size(), plain_bytes.size());
+  auto decoded = util::decode_from_bytes<CreateFileRequest>(tree_bytes);
+  EXPECT_EQ(decoded.distribution, tree.distribution);
+  EXPECT_EQ(decoded.distribution & ~kCreateTreeBit,
+            static_cast<std::uint8_t>(Distribution::kHashed));
+
+  // On the modeled wire: a naive and a tree Create of equal-length names
+  // cost the same bytes on both legs.
+  BridgeInstance inst(SystemConfig::paper_profile(2, 256));
+  inst.start();
+  sim::Runtime& rt = inst.runtime();
+  rt.spawn(inst.bridge_address().node, "c", [&](sim::Context& ctx) {
+    BridgeClient client(ctx, inst.bridge_address());
+    auto create_bytes = [&](const std::string& name, bool tree_bit) {
+      CreateOptions options;
+      options.tree = tree_bit;
+      sim::MessageStats before = rt.message_stats();
+      EXPECT_TRUE(client.create(name, options).is_ok());
+      sim::MessageStats delta = rt.message_stats() - before;
+      return std::pair{delta.local_bytes, delta.remote_bytes};
+    };
+    EXPECT_EQ(create_bytes("naive", false), create_bytes("trees", true));
   });
   inst.run();
 }

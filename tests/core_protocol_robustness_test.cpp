@@ -147,6 +147,55 @@ TEST(ProtocolRobustness, SessionOutlivesFileDeletionGracefully) {
   inst.run();
 }
 
+TEST(ProtocolRobustness, SessionDoesNotFollowItsNameToANewFile) {
+  BridgeInstance inst(cfg(2));
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
+    ASSERT_TRUE(client.create("a").is_ok());
+    auto old_session = client.open("a");
+    ASSERT_TRUE(old_session.is_ok());
+    ASSERT_TRUE(client.remove("a").is_ok());
+    ASSERT_TRUE(client.create("a").is_ok());
+    auto writer = client.open("a");
+    ASSERT_TRUE(writer.is_ok());
+    ASSERT_TRUE(client.seq_write(writer.value().session, record(7)).is_ok());
+    // The old session belonged to the first "a"; the second one's block
+    // must not be readable through it.
+    auto r = client.seq_read(old_session.value().session);
+    EXPECT_FALSE(r.is_ok());
+    EXPECT_EQ(r.status().code(), util::ErrorCode::kNotFound);
+  });
+  inst.run();
+}
+
+TEST(ProtocolRobustness, UnknownDistributionIsRejectedBeforeAnyLfs) {
+  BridgeInstance inst(cfg(4));
+  inst.start();
+  sim::Address server = inst.bridge_address();
+  inst.runtime().spawn(
+      inst.config().client_node(), "c", [&](sim::Context& ctx) {
+        sim::RpcClient rpc(ctx);
+        for (std::uint8_t dist : {std::uint8_t{9},
+                                  std::uint8_t{9 | kCreateTreeBit}}) {
+          CreateFileRequest req;
+          req.name = "bad";
+          req.distribution = dist;
+          auto reply =
+              rpc.call(server, static_cast<std::uint32_t>(BridgeMsg::kCreate),
+                       util::encode_to_bytes(req));
+          EXPECT_FALSE(reply.is_ok()) << int(dist);
+          EXPECT_EQ(reply.status().code(), util::ErrorCode::kInvalidArgument);
+        }
+        BridgeClient client(ctx, server);
+        EXPECT_EQ(client.open("bad").status().code(),
+                  util::ErrorCode::kNotFound);
+      });
+  inst.run();
+  EXPECT_EQ(inst.server().directory_size(), 0u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(inst.lfs(i).core().file_count(), 0u) << "lfs " << i;
+  }
+}
+
 TEST(ProtocolRobustness, TwoSessionsOnOneFileAreIndependent) {
   BridgeInstance inst(cfg(2));
   inst.run_client("c", [&](sim::Context&, BridgeClient& client) {

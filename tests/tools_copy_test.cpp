@@ -112,6 +112,30 @@ TEST(CopyTool, NearLinearSpeedup) {
   EXPECT_LT(speedup, 4.5);
 }
 
+TEST(CopyTool, DestinationIsCreatedThroughTheTree) {
+  // Startup is Get Info, Open src and Create dst; dst is never Opened.  At
+  // p=8 a sequential width-8 Create charges 8 dispatch and 8 reply costs,
+  // the embedded tree ceil(log2 9) = 4 of each.
+  BridgeInstance inst(cfg(8));
+  make_file(inst, "src", 16);
+  const core::BridgeConfig& bridge = inst.config().bridge;
+  sim::SimTime per_lfs = bridge.create_dispatch_cpu + bridge.create_reply_cpu;
+  std::uint64_t requests_before = inst.server().stats().requests;
+  CopyReport report;
+  inst.run_client("tool", [&](sim::Context& ctx, BridgeClient& client) {
+    auto result = run_copy_tool(ctx, client, "src", "dst");
+    ASSERT_TRUE(result.is_ok());
+    report = result.value();
+  });
+  inst.run();
+  EXPECT_EQ(inst.server().stats().requests - requests_before, 3u);
+  sim::SimTime base = bridge.open_cpu + bridge.create_base_cpu;
+  EXPECT_GE(report.startup, base + 4 * per_lfs);
+  EXPECT_LT(report.startup, base + 8 * per_lfs);
+  EXPECT_LT(report.startup, report.elapsed);
+  expect_file_equals(inst, "dst", 16, record);
+}
+
 TEST(CopyTool, Rot13IsSelfInverse) {
   BridgeInstance inst(cfg(3));
   make_file(inst, "src", 12);

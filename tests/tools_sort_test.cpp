@@ -445,6 +445,26 @@ TEST(SortTool, BridgeTrafficIsThreeRequests) {
   }
 }
 
+TEST(SortTool, DestinationIsCreatedThroughTheTree) {
+  // The sort's three Bridge requests (Get Info, Open src, Create dst) spend
+  // Open's and Create's CPU on the server.  At p=8 a sequential width-8
+  // Create charges 8 dispatch and 8 reply costs, the embedded tree
+  // ceil(log2 9) = 4 of each.
+  BridgeInstance inst(cfg(8));
+  make_keyed_file(inst, "input", random_keys(64, 5));
+  const core::BridgeConfig& bridge = inst.config().bridge;
+  auto per_lfs = (bridge.create_dispatch_cpu + bridge.create_reply_cpu).us();
+  auto base = (bridge.open_cpu + bridge.create_base_cpu).us();
+  const obs::Histogram* service = inst.runtime().metrics().find_histogram(
+      "bridge.n" + std::to_string(inst.config().bridge_node()) + ".service_us");
+  ASSERT_NE(service, nullptr);
+  std::uint64_t before = service->sum();
+  sort_with(inst, SortMerge::kRank, 8);
+  auto spent = static_cast<std::int64_t>(service->sum() - before);
+  EXPECT_GE(spent, base + 4 * per_lfs);
+  EXPECT_LT(spent, base + 8 * per_lfs);
+}
+
 /// Occurrences of `needle` in `haystack`.
 std::size_t count_of(const std::string& haystack, const std::string& needle) {
   std::size_t n = 0;
