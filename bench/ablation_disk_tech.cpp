@@ -9,6 +9,9 @@
 // Wren, slow drive — and measure where the copy tool's bottleneck moves:
 // with slow disks the tool scales with devices; with a RAM disk the fixed
 // message/CPU costs dominate and extra latency reduction buys nothing.
+//
+// --json=path emits one `ablation_disk_tech` row per device, in table order
+// (`device` is its index).
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -67,6 +70,7 @@ int main(int argc, char** argv) {
   using namespace bridge::bench;
   std::uint64_t records = flag_value(argc, argv, "records", 512);
   std::uint32_t p = static_cast<std::uint32_t>(flag_value(argc, argv, "p", 8));
+  JsonReporter json(argc, argv);
 
   print_header("Ablation A7: device technology sweep (sections 2 and 6)");
   std::printf("p = %u, %llu records; copy tool + naive sequential read\n\n", p,
@@ -77,8 +81,17 @@ int main(int argc, char** argv) {
               "-----------------+-------------\n");
   double wren_copy = 0;
   std::vector<Measured> measured;
-  for (const auto& device : kDevices) {
+  for (std::size_t i = 0; i < std::size(kDevices); ++i) {
+    const Device& device = kDevices[i];
     measured.push_back(measure(device, p, records));
+    json.emit("ablation_disk_tech",
+              {{"device", static_cast<double>(i)},
+               {"p", static_cast<double>(p)},
+               {"records", static_cast<double>(records)},
+               {"access_ms", device.access_ms},
+               {"transfer_ms", device.transfer_ms},
+               {"copy_sec", measured.back().copy_sec},
+               {"naive_read_ms", measured.back().naive_read_ms}});
     if (std::string(device.name).find("Wren") != std::string::npos) {
       wren_copy = measured.back().copy_sec;
     }

@@ -45,10 +45,13 @@ BridgeServer::BridgeServer(sim::Runtime& rt, sim::NodeId node,
       node_(node),
       config_(config),
       lfs_services_(std::move(lfs_services)),
-      lfs_nodes_(std::move(lfs_nodes)) {
+      lfs_nodes_(std::move(lfs_nodes)),
+      directory_token_(rt.scheduler(), node),
+      lfs_reserved_(lfs_services_.size(), 0) {
   next_file_id_ = file_id_base;
   home_ = file_id_home(file_id_base);
   mailbox_ = std::make_unique<sim::Mailbox>(rt.scheduler(), node);
+  directory_token_.send(0);
 }
 
 void BridgeServer::start() {
@@ -56,49 +59,209 @@ void BridgeServer::start() {
   started_ = true;
   rt_.spawn(node_, "bridge-server", [this](sim::Context& ctx) {
     ctx.set_daemon();
-    serve(ctx);
+    dispatch();
   });
 }
 
-void BridgeServer::serve(sim::Context& ctx) {
-  sim::RpcClient rpc(ctx);
-  Wire wire{ctx, rpc};
+void BridgeServer::dispatch() {
   std::string lane = "bridge.n" + std::to_string(node_);
-  obs::Histogram& queue_us = rt_.metrics().histogram(lane + ".queue_us");
-  obs::Histogram& service_us = rt_.metrics().histogram(lane + ".service_us");
-  obs::Tracer& tracer = rt_.tracer();
+  queue_us_ = &rt_.metrics().histogram(lane + ".queue_us");
+  service_us_ = &rt_.metrics().histogram(lane + ".service_us");
   while (true) {
     sim::Envelope env = mailbox_->recv();
-    ++stats_.requests;
-    // Queue wait vs service split (the §5 server-bottleneck question):
-    // sent_at -> dequeue is wire latency plus time parked behind earlier
-    // requests; dequeue -> reply is this server's own service time.
-    sim::SimTime queued = ctx.now() - env.sent_at;
-    queue_us.record(static_cast<std::uint64_t>(queued.us()));
-    rt_.stages().charge(env.trace.request_id, obs::Stage::kBridgeQueue,
-                        queued.us());
-    if (tracer.enabled()) {
-      tracer.complete(node_, ctx.pid(), "bridge.queue", env.sent_at.us(),
-                      queued.us(), env.trace);
+    if (!idle_.empty()) {
+      Wire* worker = idle_.back();
+      idle_.pop_back();
+      worker->inbox.send(std::move(env));
+      continue;
     }
-    sim::SimTime t0 = ctx.now();
-    {
-      // Adopt the originating request for the handler's duration so every
-      // downstream RPC and disk access charges the right ledger row.
-      sim::AdoptedRequest adopted(ctx, env.trace.request_id);
-      sim::ScopedSpan span(
-          ctx, bridge_msg_name(static_cast<BridgeMsg>(env.type)), env.trace);
-      handle(wire, env);
-    }
-    sim::SimTime serviced = ctx.now() - t0;
-    service_us.record(static_cast<std::uint64_t>(serviced.us()));
-    rt_.stages().charge(env.trace.request_id, obs::Stage::kBridgeSvc,
-                        serviced.us());
+    rt_.spawn(node_, "bridge-worker",
+              [this, env = std::move(env)](sim::Context& ctx) mutable {
+                ctx.set_daemon();
+                work(ctx, std::move(env));
+              });
   }
 }
 
+void BridgeServer::work(sim::Context& ctx, sim::Envelope first) {
+  sim::RpcClient rpc(ctx);
+  sim::Channel<sim::Envelope> inbox(rt_.scheduler(), node_);
+  Wire wire{ctx, rpc, inbox};
+  sim::Envelope env = std::move(first);
+  while (true) {
+    serve(wire, env);
+    idle_.push_back(&wire);
+    env = inbox.recv();
+  }
+}
+
+void BridgeServer::serve(Wire& wire, const sim::Envelope& env) {
+  sim::Context& ctx = wire.ctx;
+  ++stats_.requests;
+  // Queue wait vs service split (the §5 server-bottleneck question):
+  // sent_at -> dispatch is wire latency plus time parked behind earlier
+  // requests; the handler's waits for the CPU and for file monitors are
+  // queueing too.  The rest, up to the reply, is this server's service.
+  sim::SimTime queued = ctx.now() - env.sent_at;
+  obs::Tracer& tracer = rt_.tracer();
+  if (tracer.enabled()) {
+    tracer.complete(node_, ctx.pid(), "bridge.queue", env.sent_at.us(),
+                    queued.us(), env.trace);
+  }
+  wire.waited = sim::SimTime(0);
+  sim::SimTime t0 = ctx.now();
+  {
+    // Adopt the originating request for the handler's duration so every
+    // downstream RPC and disk access charges the right ledger row.
+    sim::AdoptedRequest adopted(ctx, env.trace.request_id);
+    sim::ScopedSpan span(
+        ctx, bridge_msg_name(static_cast<BridgeMsg>(env.type)), env.trace);
+    handle(wire, env);
+  }
+  queued += wire.waited;
+  sim::SimTime serviced = ctx.now() - t0 - wire.waited;
+  queue_us_->record(static_cast<std::uint64_t>(queued.us()));
+  service_us_->record(static_cast<std::uint64_t>(serviced.us()));
+  rt_.stages().charge(env.trace.request_id, obs::Stage::kBridgeQueue,
+                      queued.us());
+  rt_.stages().charge(env.trace.request_id, obs::Stage::kBridgeSvc,
+                      serviced.us());
+}
+
+void BridgeServer::cpu(Wire& wire, sim::SimTime d) {
+  if (d <= sim::SimTime(0)) return;
+  sim::SimTime now = wire.ctx.now();
+  sim::SimTime start = std::max(now, cpu_free_at_);
+  cpu_free_at_ = start + d;
+  wire.waited += start - now;
+  wire.ctx.charge(cpu_free_at_ - now);
+}
+
+/// A section takes the directory token and puts it back on exit.  Nothing
+/// inside one parks, so sections are atomic by construction; the token is
+/// what tells the race detector so: each section happens after the last.
+/// A nested section finds no token and leaves the outer one to return it.
+class BridgeServer::DirectorySection {
+ public:
+  explicit DirectorySection(BridgeServer& server)
+      : token_(server.directory_token_),
+        taken_(token_.try_recv().has_value()) {}
+  ~DirectorySection() {
+    if (taken_) token_.send(0);
+  }
+  DirectorySection(const DirectorySection&) = delete;
+  DirectorySection& operator=(const DirectorySection&) = delete;
+
+ private:
+  sim::Channel<std::uint8_t>& token_;
+  bool taken_;
+};
+
+void BridgeServer::lock(Wire& wire, const std::string& name, Access access) {
+  FileMonitor::Waiter self{&wire, access};
+  {
+    DirectorySection section(*this);
+    FileMonitor& monitor = monitors_[name];
+    bool free = monitor.queue.empty() && !monitor.writer &&
+                (access == Access::kShared || monitor.readers == 0);
+    if (free) {
+      if (access == Access::kShared) {
+        ++monitor.readers;
+      } else {
+        monitor.writer = true;
+      }
+      return;
+    }
+    monitor.queue.push_back(&self);
+  }
+  // Parked until unlock() grants the monitor through this worker's inbox.
+  sim::SimTime t0 = wire.ctx.now();
+  while (!self.granted) {
+    (void)wire.inbox.recv();  // a grant carries nothing but its wake-up
+  }
+  wire.waited += wire.ctx.now() - t0;
+}
+
+void BridgeServer::unlock(const std::string& name, Access access) {
+  DirectorySection section(*this);
+  auto it = monitors_.find(name);
+  FileMonitor& monitor = it->second;
+  if (access == Access::kShared) {
+    --monitor.readers;
+  } else {
+    monitor.writer = false;
+  }
+  // Grant the head of the queue: one writer, or every reader up to the next
+  // writer.
+  while (!monitor.queue.empty()) {
+    FileMonitor::Waiter* next = monitor.queue.front();
+    bool exclusive = next->access == Access::kExclusive;
+    if (monitor.writer || (exclusive && monitor.readers > 0)) break;
+    monitor.queue.pop_front();
+    if (exclusive) {
+      monitor.writer = true;
+    } else {
+      ++monitor.readers;
+    }
+    next->granted = true;
+    next->wire->inbox.send(sim::Envelope{});
+    if (exclusive) break;
+  }
+  if (monitor.readers == 0 && !monitor.writer && monitor.queue.empty()) {
+    monitors_.erase(it);
+  }
+}
+
+void BridgeServer::Hold::acquire(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  for (auto& name : names) {
+    server_.lock(wire_, name, access_);
+    names_.push_back(std::move(name));
+  }
+}
+
+void BridgeServer::Hold::release() {
+  for (const auto& name : names_) server_.unlock(name, access_);
+  names_.clear();
+}
+
+template <typename NameOf>
+bool BridgeServer::hold_named(Hold& hold, NameOf name_of) {
+  while (true) {
+    const std::string* name = name_of();
+    if (name == nullptr) return false;
+    std::string wanted = *name;
+    hold.acquire({wanted});
+    name = name_of();
+    if (name != nullptr && *name == wanted) return true;
+    hold.release();
+  }
+}
+
+bool BridgeServer::hold_session(Hold& hold, std::uint64_t session) {
+  return hold_named(hold, [this, session]() -> const std::string* {
+    auto it = sessions_.find(session);
+    return it == sessions_.end() ? nullptr : &it->second.name;
+  });
+}
+
+bool BridgeServer::hold_job(Hold& hold, std::uint64_t job) {
+  return hold_named(hold, [this, job]() -> const std::string* {
+    auto it = jobs_.find(job);
+    return it == jobs_.end() ? nullptr : &it->second.name;
+  });
+}
+
+bool BridgeServer::hold_id(Hold& hold, BridgeFileId id) {
+  return hold_named(hold, [this, id]() -> const std::string* {
+    auto it = id_index_.find(id);
+    return it == id_index_.end() ? nullptr : &it->second;
+  });
+}
+
 void BridgeServer::handle(Wire& wire, const sim::Envelope& env) {
-  wire.ctx.charge(config_.request_cpu);
+  cpu(wire, config_.request_cpu);
   try {
     switch (static_cast<BridgeMsg>(env.type)) {
       case BridgeMsg::kCreate: return handle_create(wire, env);
@@ -166,6 +329,8 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   if (req.name.empty()) {
     return sim::send_reply(wire.ctx, env, util::invalid_argument("empty name"));
   }
+  Hold hold(*this, wire, Access::kExclusive);
+  hold.acquire({req.name});
   if (find_by_name(req.name) != nullptr) {
     return sim::send_reply(wire.ctx, env,
                            util::already_exists("file " + req.name));
@@ -208,7 +373,7 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   record.placement = PlacementMap(dist, width, req.start_lfs, p,
                                   req.chunk_blocks, req.hash_seed);
 
-  wire.ctx.charge(config_.create_base_cpu);
+  cpu(wire, config_.create_base_cpu);
   // "The Create operation must create an LFS file on each disk.  Bridge gets
   // some parallelism by starting all the LFS operations before waiting for
   // them, but the initiation and termination are sequential" (§4.5).  Each
@@ -225,11 +390,11 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   // node.
   auto levels = static_cast<std::int64_t>(
       std::ceil(std::log2(double(span.size()) + 1.0)));
-  if (tree) wire.ctx.charge(config_.create_dispatch_cpu * levels);
+  if (tree) cpu(wire, config_.create_dispatch_cpu * levels);
   std::vector<std::uint64_t> pending;
   pending.reserve(span.size());
   for (auto lfs : span) {
-    if (!tree) wire.ctx.charge(config_.create_dispatch_cpu);
+    if (!tree) cpu(wire, config_.create_dispatch_cpu);
     pending.push_back(wire.rpc.call_async(
         lfs_services_[lfs], static_cast<std::uint32_t>(efs::MsgType::kCreate),
         payload));
@@ -238,15 +403,18 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   for (auto corr : pending) {
     auto reply = wire.rpc.wait_reply(corr);
     if (!reply.is_ok() && first_error.is_ok()) first_error = reply.status();
-    if (!tree) wire.ctx.charge(config_.create_reply_cpu);
+    if (!tree) cpu(wire, config_.create_reply_cpu);
   }
-  if (tree) wire.ctx.charge(config_.create_reply_cpu * levels);
+  if (tree) cpu(wire, config_.create_reply_cpu * levels);
   if (!first_error.is_ok()) return sim::send_reply(wire.ctx, env, first_error);
 
-  BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
-  id_index_[record.id] = record.name;
-  directory_[record.name] = std::move(record);
-  CreateFileResponse resp{directory_[req.name].id};
+  CreateFileResponse resp{record.id};
+  {
+    DirectorySection section(*this);
+    BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
+    id_index_[record.id] = record.name;
+    directory_[record.name] = std::move(record);
+  }
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
 
@@ -264,6 +432,8 @@ void BridgeServer::handle_delete_many(Wire& wire, const sim::Envelope& env) {
 
 util::Status BridgeServer::delete_files(Wire& wire,
                                         std::span<const std::string> names) {
+  Hold hold(*this, wire, Access::kExclusive);
+  hold.acquire(std::vector<std::string>(names.begin(), names.end()));
   // A name listed twice is deleted once.
   std::vector<const FileRecord*> records;
   std::unordered_set<BridgeFileId> listed;
@@ -285,6 +455,7 @@ util::Status BridgeServer::delete_files(Wire& wire,
     }
   }
   if (auto st = batch.wait_all_ok(); !st.is_ok()) return st;
+  DirectorySection section(*this);
   BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
   for (const auto& name : names) {
     FileRecord* record = find_by_name(name);
@@ -328,12 +499,18 @@ util::Status BridgeServer::refresh_size(Wire& wire, FileRecord& record) {
 void BridgeServer::handle_open(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = OpenRequest::decode(r);
-  BRIDGE_RACE_READ(wire.ctx, &directory_, 0, "bridge.directory");
-  FileRecord* record = find_by_name(req.name);
+  Hold hold(*this, wire, Access::kExclusive);
+  hold.acquire({req.name});
+  FileRecord* record = nullptr;
+  {
+    DirectorySection section(*this);
+    BRIDGE_RACE_READ(wire.ctx, &directory_, 0, "bridge.directory");
+    record = find_by_name(req.name);
+  }
   if (record == nullptr) {
     return sim::send_reply(wire.ctx, env, util::not_found("file " + req.name));
   }
-  wire.ctx.charge(config_.open_cpu);
+  cpu(wire, config_.open_cpu);
   if (auto st = refresh_size(wire, *record); !st.is_ok()) {
     return sim::send_reply(wire.ctx, env, st);
   }
@@ -342,7 +519,10 @@ void BridgeServer::handle_open(Wire& wire, const sim::Envelope& env) {
   session.read_cursor = 0;
   session.write_cursor = record->placement.size_blocks();
   std::uint64_t session_id = next_session_++;
-  sessions_[session_id] = session;
+  {
+    DirectorySection section(*this);
+    sessions_[session_id] = session;
+  }
 
   OpenResponse resp;
   resp.meta = meta_of(*record);
@@ -390,7 +570,7 @@ util::Result<std::vector<std::vector<std::byte>>> BridgeServer::read_run(
           if (first_error.is_ok()) first_error = unwrapped.status();
           continue;
         }
-        wire.ctx.charge(config_.forward_cpu);
+        cpu(wire, config_.forward_cpu);
         ++stats_.blocks_forwarded;
         out[group.run_pos[j]] = std::move(unwrapped.value().user_data);
       }
@@ -472,26 +652,30 @@ util::Status BridgeServer::write_run(
   }
 
   // Preflight: when an appending run spans several LFSs, one LFS could run
-  // out of space after its peers already committed, stranding physical
-  // blocks the directory no longer accounts for.  One concurrent Info round
-  // checks every appending group's free count before anything is written
-  // (the Bridge Server is the only writer of constituent files during the
-  // run — it is a monitor — so the counts cannot go stale mid-run).
-  // Single-LFS runs skip this: the LFS itself preflights kWriteMany, and a
-  // single-block write either happens whole or not at all.
+  // out of space after its peers already committed, and the run would have
+  // to be unwound.  One concurrent Info round checks every appending
+  // group's free count before anything is written.  Other files' appending
+  // runs may be in flight on the same LFSs: each run that passes reserves
+  // its appends in lfs_reserved_ until its writes are answered, and a
+  // preflight counts those blocks as used (conservatively: a run's blocks
+  // may be both written and still reserved for a moment).  Single-LFS runs
+  // skip this: the LFS itself preflights kWriteMany, and a single-block
+  // write either happens whole or not at all.
   std::uint32_t involved = 0;
   bool grows = false;
   for (const auto& group : groups) {
     if (!group.writes.empty()) ++involved;
     if (group.appends > 0) grows = true;
   }
-  if (grows && involved >= 2) {
+  bool reserves = grows && involved >= 2;
+  if (reserves) {
     sim::AsyncBatch preflight(wire.rpc);
     for (std::uint32_t i = 0; i < groups.size(); ++i) {
       if (groups[i].appends == 0) continue;
-      auto check = [&groups, i](util::Result<efs::InfoResponse> info) {
+      auto check = [this, &groups, i](util::Result<efs::InfoResponse> info) {
         if (!info.is_ok()) return info.status();
-        if (info.value().free_blocks < groups[i].appends) {
+        if (info.value().free_blocks <
+            groups[i].appends + lfs_reserved_[i]) {
           return util::out_of_space("LFS " + std::to_string(i) +
                                     " cannot hold this run's appends");
         }
@@ -502,6 +686,9 @@ util::Status BridgeServer::write_run(
     if (auto st = preflight.wait_all_ok(); !st.is_ok()) {
       rollback();
       return st;
+    }
+    for (std::uint32_t i = 0; i < groups.size(); ++i) {
+      lfs_reserved_[i] += groups[i].appends;
     }
   }
 
@@ -522,12 +709,18 @@ util::Status BridgeServer::write_run(
     ++stats_.vectored_batches;
     stats_.vectored_blocks += user_blocks.size();
   }
+  util::Status status = batch.wait_all_ok();
+  if (reserves) {
+    for (std::uint32_t i = 0; i < groups.size(); ++i) {
+      lfs_reserved_[i] -= groups[i].appends;
+    }
+  }
 
   // One failed LFS (e.g. a dead disk) fails the run whole.  Its peers may
   // have committed their appends already: truncate each back to its pre-run
   // length, the way MirroredFile rolls back torn appends, or the next Open's
   // refresh_size would count them.
-  if (auto status = batch.wait_all_ok(); !status.is_ok()) {
+  if (!status.is_ok()) {
     sim::AsyncBatch undo(wire.rpc);
     for (std::uint32_t i = 0; i < groups.size(); ++i) {
       if (!groups[i].landed || groups[i].appends == 0) continue;
@@ -543,8 +736,8 @@ util::Status BridgeServer::write_run(
     rollback();
     return status;
   }
-  wire.ctx.charge(config_.forward_cpu *
-                  static_cast<std::int64_t>(user_blocks.size()));
+  cpu(wire, config_.forward_cpu *
+                 static_cast<std::int64_t>(user_blocks.size()));
   stats_.blocks_forwarded += user_blocks.size();
   return util::ok_status();
 }
@@ -562,6 +755,8 @@ util::Result<BridgeServer::SessionFile> BridgeServer::session_file(
 
 util::Result<SeqReadManyResponse> BridgeServer::seq_read(
     Wire& wire, std::uint64_t session, std::uint32_t max_blocks) {
+  Hold hold(*this, wire, Access::kExclusive);
+  if (!hold_session(hold, session)) return util::not_found("no such session");
   auto open = session_file(session);
   if (!open.is_ok()) return open.status();
   if (max_blocks == 0) return util::invalid_argument("empty read run");
@@ -588,6 +783,8 @@ util::Result<SeqReadManyResponse> BridgeServer::seq_read(
 util::Result<std::uint64_t> BridgeServer::seq_write(
     Wire& wire, std::uint64_t session,
     std::span<const std::vector<std::byte>> blocks) {
+  Hold hold(*this, wire, Access::kExclusive);
+  if (!hold_session(hold, session)) return util::not_found("no such session");
   auto open = session_file(session);
   if (!open.is_ok()) return open.status();
   if (blocks.empty() || blocks.size() > kMaxRunBlocks) {
@@ -606,6 +803,8 @@ util::Result<std::uint64_t> BridgeServer::seq_write(
 
 util::Result<std::vector<std::vector<std::byte>>> BridgeServer::random_read(
     Wire& wire, BridgeFileId id, std::uint64_t first, std::uint32_t count) {
+  Hold hold(*this, wire, Access::kShared);
+  if (!hold_id(hold, id)) return util::not_found("no such file id");
   FileRecord* record = find_by_id(id);
   if (record == nullptr) return util::not_found("no such file id");
   if (count == 0 || count > kMaxRunBlocks) {
@@ -678,7 +877,8 @@ void BridgeServer::handle_random_read_many(Wire& wire,
 void BridgeServer::handle_random_write(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = RandomWriteRequest::decode(r);
-  FileRecord* record = find_by_id(req.id);
+  Hold hold(*this, wire, Access::kExclusive);
+  FileRecord* record = hold_id(hold, req.id) ? find_by_id(req.id) : nullptr;
   if (record == nullptr) {
     return sim::send_reply(wire.ctx, env, util::not_found("no such file id"));
   }
@@ -694,6 +894,10 @@ void BridgeServer::handle_random_write(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_seq_seek(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqSeekRequest::decode(r);
+  Hold hold(*this, wire, Access::kExclusive);
+  if (!hold_session(hold, req.session)) {
+    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
+  }
   auto open = session_file(req.session);
   if (!open.is_ok()) return sim::send_reply(wire.ctx, env, open.status());
   auto [s, record] = open.value();
@@ -708,7 +912,8 @@ void BridgeServer::handle_seq_seek(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_truncate(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = TruncateFileRequest::decode(r);
-  FileRecord* record = find_by_id(req.id);
+  Hold hold(*this, wire, Access::kExclusive);
+  FileRecord* record = hold_id(hold, req.id) ? find_by_id(req.id) : nullptr;
   if (record == nullptr) {
     return sim::send_reply(wire.ctx, env, util::not_found("no such file id"));
   }
@@ -789,6 +994,7 @@ void BridgeServer::handle_truncate(Wire& wire, const sim::Envelope& env) {
   BRIDGE_RACE_WRITE(wire.ctx, &kPlacementRaceAnchor, record->lfs_file_id,
                     "bridge.placement");
   record->placement.truncate(req.new_size_blocks);
+  DirectorySection section(*this);
   // NOLINT(bridge-unordered-iter): clamp-with-min is commutative and touches
   // each session independently — no observable effect of visit order.
   for (auto& [sid, session] : sessions_) {
@@ -802,8 +1008,8 @@ void BridgeServer::handle_truncate(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_parallel_open(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = ParallelOpenRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
+  Hold hold(*this, wire, Access::kShared);
+  if (!hold_session(hold, req.session)) {
     return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
   }
   if (req.workers.empty()) {
@@ -811,11 +1017,14 @@ void BridgeServer::handle_parallel_open(Wire& wire, const sim::Envelope& env) {
                            util::invalid_argument("parallel open needs workers"));
   }
   Job job;
-  job.name = it->second.name;
+  job.name = sessions_.at(req.session).name;
   job.workers = req.workers;
   job.cursor = 0;
   std::uint64_t job_id = next_job_++;
-  jobs_[job_id] = std::move(job);
+  {
+    DirectorySection section(*this);
+    jobs_[job_id] = std::move(job);
+  }
   ParallelOpenResponse resp{job_id};
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
@@ -823,11 +1032,11 @@ void BridgeServer::handle_parallel_open(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_parallel_read(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = ParallelReadRequest::decode(r);
-  auto it = jobs_.find(req.job);
-  if (it == jobs_.end()) {
+  Hold hold(*this, wire, Access::kExclusive);
+  if (!hold_job(hold, req.job)) {
     return sim::send_reply(wire.ctx, env, util::not_found("no such job"));
   }
-  Job& job = it->second;
+  Job& job = jobs_.at(req.job);
   FileRecord* record = find_by_name(job.name);
   if (record == nullptr) {
     return sim::send_reply(wire.ctx, env, util::not_found("file deleted"));
@@ -874,11 +1083,11 @@ void BridgeServer::handle_parallel_read(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_parallel_write(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = ParallelWriteRequest::decode(r);
-  auto it = jobs_.find(req.job);
-  if (it == jobs_.end()) {
+  Hold hold(*this, wire, Access::kExclusive);
+  if (!hold_job(hold, req.job)) {
     return sim::send_reply(wire.ctx, env, util::not_found("no such job"));
   }
-  Job& job = it->second;
+  Job& job = jobs_.at(req.job);
   FileRecord* record = find_by_name(job.name);
   if (record == nullptr) {
     return sim::send_reply(wire.ctx, env, util::not_found("file deleted"));
@@ -929,7 +1138,8 @@ void BridgeServer::handle_parallel_write(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_resolve(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = ResolveRequest::decode(r);
-  FileRecord* record = find_by_id(req.id);
+  Hold hold(*this, wire, Access::kShared);
+  FileRecord* record = hold_id(hold, req.id) ? find_by_id(req.id) : nullptr;
   if (record == nullptr) {
     return sim::send_reply(wire.ctx, env, util::not_found("no such file id"));
   }
@@ -944,7 +1154,7 @@ void BridgeServer::handle_resolve(Wire& wire, const sim::Envelope& env) {
     resp.placements.push_back(placed.value());
   }
   // Directory lookups are in-memory table reads: cheap per entry.
-  wire.ctx.charge(sim::usec(2) * static_cast<std::int64_t>(req.count));
+  cpu(wire, sim::usec(2) * static_cast<std::int64_t>(req.count));
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
 
@@ -955,6 +1165,9 @@ void BridgeServer::handle_rename(Wire& wire, const sim::Envelope& env) {
     return sim::send_reply(wire.ctx, env,
                            util::invalid_argument("empty target name"));
   }
+  Hold hold(*this, wire, Access::kExclusive);
+  hold.acquire({req.from, req.to});
+  DirectorySection section(*this);
   BRIDGE_RACE_READ(wire.ctx, &directory_, 0, "bridge.directory");
   FileRecord* record = find_by_name(req.from);
   if (record == nullptr) {
@@ -1007,7 +1220,7 @@ void BridgeServer::handle_rename(Wire& wire, const sim::Envelope& env) {
   // Cross-server: PVFS-style prepare/commit.  Prepare DETACHES the record
   // from this directory — from here on exactly one server holds a mutable
   // copy of the placement — and parks the client reply in pending_renames_.
-  // The serve loop keeps draining requests while the peer installs, so
+  // The handler returns, monitors released, while the peer installs, so
   // opposing concurrent renames (A->B on s1, B->A on s2) cannot deadlock.
   BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
   BRIDGE_RACE_WRITE(wire.ctx, &kPlacementRaceAnchor, record->lfs_file_id,
@@ -1030,7 +1243,7 @@ void BridgeServer::handle_rename(Wire& wire, const sim::Envelope& env) {
   install.placement = pending.record.placement;
   sim::Envelope note;
   note.type = msg(BridgeMsg::kRenameInstall);
-  note.reply_to = mailbox_->address();  // acks return through the serve loop
+  note.reply_to = mailbox_->address();  // acks return through the dispatcher
   note.payload = util::encode_to_bytes(install);
   sim::post(wire.ctx, peers_[dst], std::move(note));
   pending_renames_[seq] = std::move(pending);
@@ -1043,6 +1256,9 @@ void BridgeServer::handle_rename_install(Wire& wire, const sim::Envelope& env) {
   auto req = RenameInstallRequest::decode(r);
   RenameAck ack;
   ack.seq = req.seq;
+  Hold hold(*this, wire, Access::kExclusive);
+  hold.acquire({req.to});
+  DirectorySection section(*this);
   BRIDGE_RACE_READ(wire.ctx, &directory_, 0, "bridge.directory");
   if (find_by_name(req.to) != nullptr || pending_from_.count(req.to) != 0) {
     ack.code = static_cast<std::uint8_t>(util::ErrorCode::kAlreadyExists);
@@ -1078,7 +1294,6 @@ void BridgeServer::handle_rename_ack(Wire& wire, const sim::Envelope& env) {
   if (it == pending_renames_.end()) return;  // duplicate or stale ack
   PendingRename pending = std::move(it->second);
   pending_renames_.erase(it);
-  pending_from_.erase(pending.from);
   // The handoff leg — prepare detach to ack arrival — is time the client's
   // rename spent parked with NO server actively working on it; without this
   // span and charge it is invisible in both traces and the ledger.
@@ -1094,9 +1309,20 @@ void BridgeServer::handle_rename_ack(Wire& wire, const sim::Envelope& env) {
                     pending.parked_at.us(), handoff.us(),
                     pending.client_env.trace);
   }
+  Hold hold(*this, wire, Access::kExclusive);
+  hold.acquire({pending.from});
+  DirectorySection section(*this);
+  pending_from_.erase(pending.from);
   if (ack.code == static_cast<std::uint8_t>(util::ErrorCode::kOk)) {
     // Commit: the destination owns the record now; the old id is dead
-    // (routed clients re-derive the home from the new id's tag).
+    // (routed clients re-derive the home from the new id's tag).  Sessions
+    // and parallel jobs of `from` cannot follow the file to another server:
+    // they go, as on Delete, so a later file named `from` does not inherit
+    // them.
+    std::erase_if(sessions_,
+                  [&](const auto& s) { return s.second.name == pending.from; });
+    std::erase_if(jobs_,
+                  [&](const auto& j) { return j.second.name == pending.from; });
     RenameResponse resp{ack.new_id};
     return sim::send_reply(wire.ctx, pending.client_env, util::ok_status(),
                            util::encode_to_bytes(resp));
@@ -1120,32 +1346,34 @@ void BridgeServer::handle_rename_ack(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_list(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = ListRequest::decode(r);
-  BRIDGE_RACE_READ(wire.ctx, &directory_, 0, "bridge.directory");
-  std::vector<const FileRecord*> records;
-  records.reserve(directory_.size());
-  // NOLINT(bridge-unordered-iter): order-insensitive collection, sorted below
-  for (const auto& [name, record] : directory_) {
-    if (name.compare(0, req.prefix.size(), req.prefix) != 0) continue;
-    records.push_back(&record);
-  }
-  std::sort(records.begin(), records.end(),
-            [](const FileRecord* a, const FileRecord* b) {
-              return a->name < b->name;
-            });
   ListResponse resp;
-  resp.entries.reserve(records.size());
-  for (const FileRecord* record : records) {
-    ListEntry entry;
-    entry.name = record->name;
-    entry.id = record->id;
-    entry.size_blocks = record->placement.size_blocks();
-    entry.distribution =
-        static_cast<std::uint8_t>(record->placement.distribution());
-    resp.entries.push_back(std::move(entry));
+  {
+    DirectorySection section(*this);
+    BRIDGE_RACE_READ(wire.ctx, &directory_, 0, "bridge.directory");
+    std::vector<const FileRecord*> records;
+    records.reserve(directory_.size());
+    // NOLINT(bridge-unordered-iter): order-insensitive collection, sorted below
+    for (const auto& [name, record] : directory_) {
+      if (name.compare(0, req.prefix.size(), req.prefix) != 0) continue;
+      records.push_back(&record);
+    }
+    std::sort(records.begin(), records.end(),
+              [](const FileRecord* a, const FileRecord* b) {
+                return a->name < b->name;
+              });
+    resp.entries.reserve(records.size());
+    for (const FileRecord* record : records) {
+      ListEntry entry;
+      entry.name = record->name;
+      entry.id = record->id;
+      entry.size_blocks = record->placement.size_blocks();
+      entry.distribution =
+          static_cast<std::uint8_t>(record->placement.distribution());
+      resp.entries.push_back(std::move(entry));
+    }
   }
   // Directory scans are in-memory table reads: cheap per entry.
-  wire.ctx.charge(sim::usec(2) *
-                  static_cast<std::int64_t>(resp.entries.size() + 1));
+  cpu(wire, sim::usec(2) * static_cast<std::int64_t>(resp.entries.size() + 1));
   ++stats_.lists;
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }

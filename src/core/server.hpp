@@ -9,11 +9,19 @@
 // for tools.  It is also the monitor around all directory operations —
 // Create, Delete and Open happen only here (§4.2).
 //
-// Like the prototype it is a single centralized process; the paper notes the
-// same functionality could be distributed if it became a bottleneck.
+// Like the prototype it is a single centralized process with one CPU; the
+// paper notes the same functionality could be distributed if it became a
+// bottleneck.  What it does not do is sit idle on LFS round trips: each
+// in-flight request runs on its own handler fiber, and a request waiting on
+// its LFS replies lets the others use the CPU.  Every microsecond of CPU is
+// still paid serially, through one FIFO reservation, and requests that name
+// the same file are granted its monitor in arrival order — shared for reads
+// that move no cursor, exclusive for everything else (docs/INTERNALS.md,
+// "Bridge Server concurrency").
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -83,7 +91,7 @@ class BridgeServer {
                std::vector<std::uint32_t> lfs_nodes,
                BridgeFileId file_id_base = 1000);
 
-  /// Spawn the daemon service loop.  Call once, before Runtime::run.
+  /// Spawn the daemon dispatcher.  Call once, before Runtime::run.
   void start();
 
   [[nodiscard]] sim::Address address() noexcept { return mailbox_->address(); }
@@ -116,7 +124,7 @@ class BridgeServer {
   /// with the semi-stateless Open of §4.1.  Call while the simulation is
   /// idle (administrative shutdown).
   void encode_state(util::Writer& w) const;
-  /// Restore state saved by encode_state.  Call before the serve loop runs.
+  /// Restore state saved by encode_state.  Call before the server runs.
   util::Status decode_state(util::Reader& r);
 
  private:
@@ -139,9 +147,9 @@ class BridgeServer {
   };
   /// A cross-server rename parked between prepare and ack.  The record is
   /// DETACHED from directory_/id_index_ while parked, so at every instant
-  /// exactly one server owns a mutable placement for the file; the serve
-  /// loop keeps draining other requests while the peer installs (no
-  /// blocking, so opposing concurrent renames cannot deadlock).
+  /// exactly one server owns a mutable placement for the file; the prepare
+  /// handler returns without waiting for the peer (and without holding any
+  /// monitor), so opposing concurrent renames cannot deadlock.
   struct PendingRename {
     sim::Envelope client_env;  ///< reply target once the peer acks
     FileRecord record;
@@ -150,15 +158,31 @@ class BridgeServer {
     sim::SimTime parked_at{0};  ///< prepare time, for handoff attribution
   };
 
-  /// Per-serve-loop resources (RPC client lives on the server process stack).
+  /// One handler fiber's resources, on its own stack.  The dispatcher hands
+  /// an idle worker its next request through `inbox`; while the worker is
+  /// busy, the same inbox carries its monitor grants.
   struct Wire {
     sim::Context& ctx;
     sim::RpcClient& rpc;
+    sim::Channel<sim::Envelope>& inbox;
+    /// CPU-reservation and monitor waits of the current request: queueing,
+    /// ledgered with the mailbox wait rather than as service.
+    sim::SimTime waited{0};
   };
 
-  void serve(sim::Context& ctx);
+  /// Hand each request to an idle worker, spawning one when none is idle:
+  /// the pool grows to the peak number of requests in flight.
+  void dispatch();
+  /// A worker's life: serve `first`, then each request the dispatcher hands
+  /// it.
+  void work(sim::Context& ctx, sim::Envelope first);
+  /// One request, with its queue/service ledger split.
+  void serve(Wire& wire, const sim::Envelope& env);
   void handle(Wire& wire, const sim::Envelope& env);
-  /// LFS `i`'s EFS client, over the serve loop's RpcClient.
+  /// Spend `d` of the server's one CPU.  Reservations are FIFO: the work
+  /// starts at max(now, when the CPU frees up), and the wait is queueing.
+  void cpu(Wire& wire, sim::SimTime d);
+  /// LFS `i`'s EFS client, over the worker's RpcClient.
   efs::EfsClient lfs(Wire& wire, std::uint32_t i) const {
     return {wire.rpc, lfs_services_[i]};
   }
@@ -225,6 +249,59 @@ class BridgeServer {
   /// Refresh a record's size from the LFS instances (used by Open).
   util::Status refresh_size(Wire& wire, FileRecord& record);
 
+  /// Per-file monitors.  A request names files by name, or through a
+  /// session, job or file id that resolves to one; every name a request
+  /// names is granted in arrival order.  kShared is for reads that move no
+  /// cursor; anything that moves a cursor, changes placement or size, or
+  /// changes the directory is kExclusive.
+  enum class Access : std::uint8_t { kShared, kExclusive };
+  struct FileMonitor {
+    struct Waiter {
+      Wire* wire;
+      Access access;
+      bool granted = false;
+    };
+    std::uint32_t readers = 0;
+    bool writer = false;
+    std::deque<Waiter*> queue;  ///< arrival order
+  };
+  /// The monitors one handler holds, all of one access mode; released when
+  /// it goes out of scope.
+  class Hold {
+   public:
+    Hold(BridgeServer& server, Wire& wire, Access access)
+        : server_(server), wire_(wire), access_(access) {}
+    ~Hold() { release(); }
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+
+    /// Wait for every name in `names`, one at a time in sorted order (so two
+    /// multi-name holds cannot deadlock).
+    void acquire(std::vector<std::string> names);
+    void release();
+
+   private:
+    BridgeServer& server_;
+    Wire& wire_;
+    Access access_;
+    std::vector<std::string> names_;
+  };
+  /// The zero-time directory monitor around the commits to directory_,
+  /// id_index_, sessions_, jobs_ and monitors_ (see server.cpp).
+  class DirectorySection;
+
+  void lock(Wire& wire, const std::string& name, Access access);
+  void unlock(const std::string& name, Access access);
+  /// Hold the file a session, job or file id names: `name_of()` is the name
+  /// it resolves to now, nullptr once it is gone.  A grant whose name moved
+  /// while the handler waited (a rename) is given back and retried.  False,
+  /// holding nothing, when the name is gone.
+  template <typename NameOf>
+  bool hold_named(Hold& hold, NameOf name_of);
+  bool hold_session(Hold& hold, std::uint64_t session);
+  bool hold_job(Hold& hold, std::uint64_t job);
+  bool hold_id(Hold& hold, BridgeFileId id);
+
   /// The open file behind a session, or the not-found status to reply with.
   struct SessionFile {
     Session* session;
@@ -241,6 +318,22 @@ class BridgeServer {
   std::vector<sim::Address> lfs_services_;
   std::vector<std::uint32_t> lfs_nodes_;
   std::unique_ptr<sim::Mailbox> mailbox_;
+  /// Workers parked for their next request.
+  std::vector<Wire*> idle_;
+  obs::Histogram* queue_us_ = nullptr;
+  obs::Histogram* service_us_ = nullptr;
+  /// When the CPU's last reservation ends.
+  sim::SimTime cpu_free_at_{0};
+  /// The directory monitor's one token.  Sections never park, so it is
+  /// always there to take; it exists for the happens-before edge it carries
+  /// from one section to the next.
+  sim::Channel<std::uint8_t> directory_token_;
+  /// Monitors of the names some request holds or waits for (idle ones are
+  /// erased; never iterated, so hash order is unobservable).
+  std::unordered_map<std::string, FileMonitor> monitors_;
+  /// Per LFS, blocks that in-flight appending runs passed their preflight
+  /// for but have not yet written: a concurrent preflight counts them used.
+  std::vector<std::uint64_t> lfs_reserved_;
 
   std::unordered_map<std::string, FileRecord> directory_;
   std::unordered_map<BridgeFileId, std::string> id_index_;

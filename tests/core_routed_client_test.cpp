@@ -443,6 +443,37 @@ TEST(RoutedClient, CrossServerRenameAbortsWhenTargetExists) {
   EXPECT_EQ(inst.server(1).stats().renames_in, 0u);
 }
 
+TEST(RoutedClient, CrossServerRenameDropsTheSourceSessionsAndJobs) {
+  BridgeInstance inst(cfg(4, 2));
+  sim::Mailbox worker(inst.runtime().scheduler(), inst.config().client_node());
+  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+    std::string from = name_with_home("moved_from", 0, 2);
+    std::string to = name_with_home("moved_to", 1, 2);
+    ASSERT_TRUE(client.create(from).is_ok());
+    auto old_session = client.open(from);
+    ASSERT_TRUE(old_session.is_ok());
+    auto old_job =
+        client.parallel_open(old_session.value().session, {worker.address()});
+    ASSERT_TRUE(old_job.is_ok());
+    ASSERT_TRUE(client.rename(from, to).is_ok());
+    // A new file takes the old name on the old home.
+    ASSERT_TRUE(client.create(from).is_ok());
+    auto writer = client.open(from);
+    ASSERT_TRUE(writer.is_ok());
+    ASSERT_TRUE(client.seq_write(writer.value().session, record(7)).is_ok());
+    // The session and the job belonged to the file that moved; the new
+    // file's block must not be reachable through either.
+    auto r = client.seq_read(old_session.value().session);
+    EXPECT_FALSE(r.is_ok());
+    EXPECT_EQ(r.status().code(), util::ErrorCode::kNotFound);
+    auto pr = client.parallel_read(old_job.value());
+    EXPECT_FALSE(pr.is_ok());
+    EXPECT_EQ(pr.status().code(), util::ErrorCode::kNotFound);
+  });
+  inst.run();
+  EXPECT_EQ(worker.pending(), 0u);
+}
+
 TEST(RoutedClient, GlobalListingMergesSortedAcrossServers) {
   BridgeInstance inst(cfg(4, 3));
   inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
