@@ -69,6 +69,13 @@ sim::SimTime SimDisk::positioning_cost(BlockAddr addr) const {
   return cost;
 }
 
+sim::SimTime SimDisk::track_hops(std::uint32_t hops) const {
+  // A device whose whole access is cheaper than a track switch (a RAM disk)
+  // would rather reposition than sweep.
+  return std::min(latency_.track_switch, latency_.access_latency) *
+         static_cast<std::int64_t>(hops);
+}
+
 void SimDisk::charge_positioning(sim::Context& ctx, BlockAddr addr) {
   sim::SimTime seek = positioning_cost(addr);
   ++stats_.positioning_ops;
@@ -148,9 +155,7 @@ util::Result<std::vector<std::vector<std::byte>>> SimDisk::read_tracks(
 
   std::uint32_t total_blocks = num_tracks * geometry_.blocks_per_track;
   // Track switches are head movement: part of positioning, not transfer.
-  sim::SimTime pos =
-      positioning_cost(addr) +
-      latency_.track_switch * static_cast<std::int64_t>(num_tracks - 1);
+  sim::SimTime pos = positioning_cost(addr) + track_hops(num_tracks - 1);
   sim::SimTime xfer =
       latency_.transfer_per_block * static_cast<std::int64_t>(total_blocks);
   sim::SimTime cost = pos + xfer;
@@ -188,23 +193,54 @@ util::Status SimDisk::write_run(sim::Context& ctx,
   }
 
   // One positioning op, then every block lands as the track streams past.
-  ++stats_.positioning_ops;
-  ++stats_.track_writes;
-  sim::SimTime pos = positioning_cost(ops.front().addr);
+  land(ctx, ops, 1, "disk.write_run");
+  return util::ok_status();
+}
+
+util::Status SimDisk::write_tracks(sim::Context& ctx,
+                                   std::span<const WriteOp> ops) {
+  if (ops.empty()) return util::ok_status();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (auto st = check_addr(ops[i].addr); !st.is_ok()) return st;
+    if (ops[i].data.size() != geometry_.block_size) {
+      return util::invalid_argument("write size != block size");
+    }
+    if (i == 0) continue;
+    if (ops[i].addr <= ops[i - 1].addr) {
+      return util::invalid_argument("write_tracks addresses must ascend");
+    }
+    if (geometry_.track_of(ops[i].addr) >
+        geometry_.track_of(ops[i - 1].addr) + 1) {
+      return util::invalid_argument("write_tracks skips a track");
+    }
+  }
+  land(ctx, ops,
+       geometry_.track_of(ops.back().addr) -
+           geometry_.track_of(ops.front().addr) + 1,
+       "disk.write_tracks");
+  return util::ok_status();
+}
+
+void SimDisk::land(sim::Context& ctx, std::span<const WriteOp> ops,
+                   std::uint32_t num_tracks, const char* trace_name) {
+  // Track switches are head movement: part of positioning, not transfer.
+  sim::SimTime pos =
+      positioning_cost(ops.front().addr) + track_hops(num_tracks - 1);
   sim::SimTime xfer =
       latency_.transfer_per_block * static_cast<std::int64_t>(ops.size());
   sim::SimTime cost = pos + xfer;
+  ++stats_.positioning_ops;
+  stats_.track_writes += num_tracks;
   stats_.busy_time += cost;
   sim::SimTime t0 = ctx.now();
   ctx.charge(cost);
   charge_stage_split(ctx, pos, xfer);
-  trace_access(ctx, "disk.write_run", t0);
+  trace_access(ctx, trace_name, t0);
   for (const auto& op : ops) {
     ++stats_.block_writes;
     std::copy(op.data.begin(), op.data.end(), block(op.addr));
-    last_addr_ = op.addr;
   }
-  return util::ok_status();
+  last_addr_ = ops.back().addr;
 }
 
 std::optional<std::span<const std::byte>> SimDisk::peek(BlockAddr addr) const {

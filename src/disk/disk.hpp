@@ -51,8 +51,9 @@ struct LatencyModel {
   /// the paper's flat positioning charge; the scheduling ablation enables it
   /// so head-travel order becomes visible in the makespan.
   sim::SimTime seek_per_track{0};
-  /// Head movement between adjacent tracks inside one multi-track read
-  /// (read_tracks); far cheaper than a full positioning op.
+  /// Head movement between adjacent tracks inside one multi-track sweep
+  /// (read_tracks, write_tracks); far cheaper than a full positioning op,
+  /// and capped at access_latency for devices where it is not.
   sim::SimTime track_switch = sim::msec(1.0);
 };
 
@@ -83,7 +84,7 @@ struct DiskStats {
   }
 };
 
-/// One block of a same-track write run (see SimDisk::write_run).
+/// One block of a write run (SimDisk::write_run, SimDisk::write_tracks).
 struct WriteOp {
   BlockAddr addr = kNilAddr;
   std::span<const std::byte> data;
@@ -144,6 +145,15 @@ class SimDisk {
   /// or any byte lands.
   util::Status write_run(sim::Context& ctx, std::span<const WriteOp> ops);
 
+  /// Write blocks spread over consecutive tracks in one sweep — the
+  /// write-side mirror of read_tracks: one positioning latency, a cheap
+  /// track_switch hop per extra track, and one transfer time per block.
+  /// Addresses must strictly ascend, each on its predecessor's track or the
+  /// next one, and every op must carry exactly block_size bytes; a gap, a
+  /// descending address or a bad size fails before any time is charged or
+  /// any byte lands.
+  util::Status write_tracks(sim::Context& ctx, std::span<const WriteOp> ops);
+
   /// Track under the head after the last access (0 before any access).
   /// The request scheduler seeds its SCAN sweep from here.
   [[nodiscard]] std::uint32_t current_track() const noexcept {
@@ -169,10 +179,17 @@ class SimDisk {
 
  private:
   util::Status check_addr(BlockAddr addr) const;
+  /// Charge one sweep over `num_tracks` consecutive tracks and land `ops`
+  /// (already validated).
+  void land(sim::Context& ctx, std::span<const WriteOp> ops,
+            std::uint32_t num_tracks, const char* trace_name);
   void charge_positioning(sim::Context& ctx, BlockAddr addr);
   /// Positioning cost to reach `addr` from the current head position:
   /// access_latency plus the distance-dependent seek component (if any).
   [[nodiscard]] sim::SimTime positioning_cost(BlockAddr addr) const;
+  /// Head movement for `hops` adjacent-track switches inside one sweep:
+  /// track_switch each, but never more than a fresh access_latency.
+  [[nodiscard]] sim::SimTime track_hops(std::uint32_t hops) const;
 
   /// Block `addr` of the store (addr must be in range).
   [[nodiscard]] std::byte* block(BlockAddr addr) const noexcept {

@@ -119,23 +119,39 @@ util::Status BlockCache::flush_all(sim::Context& ctx) {
   return util::ok_status();
 }
 
-util::Status BlockCache::flush_track(sim::Context& ctx, disk::BlockAddr addr) {
+util::Status BlockCache::flush_tracks(sim::Context& ctx, disk::BlockAddr addr,
+                                      std::uint32_t num_tracks) {
   const auto& geom = dev_.geometry();
-  disk::BlockAddr first = geom.track_of(addr) * geom.blocks_per_track;
+  std::uint32_t first_track = geom.track_of(addr);
+  num_tracks = std::min(num_tracks, geom.num_tracks - first_track);
   std::vector<disk::WriteOp> ops;
   std::vector<Entry*> flushed;
-  for (std::uint32_t i = 0; i < geom.blocks_per_track; ++i) {
-    auto it = entries_.find(static_cast<disk::BlockAddr>(first + i));
-    if (it == entries_.end() || !it->second.dirty) continue;
-    ops.push_back({it->first, std::span<const std::byte>(it->second.data)});
-    flushed.push_back(&it->second);
+  auto sweep = [&]() -> util::Status {
+    if (ops.empty()) return util::ok_status();
+    sim::ScopedSpan flush_span(ctx, "cache.flush_tracks");
+    if (auto st = dev_.write_tracks(ctx, ops); !st.is_ok()) return st;
+    for (Entry* e : flushed) e->dirty = false;
+    stats_.coalesced_flush_blocks += ops.size();
+    ops.clear();
+    flushed.clear();
+    return util::ok_status();
+  };
+  for (std::uint32_t t = 0; t < num_tracks; ++t) {
+    auto track_start =
+        static_cast<disk::BlockAddr>((first_track + t) * geom.blocks_per_track);
+    std::size_t before = ops.size();
+    for (std::uint32_t i = 0; i < geom.blocks_per_track; ++i) {
+      auto it = entries_.find(track_start + i);
+      if (it == entries_.end() || !it->second.dirty) continue;
+      ops.push_back({it->first, std::span<const std::byte>(it->second.data)});
+      flushed.push_back(&it->second);
+    }
+    // write_tracks takes no gap: a clean track ends the sweep.
+    if (ops.size() == before) {
+      if (auto st = sweep(); !st.is_ok()) return st;
+    }
   }
-  if (ops.empty()) return util::ok_status();
-  sim::ScopedSpan flush_span(ctx, "cache.flush_track");
-  if (auto st = dev_.write_run(ctx, ops); !st.is_ok()) return st;
-  for (Entry* e : flushed) e->dirty = false;
-  stats_.coalesced_flush_blocks += ops.size();
-  return util::ok_status();
+  return sweep();
 }
 
 util::Status BlockCache::install(sim::Context& ctx, disk::BlockAddr addr,

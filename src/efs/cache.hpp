@@ -8,9 +8,10 @@
 //
 // Write policy: callers choose per update.  Single-block data writes go
 // through to disk; vectored runs stage blocks with write_back and land each
-// touched track in one positioning operation via flush_track.  Since layout
-// v2 the chain-pointer write-back of the seed is gone — an append touches
-// exactly one data block, placement lives in the extent tables.
+// window of consecutive touched tracks in one positioning operation via
+// flush_tracks.  Since layout v2 the chain-pointer write-back of the seed is
+// gone — an append touches exactly one data block, placement lives in the
+// extent tables.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,7 @@ struct CacheStats {
   std::uint64_t readahead_blocks = 0;
   std::uint64_t dirty_evictions = 0;
   std::uint64_t clean_evictions = 0;
-  /// Dirty blocks flushed through flush_track's one-positioning runs.
+  /// Dirty blocks flushed through flush_tracks' one-positioning sweeps.
   std::uint64_t coalesced_flush_blocks = 0;
 
   [[nodiscard]] double hit_rate() const noexcept {
@@ -94,10 +95,13 @@ class BlockCache {
   /// Flush every dirty block (charges one disk write each).
   util::Status flush_all(sim::Context& ctx);
 
-  /// Flush every dirty block on the track containing `addr` in ONE
-  /// positioning operation (SimDisk::write_run) — the write-side mirror of
-  /// full-track read-ahead.  No-op if the track holds no dirty blocks.
-  util::Status flush_track(sim::Context& ctx, disk::BlockAddr addr);
+  /// Flush every dirty block on `num_tracks` consecutive tracks, starting
+  /// with the one containing `addr`, in ONE positioning operation
+  /// (SimDisk::write_tracks) — the write-side mirror of multi-track
+  /// read-ahead.  A track with no dirty block splits the window into
+  /// separate sweeps; no dirty block at all is a no-op.
+  util::Status flush_tracks(sim::Context& ctx, disk::BlockAddr addr,
+                            std::uint32_t num_tracks);
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   /// Zero the counters (phase measurement without rebuilding the instance).

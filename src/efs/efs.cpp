@@ -343,30 +343,76 @@ util::Result<BlockAddr> EfsCore::locate(sim::Context& ctx, std::uint32_t slot,
 util::Result<std::vector<std::byte>> EfsCore::read(sim::Context& ctx,
                                                    FileId id,
                                                    std::uint32_t block_no) {
-  // A dead drive takes the whole LFS out of service, even for cached blocks
-  // — serving stale RAM copies of a failed device would mask the fault the
-  // §6 discussion is about.
+  auto blocks =
+      read_many(ctx, id, std::span<const std::uint32_t>(&block_no, 1));
+  if (!blocks.is_ok()) return blocks.status();
+  return std::move(blocks.value().front());
+}
+
+util::Result<std::vector<std::vector<std::byte>>> EfsCore::read_many(
+    sim::Context& ctx, FileId id, std::span<const std::uint32_t> block_nos) {
   if (dev_.is_failed()) return util::unavailable("disk failed");
-  ctx.charge(config_.request_cpu);
+  // Locate every block up front, stopping at the first that cannot be read;
+  // `stop` is the error that block reports once its turn comes.
   std::int64_t slot = dir_find(id);
-  if (slot < 0) return util::not_found("file " + std::to_string(id));
-  BRIDGE_RACE_READ(ctx, &dir_, id, "efs.file");
-  const DirEntry& entry = dir_[static_cast<std::size_t>(slot)];
-  if (block_no >= entry.size_blocks) {
-    return util::invalid_argument("read past EOF");
+  std::vector<BlockAddr> addrs;
+  addrs.reserve(block_nos.size());
+  util::Status stop = util::ok_status();
+  if (slot < 0) stop = util::not_found("file " + std::to_string(id));
+  for (std::size_t i = 0; stop.is_ok() && i < block_nos.size(); ++i) {
+    const DirEntry& entry = dir_[static_cast<std::size_t>(slot)];
+    if (block_nos[i] >= entry.size_blocks) {
+      stop = util::invalid_argument("read past EOF");
+      break;
+    }
+    auto located = locate(ctx, static_cast<std::uint32_t>(slot), entry,
+                          block_nos[i]);
+    if (!located.is_ok()) {
+      stop = located.status();
+      break;
+    }
+    addrs.push_back(located.value());
   }
-  auto located =
-      locate(ctx, static_cast<std::uint32_t>(slot), entry, block_no);
-  if (!located.is_ok()) return located.status();
-  auto image = cache_.fetch(ctx, located.value(), readahead_depth(id, block_no));
-  if (!image.is_ok()) return image.status();
-  BlockHeader h = parse_header(image.value());
-  if (h.block_no != block_no || h.file_id != id) {
-    return util::corrupt("located wrong block");
+  // One backward pass: the last track of the run of consecutive tracks
+  // (each block on its predecessor's track or the next) that block i starts.
+  const auto& geom = dev_.geometry();
+  std::vector<std::uint32_t> run_last_track(addrs.size());
+  for (std::size_t i = addrs.size(); i-- > 0;) {
+    std::uint32_t t = geom.track_of(addrs[i]);
+    bool joins = i + 1 < addrs.size() &&
+                 (geom.track_of(addrs[i + 1]) == t ||
+                  geom.track_of(addrs[i + 1]) == t + 1);
+    run_last_track[i] = joins ? run_last_track[i + 1] : t;
   }
-  ctx.charge(config_.record_cpu);
-  ++stats_.reads;
-  return payload_of(image.value());
+
+  std::vector<std::vector<std::byte>> blocks;
+  blocks.reserve(addrs.size());
+  for (std::size_t i = 0; i < block_nos.size(); ++i) {
+    // A dead drive takes the whole LFS out of service, even for cached
+    // blocks — serving stale RAM copies of a failed device would mask the
+    // fault the §6 discussion is about.
+    if (dev_.is_failed()) return util::unavailable("disk failed");
+    ctx.charge(config_.request_cpu);
+    if (i == addrs.size()) return stop;
+    BRIDGE_RACE_READ(ctx, &dir_, id, "efs.file");
+    // A miss fills every track the rest of the run covers in one sweep,
+    // capped at half the cache, on top of the sequentiality read-ahead.
+    std::uint32_t depth = readahead_depth(id, block_nos[i]);
+    std::uint32_t run_tracks = run_last_track[i] - geom.track_of(addrs[i]) + 1;
+    if (run_tracks > 1) {
+      depth = std::max(depth, std::min(run_tracks, staging_tracks()));
+    }
+    auto image = cache_.fetch(ctx, addrs[i], depth);
+    if (!image.is_ok()) return image.status();
+    BlockHeader h = parse_header(image.value());
+    if (h.block_no != block_nos[i] || h.file_id != id) {
+      return util::corrupt("located wrong block");
+    }
+    ctx.charge(config_.record_cpu);
+    ++stats_.reads;
+    blocks.push_back(payload_of(image.value()));
+  }
+  return blocks;
 }
 
 std::uint32_t EfsCore::readahead_depth(FileId id, std::uint32_t block_no) {
@@ -431,14 +477,30 @@ util::Result<BlockAddr> EfsCore::allocate_append_block(sim::Context& ctx,
   BlockAddr goal = fm.extents.empty()
                        ? rotor_
                        : fm.extents.back().addr + fm.extents.back().len;
+  // FFS locality: the new extent starts a wholly free group at or after the
+  // goal, else a wholly free track, else the nearest free block.  Nothing is
+  // reserved, so files appended at the same time stop interleaving without
+  // costing any capacity.
+  BlockAddr anchor = bitmap_.find_free_aligned(goal, kAllocGroupBlocks);
+  if (anchor == kNilAddr) {
+    anchor = bitmap_.find_free_aligned(goal, dev_.geometry().blocks_per_track);
+  }
+  // A table block the extent needs takes the free block just below an
+  // aligned start, if there is one: the file below can no longer grow into
+  // the group anyway, and the data keeps its track-aligned start.
+  bool below_free = anchor != kNilAddr && anchor > sb_.data_start &&
+                    !bitmap_.test(anchor - 1);
+  if (anchor == kNilAddr) anchor = goal;
   for (std::uint32_t t = 0; t < extra_tables; ++t) {
-    BlockBitmap::Run run = bitmap_.find_free_run(goal, 1);
-    bitmap_.set(run.addr);
-    fm.table_blocks.push_back(run.addr);
+    BlockAddr table = t == 0 && below_free
+                          ? anchor - 1
+                          : bitmap_.find_free_run(anchor, 1).addr;
+    bitmap_.set(table);
+    fm.table_blocks.push_back(table);
     ++stats_.table_block_allocs;
   }
   entry.table_head = fm.table_blocks.front();
-  BlockBitmap::Run run = bitmap_.find_free_run(goal, 1);
+  BlockBitmap::Run run = bitmap_.find_free_run(anchor, 1);
   bitmap_.set(run.addr);
   fm.extents.push_back(Extent{entry.size_blocks, run.addr, 1});
   ++stats_.extents_allocated;
@@ -527,18 +589,21 @@ util::Status EfsCore::write(sim::Context& ctx, FileId id,
 
 util::Status EfsCore::write_run(sim::Context& ctx, FileId id,
                                 std::span<const BlockWrite> writes) {
-  // Flush a track's worth of staged blocks as soon as the run moves past it
+  // Stage a window of consecutive tracks, up to half the cache, and land it
+  // with one write_tracks sweep as soon as the run leaves it or it is full
   // (not all at the end): staging more than the cache capacity would
   // otherwise evict dirty blocks one 15 ms write at a time, defeating the
   // coalescing.
   constexpr std::uint32_t kNoTrack = 0xFFFFFFFFu;
-  std::uint32_t staged_track = kNoTrack;
+  const std::uint32_t bpt = dev_.geometry().blocks_per_track;
+  std::uint32_t first_track = kNoTrack;
+  std::uint32_t last_track = kNoTrack;
   auto flush_staged = [&]() -> util::Status {
-    if (staged_track == kNoTrack) return util::ok_status();
-    auto addr = static_cast<BlockAddr>(staged_track *
-                                       dev_.geometry().blocks_per_track);
-    staged_track = kNoTrack;
-    return cache_.flush_track(ctx, addr);
+    if (first_track == kNoTrack) return util::ok_status();
+    auto addr = static_cast<BlockAddr>(first_track * bpt);
+    std::uint32_t tracks = last_track - first_track + 1;
+    first_track = last_track = kNoTrack;
+    return cache_.flush_tracks(ctx, addr, tracks);
   };
 
   for (const auto& w : writes) {
@@ -558,10 +623,16 @@ util::Status EfsCore::write_run(sim::Context& ctx, FileId id,
       return result.status();
     }
     std::uint32_t t = dev_.geometry().track_of(result.value());
-    if (staged_track != kNoTrack && t != staged_track) {
-      if (auto st = flush_staged(); !st.is_ok()) return st;
+    if (first_track != kNoTrack && t >= first_track && t <= last_track) {
+      continue;
     }
-    staged_track = t;
+    if (first_track != kNoTrack && t == last_track + 1 &&
+        t - first_track < staging_tracks()) {
+      last_track = t;
+      continue;
+    }
+    if (auto st = flush_staged(); !st.is_ok()) return st;
+    first_track = last_track = t;
   }
   return flush_staged();
 }
@@ -625,6 +696,20 @@ util::Status EfsCore::sync(sim::Context& ctx) {
   sb_.clean = 1;
   poke_superblock();
   return util::ok_status();
+}
+
+std::uint32_t EfsCore::staging_tracks() const noexcept {
+  return std::max(1u, config_.cache.capacity_blocks / 2 /
+                          dev_.geometry().blocks_per_track);
+}
+
+BlockAddr EfsCore::peek_tail(FileId id) const {
+  std::int64_t slot = dir_find(id);
+  if (slot < 0) return kNilAddr;
+  const std::vector<Extent>& extents =
+      maps_[static_cast<std::size_t>(slot)].extents;
+  if (extents.empty()) return kNilAddr;
+  return extents.back().addr + extents.back().len - 1;
 }
 
 BlockAddr EfsCore::peek_block_addr(FileId id, std::uint32_t block_no) const {

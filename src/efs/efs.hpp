@@ -7,10 +7,12 @@
 //    search instead of the paper's chain walk, so the suggested disk
 //    addresses that shortened those walks (§4.3) are gone from the
 //    interface,
-//  - allocation is an FFS-style bitmap with nearest-to-goal placement:
-//    appends extend the file's last extent when the next disk block is free,
-//    keeping files contiguous and track-local,
-//  - a block cache with full-track buffering accelerates sequential access.
+//  - allocation is an FFS-style bitmap: appends extend the file's last
+//    extent when the next disk block is free, and a new extent starts in a
+//    wholly free 32-block group (else track, else block) at or after the
+//    goal, so files appended together stay contiguous and track-local,
+//  - a block cache with full-track buffering accelerates sequential access,
+//    and vectored runs move a window of consecutive tracks per positioning.
 //
 // One EfsCore instance manages one SimDisk and is driven by one server
 // process (EfsServer).  All timed methods charge virtual time through the
@@ -107,9 +109,19 @@ class EfsCore {
   util::Result<FileInfo> info(sim::Context& ctx, FileId id);
 
   /// Read local block `block_no` of file `id` (its kEfsDataBytes payload).
-  /// The extent map answers the lookup.
+  /// The extent map answers the lookup.  A read_many of one block.
   util::Result<std::vector<std::byte>> read(sim::Context& ctx, FileId id,
                                             std::uint32_t block_no);
+
+  /// Read local blocks `block_nos` in request order (the kReadMany
+  /// backend).  Every block costs what a lone read costs and is checked for
+  /// its own header and identity (kCorrupt for a misplaced block), but a
+  /// cache miss fills every consecutive track the rest of the request
+  /// covers, up to half the cache, in one read_tracks sweep: a contiguous
+  /// run pays one positioning, not one per track.  Fails with the first
+  /// failing block's error.
+  util::Result<std::vector<std::vector<std::byte>>> read_many(
+      sim::Context& ctx, FileId id, std::span<const std::uint32_t> block_nos);
 
   /// Write local block `block_no` (exactly kEfsDataBytes bytes), through to
   /// the disk.  Writing at block_no == size appends; beyond it is an error.
@@ -118,12 +130,13 @@ class EfsCore {
 
   /// Write a run of local blocks (the kWriteMany backend for runs of two or
   /// more).  Each data block is staged in the cache instead of written
-  /// through, and every touched track is then flushed in one positioning
-  /// operation — the write-side counterpart of full-track read buffering,
-  /// so a contiguous run costs ~one disk time per track instead of one per
-  /// block.  Blocks land with the same on-disk contents as write().  On
-  /// error the staged prefix is still flushed so the disk reflects every
-  /// completed block and the caller can compensate with truncate().
+  /// through, and each window of consecutive touched tracks (up to half the
+  /// cache) is then flushed in one write_tracks sweep — the write-side
+  /// counterpart of multi-track read buffering, so a contiguous run costs
+  /// ~one positioning per window instead of one per block.  Blocks land
+  /// with the same on-disk contents as write().  On error the staged prefix
+  /// is still flushed so the disk reflects every completed block and the
+  /// caller can compensate with truncate().
   util::Status write_run(sim::Context& ctx, FileId id,
                          std::span<const BlockWrite> writes);
 
@@ -165,6 +178,9 @@ class EfsCore {
   [[nodiscard]] BlockAddr peek_head(FileId id) const {
     return peek_block_addr(id, 0);
   }
+  /// Disk address of the file's last data block (kNilAddr if absent/empty):
+  /// where an append's allocation starts looking.
+  [[nodiscard]] BlockAddr peek_tail(FileId id) const;
   /// Check whether `appends` new blocks fit, counting worst-case extent-table
   /// growth, so an out-of-space vectored run can fail whole before any block
   /// lands.  Untimed.
@@ -217,12 +233,16 @@ class EfsCore {
   void poke_file_tables(std::uint32_t slot);
 
   /// Grow the file's run list by one block: extend the last extent if the
-  /// next disk block is free, else start a new extent near the file's end
-  /// (or the allocation rotor for empty files), growing the extent table
-  /// first when needed.  Fails with kOutOfSpace before mutating anything.
+  /// next disk block is free, else start a new extent in the first free
+  /// group (else track, else block) at or after the file's end (or the
+  /// allocation rotor for empty files), growing the extent table first when
+  /// needed.  Fails with kOutOfSpace before mutating anything.
   util::Result<BlockAddr> allocate_append_block(sim::Context& ctx,
                                                 std::uint32_t slot,
                                                 DirEntry& entry);
+
+  /// Tracks one multi-track transfer may stage or fill: half the cache.
+  [[nodiscard]] std::uint32_t staging_tracks() const noexcept;
 
   /// O(log extents) map lookup of a file-local block number.
   util::Result<BlockAddr> locate(sim::Context& ctx, std::uint32_t slot,

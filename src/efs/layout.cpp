@@ -111,6 +111,37 @@ BlockBitmap::Run BlockBitmap::find_free_run(BlockAddr goal,
   return run;
 }
 
+BlockAddr BlockBitmap::find_free_aligned(BlockAddr goal,
+                                         std::uint32_t span) const {
+  if (span == 0 || span > 64 || !std::has_single_bit(span) ||
+      free_count_ < span) {
+    return kNilAddr;
+  }
+  if (goal < data_start_ || goal >= capacity_) goal = data_start_;
+  const std::uint64_t mask =
+      span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1;
+  const std::uint32_t per_word = 64 / span;
+  // Chunk c covers blocks [c * span, (c + 1) * span); only chunks that end
+  // inside the device count (the last word's padding bits read as free).
+  const std::uint32_t chunks = capacity_ / span;
+  const std::uint32_t first = std::min((goal + span - 1) / span, chunks);
+  auto scan = [&](std::uint32_t from, std::uint32_t to) -> BlockAddr {
+    std::uint32_t c = from;
+    while (c < to) {
+      std::uint64_t word = words_[(c * span) >> 6];
+      if (word == ~std::uint64_t{0}) {
+        c = (c / per_word + 1) * per_word;  // whole word allocated
+        continue;
+      }
+      if (((word >> ((c * span) & 63)) & mask) == 0) return c * span;
+      ++c;
+    }
+    return kNilAddr;
+  };
+  BlockAddr found = scan(first, chunks);
+  return found != kNilAddr ? found : scan(0, first);
+}
+
 std::vector<std::byte> BlockBitmap::encode_block(std::uint32_t index) const {
   std::vector<std::byte> image(kBlockSize);
   std::uint32_t first_bit = index * kBlockSize * 8;

@@ -221,6 +221,14 @@ struct ExtentTableBlock {
       (extent_count + kExtentsPerTableBlock - 1) / kExtentsPerTableBlock);
 }
 
+/// Allocation group: a new extent starts at the first wholly free, aligned
+/// run of this many blocks at or after its goal (8 tracks of 4 blocks), so
+/// files appended at the same time land in separate groups instead of
+/// interleaving block by block.  32 bits is half a bitmap word, so a group
+/// test is one shift-and-mask of one word; and 32 blocks is half of the
+/// default 64-block cache, the most one multi-track transfer stages or fills.
+inline constexpr std::uint32_t kAllocGroupBlocks = 32;
+
 /// In-memory allocation bitmap over the whole device (bit set = allocated).
 /// Blocks below data_start are permanently set; free_count tracks only the
 /// data region.  Persisted 8192 bits per bitmap block.
@@ -249,6 +257,15 @@ class BlockBitmap {
   /// or after `goal`, otherwise the nearest one before it.  Deterministic.
   /// Returns len == 0 iff the data region is full.
   [[nodiscard]] Run find_free_run(BlockAddr goal, std::uint32_t max_len) const;
+
+  /// Start of the first wholly free, `span`-aligned run of `span` blocks
+  /// that starts at or after `goal`, wrapping around to the start of the
+  /// device; kNilAddr if there is none.  `span` must be a power of two no
+  /// larger than 64 (anything else finds nothing), so every candidate lies
+  /// inside one bitmap word and the scan tests whole words, skipping full
+  /// ones.  Deterministic.
+  [[nodiscard]] BlockAddr find_free_aligned(BlockAddr goal,
+                                            std::uint32_t span) const;
 
   /// Bitmap blocks needed to cover `capacity_blocks` (8192 bits per block).
   [[nodiscard]] static std::uint32_t blocks_needed(

@@ -88,12 +88,13 @@ void EfsServer::serve(sim::Context& ctx) {
 std::uint32_t EfsServer::estimate_track(const sim::Envelope& env) const {
   const auto& geom = disk_->geometry();
   // The RAM-resident extent maps answer "which track will this request
-  // seek to" exactly, for free.  Requests for appends or unknown files fall
-  // back to the file's first block, then to "no preference".
+  // seek to" exactly, for free.  An append falls back to the file's last
+  // block, where the allocator grows the file from; an empty or unknown
+  // file to "no preference".
   auto track_of_block = [&](FileId file_id,
                             std::uint32_t block_no) -> std::uint32_t {
     BlockAddr addr = core_->peek_block_addr(file_id, block_no);
-    if (addr == kNilAddr) addr = core_->peek_head(file_id);
+    if (addr == kNilAddr) addr = core_->peek_tail(file_id);
     if (addr != kNilAddr && addr < geom.capacity_blocks()) {
       return geom.track_of(addr);
     }
@@ -158,16 +159,12 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
       case MsgType::kReadMany: {
         Reader r(env.payload);
         auto req = ReadManyRequest::decode(r);
-        ReadManyResponse resp;
-        resp.blocks.reserve(req.block_nos.size());
-        for (auto block_no : req.block_nos) {
-          auto result = core_->read(ctx, req.file_id, block_no);
-          if (!result.is_ok()) {
-            sim::send_reply(ctx, env, result.status());
-            return;
-          }
-          resp.blocks.push_back(std::move(result).value());
+        auto result = core_->read_many(ctx, req.file_id, req.block_nos);
+        if (!result.is_ok()) {
+          sim::send_reply(ctx, env, result.status());
+          return;
         }
+        ReadManyResponse resp{std::move(result).value()};
         sim::send_reply(ctx, env, util::ok_status(),
                         util::encode_to_bytes(resp));
         return;

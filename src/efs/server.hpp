@@ -39,18 +39,18 @@ class EfsServer {
   [[nodiscard]] std::size_t sched_depth() const noexcept {
     return sched_.depth();
   }
+  /// Estimate the disk track a queued request will touch (for SCAN
+  /// ordering): the track of the request's first block, else (an append)
+  /// the file's last block, else wherever the head currently sits.
+  /// Untimed — only the RAM-resident extent maps are consulted.
+  [[nodiscard]] std::uint32_t estimate_track(const sim::Envelope& env) const;
 
  private:
   void serve(sim::Context& ctx);
   void handle(sim::Context& ctx, const sim::Envelope& env);
   /// kWriteMany: a run of one writes through; longer runs are preflighted
-  /// and staged track by track (EfsCore::write_run).
+  /// and staged in windows of consecutive tracks (EfsCore::write_run).
   util::Status write_many(sim::Context& ctx, const WriteManyRequest& req);
-  /// Estimate the disk track a queued request will touch (for SCAN
-  /// ordering): the track of the request's first block, else the file's
-  /// head block, else wherever the head currently sits.  Untimed — only the
-  /// RAM-resident extent maps are consulted.
-  [[nodiscard]] std::uint32_t estimate_track(const sim::Envelope& env) const;
 
   sim::Runtime& rt_;
   sim::NodeId node_;

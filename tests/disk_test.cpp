@@ -127,6 +127,66 @@ TEST(Disk, WriteRunRejectsCrossTrackAndBadSizeBeforeCharging) {
   EXPECT_EQ(disk.stats().block_writes, 0u);
 }
 
+TEST(Disk, WriteTracksSweepsConsecutiveTracksWithOnePositioning) {
+  sim::Runtime rt(1);
+  SimDisk disk(small_geometry(), LatencyModel{});
+  sim::SimTime elapsed{};
+  rt.spawn(0, "t", [&](sim::Context& ctx) {
+    std::vector<std::vector<std::byte>> data;
+    for (std::uint8_t i = 0; i < 6; ++i) data.push_back(pattern_block(i + 1));
+    // Tracks 1, 2 and 3; track 2 only partly, track 3 from its first block.
+    WriteOp ops[] = {{6, data[0]},  {7, data[1]},  {8, data[2]},
+                     {10, data[3]}, {12, data[4]}, {13, data[5]}};
+    ASSERT_TRUE(disk.write_tracks(ctx, ops).is_ok());
+    elapsed = ctx.now();
+    for (auto& op : ops) {
+      EXPECT_TRUE(std::equal(op.data.begin(), op.data.end(),
+                             disk.peek(op.addr)->begin()));
+    }
+  });
+  rt.run();
+  // 15 ms positioning + 2 track switches of 1 ms + 6 transfers of 0.5 ms.
+  EXPECT_EQ(elapsed.us(), 20'000);
+  EXPECT_EQ(disk.stats().positioning_ops, 1u);
+  EXPECT_EQ(disk.stats().track_writes, 3u);
+  EXPECT_EQ(disk.stats().block_writes, 6u);
+  EXPECT_EQ(disk.current_track(), 3u);
+}
+
+TEST(Disk, WriteTracksRejectsGapDescendingAndBadSizeBeforeCharging) {
+  sim::Runtime rt(1);
+  SimDisk disk(small_geometry(), LatencyModel{});
+  sim::SimTime elapsed{};
+  rt.spawn(0, "t", [&](sim::Context& ctx) {
+    auto a = pattern_block(1), b = pattern_block(2);
+    auto runt = pattern_block(3, 100);
+    WriteOp skips_track[] = {{3, a}, {8, b}};  // track 0 then track 2
+    EXPECT_EQ(disk.write_tracks(ctx, skips_track).code(),
+              util::ErrorCode::kInvalidArgument);
+    WriteOp descends[] = {{5, a}, {4, b}};
+    EXPECT_EQ(disk.write_tracks(ctx, descends).code(),
+              util::ErrorCode::kInvalidArgument);
+    WriteOp repeats[] = {{5, a}, {5, b}};
+    EXPECT_EQ(disk.write_tracks(ctx, repeats).code(),
+              util::ErrorCode::kInvalidArgument);
+    WriteOp bad_size[] = {{4, a}, {5, runt}};
+    EXPECT_EQ(disk.write_tracks(ctx, bad_size).code(),
+              util::ErrorCode::kInvalidArgument);
+    WriteOp out_of_range[] = {{63, a}, {64, b}};
+    EXPECT_EQ(disk.write_tracks(ctx, out_of_range).code(),
+              util::ErrorCode::kInvalidArgument);
+    EXPECT_TRUE(disk.write_tracks(ctx, {}).is_ok());  // empty: free no-op
+    elapsed = ctx.now();
+  });
+  rt.run();
+  EXPECT_EQ(elapsed.us(), 0);  // nothing charged, nothing written
+  EXPECT_EQ(disk.stats().positioning_ops, 0u);
+  EXPECT_EQ(disk.stats().block_writes, 0u);
+  for (BlockAddr addr : {3u, 4u, 5u, 8u, 63u}) {
+    EXPECT_EQ((*disk.peek(addr))[0], std::byte{0}) << "block " << addr;
+  }
+}
+
 TEST(Disk, OutOfRangeRejected) {
   sim::Runtime rt(1);
   SimDisk disk(small_geometry(), LatencyModel{});

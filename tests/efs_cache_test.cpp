@@ -185,7 +185,7 @@ TEST(Cache, ReadAheadEvictionDoesNotResurrectStaleData) {
 
 TEST(Cache, FlushTrackCleansBlocksSoEvictionSkipsRewrite) {
   // Satellite of the adaptive-I/O PR: a dirty block pushed out by a
-  // coalesced flush_track must evict CLEAN afterwards — no second device
+  // coalesced flush_tracks must evict CLEAN afterwards — no second device
   // write, and the eviction counters must say exactly that.
   sim::Runtime rt(1);
   disk::SimDisk dev(geo(), disk::LatencyModel{});
@@ -196,7 +196,7 @@ TEST(Cache, FlushTrackCleansBlocksSoEvictionSkipsRewrite) {
   rt.spawn(0, "t", [&](sim::Context& ctx) {
     ASSERT_TRUE(cache.write_back(ctx, 8, block(0x21)).is_ok());
     ASSERT_TRUE(cache.write_back(ctx, 9, block(0x22)).is_ok());
-    ASSERT_TRUE(cache.flush_track(ctx, 8).is_ok());  // one write_run, 2 blocks
+    ASSERT_TRUE(cache.flush_tracks(ctx, 8, 1).is_ok());  // one sweep, 2 blocks
     EXPECT_EQ(cache.stats().coalesced_flush_blocks, 2u);
     EXPECT_EQ(dev.stats().track_writes, 1u);
     std::uint64_t writes_after_flush = dev.stats().block_writes;
@@ -217,7 +217,7 @@ TEST(Cache, FlushTrackCleansBlocksSoEvictionSkipsRewrite) {
 }
 
 TEST(Cache, RedirtyAfterFlushTrackStillFlushesOnEviction) {
-  // The inverse guard: a block re-dirtied AFTER flush_track must still be
+  // The inverse guard: a block re-dirtied AFTER flush_tracks must still be
   // written out when evicted (clean-marking must not be sticky).
   sim::Runtime rt(1);
   disk::SimDisk dev(geo(), disk::LatencyModel{});
@@ -227,7 +227,7 @@ TEST(Cache, RedirtyAfterFlushTrackStillFlushesOnEviction) {
   BlockCache cache(dev, cfg);
   rt.spawn(0, "t", [&](sim::Context& ctx) {
     ASSERT_TRUE(cache.write_back(ctx, 8, block(0x31)).is_ok());
-    ASSERT_TRUE(cache.flush_track(ctx, 8).is_ok());
+    ASSERT_TRUE(cache.flush_tracks(ctx, 8, 1).is_ok());
     ASSERT_TRUE(cache.write_back(ctx, 8, block(0x32)).is_ok());  // re-dirty
     for (disk::BlockAddr a = 20; a < 24; ++a) {
       ASSERT_TRUE(cache.fetch(ctx, a).is_ok());

@@ -2,6 +2,7 @@
 // append/overwrite, extent maps, allocation, deletion, persistence, errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "src/efs/efs.hpp"
@@ -412,6 +413,133 @@ TEST(EfsCore, WriteRunAndPerBlockWritesProduceIdenticalBlocks) {
   collect(true, via_run);
   collect(false, via_single);
   EXPECT_EQ(via_run, via_single);
+}
+
+TEST(EfsCore, EightContiguousTracksMoveWithOnePositioningEachWay) {
+  // A 32-block run on 8 consecutive tracks lands in one write_tracks sweep
+  // and, from a cold cache, comes back in one read_tracks fill — with the
+  // same bytes as per-block reads, which pay one positioning per track.
+  with_efs([](sim::Context& ctx, EfsCore& efs) {
+    disk::SimDisk& dev = efs.device();
+    ASSERT_TRUE(efs.create(ctx, 5).is_ok());
+    std::vector<BlockWrite> writes;
+    std::vector<std::uint32_t> block_nos;
+    for (std::uint32_t i = 0; i < 32; ++i) {
+      writes.push_back({i, payload(300 + i)});
+      block_nos.push_back(i);
+    }
+    auto pos0 = dev.stats().positioning_ops;
+    ASSERT_TRUE(efs.write_run(ctx, 5, writes).is_ok());
+    EXPECT_EQ(dev.stats().positioning_ops - pos0, 1u);
+    BlockAddr head = efs.peek_head(5);
+    ASSERT_EQ(head % dev.geometry().blocks_per_track, 0u);
+    ASSERT_EQ(efs.peek_block_addr(5, 31), head + 31);
+
+    EfsCore cold(dev, EfsConfig{});
+    ASSERT_TRUE(cold.remount_from_disk().is_ok());
+    auto pos1 = dev.stats().positioning_ops;
+    auto many = cold.read_many(ctx, 5, block_nos);
+    ASSERT_TRUE(many.is_ok());
+    EXPECT_EQ(dev.stats().positioning_ops - pos1, 1u);
+    ASSERT_EQ(many.value().size(), 32u);
+
+    EfsCore per_block(dev, EfsConfig{});
+    ASSERT_TRUE(per_block.remount_from_disk().is_ok());
+    auto pos2 = dev.stats().positioning_ops;
+    for (std::uint32_t i = 0; i < 32; ++i) {
+      auto one = per_block.read(ctx, 5, i);
+      ASSERT_TRUE(one.is_ok());
+      EXPECT_EQ(one.value(), many.value()[i]) << "block " << i;
+      EXPECT_EQ(one.value(), payload(300 + i)) << "block " << i;
+    }
+    EXPECT_EQ(dev.stats().positioning_ops - pos2, 8u);
+
+    // A checksum-valid block in the wrong place still fails the run.
+    std::vector<std::byte> misplaced(dev.peek(head + 6)->begin(),
+                                     dev.peek(head + 6)->end());
+    dev.poke(head + 5, misplaced);
+    EfsCore corrupt(dev, EfsConfig{});
+    ASSERT_TRUE(corrupt.remount_from_disk().is_ok());
+    EXPECT_EQ(corrupt.read_many(ctx, 5, block_nos).status().code(),
+              util::ErrorCode::kCorrupt);
+  });
+}
+
+TEST(EfsCore, ReadManySplitsARunAtAnExtentGap) {
+  // File 5's second extent starts a new group past file 6's, so a request
+  // across the boundary covers two separate pairs of tracks: two sweeps of
+  // exactly those tracks, not one long sweep over file 6's.
+  with_efs([](sim::Context& ctx, EfsCore& efs) {
+    disk::SimDisk& dev = efs.device();
+    const std::uint32_t bpt = dev.geometry().blocks_per_track;
+    ASSERT_TRUE(efs.create(ctx, 5).is_ok());
+    ASSERT_TRUE(efs.create(ctx, 6).is_ok());
+    std::vector<BlockWrite> first, second;
+    for (std::uint32_t i = 0; i < 32; ++i) first.push_back({i, payload(i)});
+    for (std::uint32_t i = 32; i < 40; ++i) second.push_back({i, payload(i)});
+    ASSERT_TRUE(efs.write_run(ctx, 5, first).is_ok());
+    ASSERT_TRUE(efs.write(ctx, 6, 0, payload(99)).is_ok());
+    ASSERT_TRUE(efs.write_run(ctx, 5, second).is_ok());
+    std::uint32_t end_of_first = efs.peek_block_addr(5, 31) / bpt;
+    std::uint32_t start_of_second = efs.peek_block_addr(5, 32) / bpt;
+    ASSERT_GT(start_of_second, end_of_first + 1);
+
+    EfsCore cold(dev, EfsConfig{});
+    ASSERT_TRUE(cold.remount_from_disk().is_ok());
+    std::vector<std::uint32_t> block_nos;
+    for (std::uint32_t i = 24; i < 40; ++i) block_nos.push_back(i);
+    auto before = dev.stats();
+    auto got = cold.read_many(ctx, 5, block_nos);
+    ASSERT_TRUE(got.is_ok());
+    auto delta = dev.stats() - before;
+    EXPECT_EQ(delta.positioning_ops, 2u);
+    EXPECT_EQ(delta.block_reads, 16u);  // tracks of blocks 24..39 only
+    for (std::size_t i = 0; i < block_nos.size(); ++i) {
+      EXPECT_EQ(got.value()[i], payload(block_nos[i]));
+    }
+  });
+}
+
+TEST(EfsCore, FailedWriteRunLandsItsPrefixAndTruncatesBack) {
+  // A run that runs out of space midway still lands every block it placed
+  // (across several staged windows), so truncating back to the old size
+  // leaves the disk, the bitmap and the surviving blocks consistent.
+  with_efs(
+      [](sim::Context& ctx, EfsCore& efs) {
+        disk::SimDisk& dev = efs.device();
+        ASSERT_TRUE(efs.create(ctx, 9).is_ok());
+        for (std::uint32_t i = 0; i < 4; ++i) {
+          ASSERT_TRUE(efs.write(ctx, 9, i, payload(i)).is_ok());
+        }
+        const auto free_before = efs.free_block_count();
+        std::vector<BlockWrite> run;
+        for (std::uint32_t i = 4; i < 4 + free_before + 8; ++i) {
+          run.push_back({i, payload(i)});
+        }
+        EXPECT_EQ(efs.write_run(ctx, 9, run).code(),
+                  util::ErrorCode::kOutOfSpace);
+        EXPECT_EQ(efs.free_block_count(), 0u);
+        auto info = efs.info(ctx, 9);
+        ASSERT_TRUE(info.is_ok());
+        ASSERT_EQ(info.value().size_blocks, 4 + free_before);
+        for (std::uint32_t i = 4; i < info.value().size_blocks; ++i) {
+          auto raw = dev.peek(efs.peek_block_addr(9, i));
+          ASSERT_TRUE(raw.has_value());
+          auto expected = payload(i);
+          EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                                 raw->begin() + kEfsHeaderBytes))
+              << "block " << i << " never reached the disk";
+        }
+        ASSERT_TRUE(efs.truncate(ctx, 9, 4).is_ok());
+        EXPECT_EQ(efs.free_block_count(), free_before);
+        for (std::uint32_t i = 0; i < 4; ++i) {
+          auto r = efs.read(ctx, 9, i);
+          ASSERT_TRUE(r.is_ok());
+          EXPECT_EQ(r.value(), payload(i));
+        }
+        EXPECT_TRUE(efs.verify_invariants().is_ok());
+      },
+      EfsConfig{}, /*tracks=*/16);
 }
 
 TEST(EfsCore, SequentialReadCostBeatsDiskLatency) {

@@ -177,5 +177,41 @@ TEST(EfsServer, LocalClientCheaperThanRemote) {
   EXPECT_LT(local_time.us(), remote_time.us());
 }
 
+TEST(EfsServer, AppendEstimatesTheTrackOfTheFilesLastBlock) {
+  // SCAN orders queued requests by estimated track.  An append grows the
+  // file from its last block, so that block's track — not the head's — is
+  // where the disk will go.
+  sim::Runtime rt(1);
+  EfsServer server(rt, 0, geo(), disk::LatencyModel{}, EfsConfig{});
+  rt.spawn(0, "writer", [&](sim::Context& ctx) {
+    EfsCore& core = server.core();
+    ASSERT_TRUE(core.create(ctx, 3).is_ok());
+    ASSERT_TRUE(core.create(ctx, 4).is_ok());
+    for (std::uint32_t i = 0; i < 40; ++i) {
+      ASSERT_TRUE(core.write(ctx, 3, i, payload(i)).is_ok());
+    }
+  });
+  rt.run();
+  const auto& g = server.disk().geometry();
+  std::uint32_t head = g.track_of(server.core().peek_head(3));
+  std::uint32_t tail = g.track_of(server.core().peek_block_addr(3, 39));
+  ASSERT_NE(head, tail);
+  auto envelope = [](MsgType type, const auto& req) {
+    sim::Envelope env;
+    env.type = static_cast<std::uint32_t>(type);
+    env.payload = util::encode_to_bytes(req);
+    return env;
+  };
+  auto append = WriteManyRequest::one(3, 40, payload(40));
+  EXPECT_EQ(server.estimate_track(envelope(MsgType::kWriteMany, append)), tail);
+  EXPECT_EQ(server.estimate_track(
+                envelope(MsgType::kReadMany, ReadManyRequest{3, {0, 1}})),
+            head);
+  // An empty file has no track: no preference, the head stays put.
+  EXPECT_EQ(server.estimate_track(envelope(
+                MsgType::kWriteMany, WriteManyRequest::one(4, 0, payload(0)))),
+            server.disk().current_track());
+}
+
 }  // namespace
 }  // namespace bridge::efs
