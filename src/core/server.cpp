@@ -34,6 +34,8 @@ void BridgeServerStats::publish(obs::MetricsRegistry& registry,
   registry.counter(prefix + ".renames_in").set(renames_in);
   registry.counter(prefix + ".rename_aborts").set(rename_aborts);
   registry.counter(prefix + ".lists").set(lists);
+  registry.counter(prefix + ".cpu_busy_us").set(cpu_busy_us);
+  registry.counter(prefix + ".cpu_preemptions").set(cpu_preemptions);
 }
 
 BridgeServer::BridgeServer(sim::Runtime& rt, sim::NodeId node,
@@ -128,15 +130,6 @@ void BridgeServer::serve(Wire& wire, const sim::Envelope& env) {
                       serviced.us());
 }
 
-void BridgeServer::cpu(Wire& wire, sim::SimTime d) {
-  if (d <= sim::SimTime(0)) return;
-  sim::SimTime now = wire.ctx.now();
-  sim::SimTime start = std::max(now, cpu_free_at_);
-  cpu_free_at_ = start + d;
-  wire.waited += start - now;
-  wire.ctx.charge(cpu_free_at_ - now);
-}
-
 /// A section takes the directory token and puts it back on exit.  Nothing
 /// inside one parks, so sections are atomic by construction; the token is
 /// what tells the race detector so: each section happens after the last.
@@ -156,6 +149,70 @@ class BridgeServer::DirectorySection {
   sim::Channel<std::uint8_t>& token_;
   bool taken_;
 };
+
+void BridgeServer::cpu(Wire& wire, sim::SimTime d) {
+  if (d <= sim::SimTime(0)) return;
+  sim::Context& ctx = wire.ctx;
+  sim::SimTime t0 = ctx.now();
+  CpuJob self{&wire, d, cpu_arrivals_++};
+  auto shorter = [](const CpuJob* a, const CpuJob* b) {
+    return a->remaining != b->remaining ? a->remaining < b->remaining
+                                        : a->arrival < b->arrival;
+  };
+  {
+    DirectorySection section(*this);
+    BRIDGE_RACE_WRITE(ctx, &cpu_waiting_, 0, "bridge.cpu");
+    if (cpu_running_ == nullptr) {
+      cpu_running_ = &self;
+      cpu_since_ = t0;
+    } else {
+      cpu_running_->remaining -= t0 - cpu_since_;
+      cpu_since_ = t0;
+      if (shorter(&self, cpu_running_)) {
+        // Preempt: the running job waits with what it has left, woken by
+        // an empty envelope as a monitor grant wakes its waiter.
+        cpu_waiting_.push_back(cpu_running_);
+        cpu_running_->wire->inbox.send(sim::Envelope{});
+        cpu_running_ = &self;
+        ++stats_.cpu_preemptions;
+      } else {
+        cpu_waiting_.push_back(&self);
+      }
+    }
+  }
+  // Every hand-off and preemption sends exactly one envelope, and this loop
+  // takes one per turn until the job is done: none is left for the idle
+  // loop to serve as a request.
+  while (true) {
+    sim::SimTime left{0};
+    {
+      DirectorySection section(*this);
+      BRIDGE_RACE_WRITE(ctx, &cpu_waiting_, 0, "bridge.cpu");
+      if (cpu_running_ == &self) {
+        left = self.remaining - (ctx.now() - cpu_since_);
+        if (left <= sim::SimTime(0)) {
+          stats_.cpu_busy_us += static_cast<std::uint64_t>(d.us());
+          cpu_running_ = nullptr;
+          if (!cpu_waiting_.empty()) {
+            auto next = std::min_element(cpu_waiting_.begin(),
+                                         cpu_waiting_.end(), shorter);
+            cpu_running_ = *next;
+            cpu_waiting_.erase(next);
+            cpu_since_ = ctx.now();
+            cpu_running_->wire->inbox.send(sim::Envelope{});
+          }
+          break;
+        }
+      }
+    }
+    if (left > sim::SimTime(0)) {
+      (void)wire.inbox.recv_for(left);  // a preemption, or the charge spent
+    } else {
+      (void)wire.inbox.recv();  // the hand-off, or a preemption before it
+    }
+  }
+  wire.waited += ctx.now() - t0 - d;
+}
 
 void BridgeServer::lock(Wire& wire, const std::string& name, Access access) {
   FileMonitor::Waiter self{&wire, access};
@@ -466,13 +523,16 @@ util::Status BridgeServer::delete_files(Wire& wire,
   }
   // Sessions and parallel jobs name their file, so a later file of the same
   // name must not inherit them: they go with the file.
-  auto deleted = [names](const std::string& name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
-  };
-  std::erase_if(sessions_,
-                [&](const auto& s) { return deleted(s.second.name); });
-  std::erase_if(jobs_, [&](const auto& j) { return deleted(j.second.name); });
+  for (const auto& name : names) drop_handles(name);
   return util::ok_status();
+}
+
+void BridgeServer::drop_handles(const std::string& name) {
+  auto it = handles_.find(name);
+  if (it == handles_.end()) return;
+  for (auto sid : it->second.sessions) sessions_.erase(sid);
+  for (auto jid : it->second.jobs) jobs_.erase(jid);
+  handles_.erase(it);
 }
 
 util::Status BridgeServer::refresh_size(Wire& wire, FileRecord& record) {
@@ -521,6 +581,7 @@ void BridgeServer::handle_open(Wire& wire, const sim::Envelope& env) {
   std::uint64_t session_id = next_session_++;
   {
     DirectorySection section(*this);
+    handles_[session.name].sessions.push_back(session_id);
     sessions_[session_id] = session;
   }
 
@@ -995,12 +1056,13 @@ void BridgeServer::handle_truncate(Wire& wire, const sim::Envelope& env) {
                     "bridge.placement");
   record->placement.truncate(req.new_size_blocks);
   DirectorySection section(*this);
-  // NOLINT(bridge-unordered-iter): clamp-with-min is commutative and touches
-  // each session independently — no observable effect of visit order.
-  for (auto& [sid, session] : sessions_) {
-    if (session.name != record->name) continue;
-    session.read_cursor = std::min(session.read_cursor, req.new_size_blocks);
-    session.write_cursor = std::min(session.write_cursor, req.new_size_blocks);
+  if (auto it = handles_.find(record->name); it != handles_.end()) {
+    for (auto sid : it->second.sessions) {
+      Session& session = sessions_.at(sid);
+      session.read_cursor = std::min(session.read_cursor, req.new_size_blocks);
+      session.write_cursor =
+          std::min(session.write_cursor, req.new_size_blocks);
+    }
   }
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
@@ -1023,6 +1085,7 @@ void BridgeServer::handle_parallel_open(Wire& wire, const sim::Envelope& env) {
   std::uint64_t job_id = next_job_++;
   {
     DirectorySection section(*this);
+    handles_[job.name].jobs.push_back(job_id);
     jobs_[job_id] = std::move(job);
   }
   ParallelOpenResponse resp{job_id};
@@ -1203,13 +1266,12 @@ void BridgeServer::handle_rename(Wire& wire, const sim::Envelope& env) {
     BridgeFileId id = moved.id;
     directory_[req.to] = std::move(moved);
     // Open sessions and parallel jobs follow the file to its new name.
-    // NOLINT(bridge-unordered-iter): per-session rewrite, order-insensitive
-    for (auto& [sid, session] : sessions_) {
-      if (session.name == req.from) session.name = req.to;
-    }
-    // NOLINT(bridge-unordered-iter): per-job rewrite, order-insensitive
-    for (auto& [jid, job] : jobs_) {
-      if (job.name == req.from) job.name = req.to;
+    if (auto it = handles_.find(req.from); it != handles_.end()) {
+      OpenHandles moved_handles = std::move(it->second);
+      handles_.erase(it);
+      for (auto sid : moved_handles.sessions) sessions_.at(sid).name = req.to;
+      for (auto jid : moved_handles.jobs) jobs_.at(jid).name = req.to;
+      handles_[req.to] = std::move(moved_handles);
     }
     ++stats_.renames_local;
     RenameResponse resp{id};
@@ -1319,10 +1381,7 @@ void BridgeServer::handle_rename_ack(Wire& wire, const sim::Envelope& env) {
     // and parallel jobs of `from` cannot follow the file to another server:
     // they go, as on Delete, so a later file named `from` does not inherit
     // them.
-    std::erase_if(sessions_,
-                  [&](const auto& s) { return s.second.name == pending.from; });
-    std::erase_if(jobs_,
-                  [&](const auto& j) { return j.second.name == pending.from; });
+    drop_handles(pending.from);
     RenameResponse resp{ack.new_id};
     return sim::send_reply(wire.ctx, pending.client_env, util::ok_status(),
                            util::encode_to_bytes(resp));
@@ -1413,6 +1472,7 @@ util::Status BridgeServer::decode_state(util::Reader& r) {
   id_index_.clear();
   sessions_.clear();
   jobs_.clear();
+  handles_.clear();
   pending_renames_.clear();
   pending_from_.clear();
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -14,10 +14,11 @@
 // bottleneck.  What it does not do is sit idle on LFS round trips: each
 // in-flight request runs on its own handler fiber, and a request waiting on
 // its LFS replies lets the others use the CPU.  Every microsecond of CPU is
-// still paid serially, through one FIFO reservation, and requests that name
-// the same file are granted its monitor in arrival order — shared for reads
-// that move no cursor, exclusive for everything else (docs/INTERNALS.md,
-// "Bridge Server concurrency").
+// still paid serially, but the CPU always runs the charge with the least
+// time left, so a 0.3 ms decode does not wait out a 136 ms Create.
+// Requests that name the same file are granted its monitor in arrival
+// order — shared for reads that move no cursor, exclusive for everything
+// else (docs/INTERNALS.md, "Bridge Server concurrency").
 #pragma once
 
 #include <cstdint>
@@ -58,6 +59,8 @@ struct BridgeServerStats {
   std::uint64_t renames_in = 0;        ///< records installed for a peer
   std::uint64_t rename_aborts = 0;     ///< cross-server renames rolled back
   std::uint64_t lists = 0;             ///< directory listings served
+  std::uint64_t cpu_busy_us = 0;       ///< CPU charges run to completion
+  std::uint64_t cpu_preemptions = 0;   ///< charges preempted by shorter ones
 
   void reset() noexcept { *this = BridgeServerStats{}; }
 
@@ -77,6 +80,8 @@ struct BridgeServerStats {
     a.renames_in -= b.renames_in;
     a.rename_aborts -= b.rename_aborts;
     a.lists -= b.lists;
+    a.cpu_busy_us -= b.cpu_busy_us;
+    a.cpu_preemptions -= b.cpu_preemptions;
     return a;
   }
 };
@@ -116,6 +121,10 @@ class BridgeServer {
   /// Number of Bridge files currently in the directory (tests).
   [[nodiscard]] std::size_t directory_size() const noexcept {
     return directory_.size();
+  }
+  /// Number of open naive sessions (tests).
+  [[nodiscard]] std::size_t session_count() const noexcept {
+    return sessions_.size();
   }
 
   /// Serialize the durable server state — the directory (including
@@ -160,12 +169,13 @@ class BridgeServer {
 
   /// One handler fiber's resources, on its own stack.  The dispatcher hands
   /// an idle worker its next request through `inbox`; while the worker is
-  /// busy, the same inbox carries its monitor grants.
+  /// busy, the same inbox carries its monitor grants and its CPU hand-offs
+  /// and preemptions.
   struct Wire {
     sim::Context& ctx;
     sim::RpcClient& rpc;
     sim::Channel<sim::Envelope>& inbox;
-    /// CPU-reservation and monitor waits of the current request: queueing,
+    /// CPU and monitor waits of the current request: queueing,
     /// ledgered with the mailbox wait rather than as service.
     sim::SimTime waited{0};
   };
@@ -179,8 +189,10 @@ class BridgeServer {
   /// One request, with its queue/service ledger split.
   void serve(Wire& wire, const sim::Envelope& env);
   void handle(Wire& wire, const sim::Envelope& env);
-  /// Spend `d` of the server's one CPU.  Reservations are FIFO: the work
-  /// starts at max(now, when the CPU frees up), and the wait is queueing.
+  /// Spend `d` of the server's one CPU, as one job of a preemptive
+  /// shortest-remaining-charge-first CPU: the job with the least time left
+  /// runs, ties go to the earlier arrival, and a strictly shorter arrival
+  /// preempts.  Time spent not running is queueing.
   void cpu(Wire& wire, sim::SimTime d);
   /// LFS `i`'s EFS client, over the worker's RpcClient.
   efs::EfsClient lfs(Wire& wire, std::uint32_t i) const {
@@ -287,7 +299,8 @@ class BridgeServer {
     std::vector<std::string> names_;
   };
   /// The zero-time directory monitor around the commits to directory_,
-  /// id_index_, sessions_, jobs_ and monitors_ (see server.cpp).
+  /// id_index_, sessions_, jobs_, handles_, monitors_ and the CPU queue
+  /// (see server.cpp).
   class DirectorySection;
 
   void lock(Wire& wire, const std::string& name, Access access);
@@ -322,8 +335,18 @@ class BridgeServer {
   std::vector<Wire*> idle_;
   obs::Histogram* queue_us_ = nullptr;
   obs::Histogram* service_us_ = nullptr;
-  /// When the CPU's last reservation ends.
-  sim::SimTime cpu_free_at_{0};
+  /// One cpu() call, on its handler's stack while it waits or runs.
+  struct CpuJob {
+    Wire* wire;
+    sim::SimTime remaining;  ///< as of cpu_since_ while it runs
+    std::uint64_t arrival;   ///< ties go to the earlier arrival
+  };
+  /// The CPU queue, touched only inside directory sections: the running
+  /// job, when it last got the CPU, and the jobs waiting for it.
+  CpuJob* cpu_running_ = nullptr;
+  sim::SimTime cpu_since_{0};
+  std::vector<CpuJob*> cpu_waiting_;
+  std::uint64_t cpu_arrivals_ = 0;
   /// The directory monitor's one token.  Sections never park, so it is
   /// always there to take; it exists for the happens-before edge it carries
   /// from one section to the next.
@@ -339,6 +362,15 @@ class BridgeServer {
   std::unordered_map<BridgeFileId, std::string> id_index_;
   std::unordered_map<std::uint64_t, Session> sessions_;
   std::unordered_map<std::uint64_t, Job> jobs_;
+  /// The sessions and jobs open on each file name, so Delete, Truncate and
+  /// Rename touch only their own file's entries.  Ids in creation order.
+  struct OpenHandles {
+    std::vector<std::uint64_t> sessions;
+    std::vector<std::uint64_t> jobs;
+  };
+  std::unordered_map<std::string, OpenHandles> handles_;
+  /// End every session and job of `name`: they go with the file.
+  void drop_handles(const std::string& name);
 
   /// Routed group, indexed by home.  Empty = standalone (single server).
   std::vector<sim::Address> peers_;

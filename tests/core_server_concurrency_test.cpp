@@ -1,6 +1,7 @@
 // The Bridge Server with several requests in flight: LFS round trips of
-// unrelated files overlap, the server's one CPU is still paid serially, and
-// requests that name the same file are granted its monitor in arrival order.
+// unrelated files overlap, the server's one CPU is still paid serially but
+// runs the shortest remaining charge first, and requests that name the same
+// file are granted its monitor in arrival order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -354,6 +355,9 @@ TEST(ServerConcurrency, OverlappingHandlersAreRaceFree) {
     inst.run_client("c" + std::to_string(base), workload(base));
   }
   inst.run();
+  // Short charges preempted the Creates' long ones, so the CPU queue's
+  // hand-offs and preemptions were exercised under the detector too.
+  EXPECT_GT(inst.server().stats().cpu_preemptions, 0u);
   EXPECT_GT(inst.runtime().race()->access_count(), 0u);
   EXPECT_TRUE(inst.runtime().race()->report_text().empty())
       << inst.runtime().race()->report_text();
@@ -402,6 +406,178 @@ TEST(ServerConcurrency, SingleClientBasicOpTimesAreUnchanged) {
   std::vector<std::int64_t> serial = {205321, 79642, 303600, 79642,
                                       58016,  3625,  19124,  17629};
   EXPECT_EQ(us, serial);
+}
+
+/// A Create of a width-1 file on LFS 3, alone or with two 1-block reads of
+/// a width-1 file on LFS 0 sent 10 ms into it, i.e. during its 136 ms base
+/// charge.  The two files share no LFS, so the runs differ only in CPU.
+struct CreateWithReads {
+  sim::SimTime create_us{0};               ///< the Create's latency
+  std::vector<sim::SimTime> read_us;       ///< each read's latency
+  BridgeServerStats phase;                 ///< server counters of the phase
+  std::uint64_t client_calls = 0;          ///< requests the phase sent
+};
+
+CreateWithReads create_with_reads(bool reads) {
+  BridgeInstance inst(cfg(4));
+  BridgeFileId id = 0;
+  inst.run_client("setup", [&](sim::Context&, BridgeClient& client) {
+    fill(client, "f", 4, 0, {.width = 1, .start_lfs = 0});
+    id = client.open("f").value().meta.id;
+  });
+  inst.run();
+  BridgeServerStats before = inst.server().stats();
+  CreateWithReads out;
+  inst.run_client("creator", [&](sim::Context& ctx, BridgeClient& client) {
+    sim::SimTime t0 = ctx.now();
+    ASSERT_TRUE(client.create("g", {.width = 1, .start_lfs = 3}).is_ok());
+    out.create_us = ctx.now() - t0;
+    ++out.client_calls;
+  });
+  if (reads) {
+    inst.run_client("reader", [&](sim::Context& ctx, BridgeClient& client) {
+      ctx.sleep(sim::msec(10));
+      for (std::uint32_t i = 0; i < 2; ++i) {
+        sim::SimTime t0 = ctx.now();
+        auto r = client.random_read(id, i);
+        ASSERT_TRUE(r.is_ok());
+        EXPECT_EQ(r.value(), record(i));
+        out.read_us.push_back(ctx.now() - t0);
+        ++out.client_calls;
+      }
+    });
+  }
+  inst.run();
+  out.phase = inst.server().stats() - before;
+  return out;
+}
+
+/// The same two reads with the server otherwise idle.
+std::vector<sim::SimTime> reads_alone() {
+  BridgeInstance inst(cfg(4));
+  BridgeFileId id = 0;
+  inst.run_client("setup", [&](sim::Context&, BridgeClient& client) {
+    fill(client, "f", 4, 0, {.width = 1, .start_lfs = 0});
+    id = client.open("f").value().meta.id;
+  });
+  inst.run();
+  std::vector<sim::SimTime> out;
+  inst.run_client("reader", [&](sim::Context& ctx, BridgeClient& client) {
+    ctx.sleep(sim::msec(10));
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      sim::SimTime t0 = ctx.now();
+      ASSERT_TRUE(client.random_read(id, i).is_ok());
+      out.push_back(ctx.now() - t0);
+    }
+  });
+  inst.run();
+  return out;
+}
+
+TEST(ServerConcurrency, ReadDuringACreateWaitsUnderAMillisecondForTheCpu) {
+  CreateWithReads mixed = create_with_reads(true);
+  std::vector<sim::SimTime> alone = reads_alone();
+  ASSERT_EQ(mixed.read_us.size(), 2u);
+  ASSERT_EQ(alone.size(), 2u);
+  // Each read's 0.3 ms decode and 0.25 ms forward preempt the Create's
+  // base charge instead of waiting out the rest of its 136 ms.
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_LT((mixed.read_us[i] - alone[i]).us(), 1000)
+        << "read " << i << ": " << mixed.read_us[i].us() << " us, alone "
+        << alone[i].us() << " us";
+  }
+}
+
+TEST(ServerConcurrency, APreemptedCreateFinishesExactlyTheReadsCpuLater) {
+  CreateWithReads alone = create_with_reads(false);
+  CreateWithReads mixed = create_with_reads(true);
+  const BridgeConfig bridge = BridgeConfig{};
+  sim::SimTime read_cpu = bridge.request_cpu + bridge.forward_cpu;
+  EXPECT_EQ(alone.create_us.us(), 155634);
+  EXPECT_EQ(mixed.create_us.us(), 155634 + 2 * 550);
+  EXPECT_EQ(mixed.create_us - alone.create_us, read_cpu * 2);
+  // Both reads preempted the base charge: once for each decode, once for
+  // each forward.
+  EXPECT_EQ(mixed.phase.cpu_preemptions, 4u);
+  EXPECT_EQ(alone.phase.cpu_preemptions, 0u);
+  EXPECT_EQ(mixed.phase.cpu_busy_us - alone.phase.cpu_busy_us,
+            static_cast<std::uint64_t>((read_cpu * 2).us()));
+}
+
+TEST(ServerConcurrency, PreemptionsLeaveNoEnvelopeToBeServedAsARequest) {
+  CreateWithReads mixed = create_with_reads(true);
+  ASSERT_GT(mixed.phase.cpu_preemptions, 0u);
+  // A hand-off or preemption envelope left in a worker's inbox would be
+  // taken by its idle loop and counted as a request.
+  EXPECT_EQ(mixed.phase.requests, mixed.client_calls);
+}
+
+TEST(ServerConcurrency, EqualChargesKeepArrivalOrder) {
+  // GetInfo costs one request_cpu and nothing else.  Four arrive 10 us
+  // apart, all within the first one's charge: none is shorter than what
+  // the running one has left, so they run in arrival order, back to back.
+  BridgeInstance inst(cfg(4));
+  std::vector<sim::SimTime> ends(4);
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    inst.run_client("info" + std::to_string(k),
+                    [&, k](sim::Context& ctx, BridgeClient& client) {
+                      ctx.sleep(sim::usec(10 * k));
+                      ASSERT_TRUE(client.get_info().is_ok());
+                      ends[k] = ctx.now();
+                      order.push_back(k);
+                    });
+  }
+  inst.run();
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  const BridgeConfig bridge = BridgeConfig{};
+  for (std::uint32_t k = 1; k < 4; ++k) {
+    EXPECT_EQ(ends[k] - ends[k - 1], bridge.request_cpu) << k;
+  }
+  EXPECT_EQ(inst.server().stats().cpu_preemptions, 0u);
+}
+
+TEST(ServerConcurrency, SessionIndexDropsExactlyTheDeletedFilesSessions) {
+  BridgeInstance inst(cfg(4));
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
+    fill(client, "a", 4, 0);
+    fill(client, "b", 4, 100);
+    // fill opened one session on each file; two more on "a", one on "b".
+    std::uint64_t a1 = client.open("a").value().session;
+    std::uint64_t a2 = client.open("a").value().session;
+    auto b = client.open("b");
+    ASSERT_TRUE(b.is_ok());
+    std::uint64_t b1 = b.value().session;
+    ASSERT_EQ(inst.server().session_count(), 5u);
+
+    ASSERT_TRUE(client.remove("a").is_ok());
+    EXPECT_EQ(inst.server().session_count(), 2u);
+    // A new "a" does not inherit the old file's sessions.
+    fill(client, "a", 2, 200);
+    EXPECT_EQ(client.seq_read(a1).status().code(), util::ErrorCode::kNotFound);
+    EXPECT_EQ(client.seq_read(a2).status().code(), util::ErrorCode::kNotFound);
+    EXPECT_EQ(inst.server().session_count(), 3u);
+
+    // "b"'s sessions follow it through a rename and are clamped by a
+    // truncate of the new name.
+    ASSERT_TRUE(client.seq_seek(b1, 3).is_ok());
+    ASSERT_TRUE(client.rename("b", "c").is_ok());
+    ASSERT_TRUE(client.truncate(b.value().meta.id, 2).is_ok());
+    auto r = client.seq_read(b1);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_TRUE(r.value().eof);
+    ASSERT_TRUE(client.seq_seek(b1, 1).is_ok());
+    r = client.seq_read(b1);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_EQ(r.value().data, record(101));
+    // The write cursor was pulled back from 4 to the new end.
+    auto w = client.seq_write(b1, record(300));
+    ASSERT_TRUE(w.is_ok());
+    EXPECT_EQ(w.value(), 2u);
+    ASSERT_TRUE(client.remove("c").is_ok());
+    EXPECT_EQ(inst.server().session_count(), 1u);
+  });
+  inst.run();
 }
 
 }  // namespace
