@@ -163,7 +163,7 @@ double tool_aggregate_rec_per_sec(std::uint32_t p, std::uint32_t clients,
 }
 
 /// The same naive aggregate with the directory distributed across k Bridge
-/// Servers (RoutedBridgeClient): §4.1's "distributed collection".
+/// Servers (one BridgeClient over all k): §4.1's "distributed collection".
 double routed_aggregate_rec_per_sec(std::uint32_t p, std::uint32_t servers,
                                     std::uint32_t clients,
                                     std::uint64_t records_each) {
@@ -174,9 +174,9 @@ double routed_aggregate_rec_per_sec(std::uint32_t p, std::uint32_t servers,
   core::BridgeInstance inst(cfg);
   // Fill through the router so every file lands on its home server.
   for (std::uint32_t c = 0; c < clients; ++c) {
-    inst.run_routed_client(
+    inst.run_client(
         "fill" + std::to_string(c),
-        [&, c](sim::Context&, core::RoutedBridgeClient& client) {
+        [&, c](sim::Context&, core::BridgeClient& client) {
           std::string name = "f" + std::to_string(c);
           if (!client.create(name).is_ok()) return;
           auto open = client.open(name);
@@ -192,9 +192,9 @@ double routed_aggregate_rec_per_sec(std::uint32_t p, std::uint32_t servers,
   }
   Completions runs(clients);
   for (std::uint32_t c = 0; c < clients; ++c) {
-    inst.run_routed_client(
+    inst.run_client(
         "reader" + std::to_string(c),
-        [&, c](sim::Context& ctx, core::RoutedBridgeClient& client) {
+        [&, c](sim::Context& ctx, core::BridgeClient& client) {
           runs.started[c] = ctx.now();
           auto open = client.open("f" + std::to_string(c));
           if (!open.is_ok()) return;
@@ -226,9 +226,9 @@ double routed_write_heavy_files_per_sec(std::uint32_t p, std::uint32_t servers,
   core::BridgeInstance inst(cfg);
   Completions runs(clients);
   for (std::uint32_t c = 0; c < clients; ++c) {
-    inst.run_routed_client(
+    inst.run_client(
         "writer" + std::to_string(c),
-        [&, c](sim::Context& ctx, core::RoutedBridgeClient& client) {
+        [&, c](sim::Context& ctx, core::BridgeClient& client) {
           runs.started[c] = ctx.now();
           for (std::uint32_t f = 0; f < files_each; ++f) {
             std::string name =
@@ -265,9 +265,9 @@ double routed_mixed_ops_per_sec(std::uint32_t p, std::uint32_t servers,
   Completions runs(clients);
   std::vector<std::uint64_t> ops(clients, 0);
   for (std::uint32_t c = 0; c < clients; ++c) {
-    inst.run_routed_client(
+    inst.run_client(
         "mixed" + std::to_string(c),
-        [&, c](sim::Context& ctx, core::RoutedBridgeClient& client) {
+        [&, c](sim::Context& ctx, core::BridgeClient& client) {
           runs.started[c] = ctx.now();
           for (std::uint32_t i = 0; i < iterations; ++i) {
             std::string tmp =
@@ -350,7 +350,7 @@ int main(int argc, char** argv) {
                 finishes[i].second);
   }
   std::printf("\ndistributing the directory (8 naive clients, k servers,\n"
-              "RoutedBridgeClient):\n");
+              "one BridgeClient):\n");
   std::printf("%8s | %18s\n", "servers", "naive aggregate");
   std::printf("---------+-------------------\n");
   for (std::uint32_t servers : {1u, 2u, 4u}) {
@@ -364,7 +364,7 @@ int main(int argc, char** argv) {
                {"naive_rec_per_sec", rate}});
   }
   std::printf("\nwrite-heavy and mixed namespace workloads (8 clients,\n"
-              "k servers, RoutedBridgeClient):\n");
+              "k servers, one BridgeClient):\n");
   std::printf("%8s | %18s | %18s\n", "servers", "write-heavy",
               "mixed namespace");
   std::printf("---------+--------------------+-------------------\n");

@@ -28,9 +28,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/api.hpp"
+#include "src/core/client.hpp"
 #include "src/efs/layout.hpp"
-#include "src/obs/metrics.hpp"
 
 namespace bridge::core {
 
@@ -45,14 +44,11 @@ struct BufferedStreamOptions {
   bool adaptive = false;
   std::uint32_t min_window = 4;             ///< floor after a seek
   std::uint32_t max_window = kMaxRunBlocks; ///< growth ceiling
-  /// Optional observability hook: updated with the current window size
-  /// whenever the controller changes it.
-  obs::Gauge* window_gauge = nullptr;
 };
 
 class BufferedFileStream {
  public:
-  BufferedFileStream(BridgeApi& api, std::uint64_t session,
+  BufferedFileStream(BridgeClient& api, std::uint64_t session,
                      BufferedStreamOptions options = {})
       : api_(&api), session_(session), options_(options) {
     if (options_.read_window == 0) options_.read_window = 1;
@@ -60,8 +56,8 @@ class BufferedFileStream {
     if (options_.min_window == 0) options_.min_window = 1;
     options_.max_window = std::clamp(options_.max_window, options_.min_window,
                                      kMaxRunBlocks);
-    set_window(std::clamp(options_.read_window, options_.min_window,
-                          options_.max_window));
+    window_size_ = std::clamp(options_.read_window, options_.min_window,
+                              options_.max_window);
   }
 
   /// Next sequential block, served from the prefetch window (refilled by one
@@ -74,7 +70,7 @@ class BufferedFileStream {
       // next one.  A short window (EOF-capped refill) stops the growth.
       if (options_.adaptive && !window_.empty() &&
           window_.size() >= window_size_) {
-        set_window(std::min(window_size_ * 2, options_.max_window));
+        window_size_ = std::min(window_size_ * 2, options_.max_window);
       }
       // Refill.  Always re-ask the server rather than caching an EOF: the
       // file may have grown (e.g. through this very stream's writes).
@@ -83,7 +79,7 @@ class BufferedFileStream {
         // A failed vectored read is the client-visible stall: back off so
         // the retry asks for less.
         if (options_.adaptive) {
-          set_window(std::max(window_size_ / 2, options_.min_window));
+          window_size_ = std::max(window_size_ / 2, options_.min_window);
         }
         return run.status();
       }
@@ -114,7 +110,7 @@ class BufferedFileStream {
     window_pos_ = 0;
     auto cursor = api_->seq_seek(session_, block_no);
     if (!cursor.is_ok()) return cursor;
-    if (options_.adaptive) set_window(options_.min_window);
+    if (options_.adaptive) window_size_ = options_.min_window;
     return cursor;
   }
 
@@ -163,17 +159,10 @@ class BufferedFileStream {
   }
 
  private:
-  void set_window(std::uint32_t blocks) {
-    window_size_ = blocks;
-    if (options_.window_gauge != nullptr) {
-      options_.window_gauge->set(static_cast<double>(blocks));
-    }
-  }
-
-  BridgeApi* api_;
+  BridgeClient* api_;
   std::uint64_t session_;
   BufferedStreamOptions options_;
-  std::uint32_t window_size_ = 1;  ///< next refill size (set_window)
+  std::uint32_t window_size_ = 1;  ///< next refill size
 
   std::vector<std::vector<std::byte>> window_;  ///< prefetched blocks
   std::uint64_t window_first_ = 0;              ///< global no of window_[0]

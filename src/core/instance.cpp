@@ -44,22 +44,10 @@ sim::ProcessHandle BridgeInstance::run_client(
     const std::string& name,
     std::function<void(sim::Context&, BridgeClient&)> body) {
   start();
-  sim::Address server = bridges_[0]->address();
-  return rt_->spawn(config_.client_node(), name,
-                    [server, body = std::move(body)](sim::Context& ctx) {
-                      BridgeClient client(ctx, server);
-                      body(ctx, client);
-                    });
-}
-
-sim::ProcessHandle BridgeInstance::run_routed_client(
-    const std::string& name,
-    std::function<void(sim::Context&, RoutedBridgeClient&)> body) {
-  start();
   std::vector<sim::Address> servers = bridge_addresses();
   return rt_->spawn(config_.client_node(), name,
                     [servers, body = std::move(body)](sim::Context& ctx) {
-                      RoutedBridgeClient client(ctx, servers);
+                      BridgeClient client(ctx, servers);
                       body(ctx, client);
                     });
 }

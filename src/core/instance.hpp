@@ -9,10 +9,10 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/client.hpp"
-#include "src/core/routed_client.hpp"
 #include "src/core/config.hpp"
 #include "src/core/server.hpp"
 #include "src/efs/server.hpp"
@@ -54,16 +54,17 @@ class BridgeInstance {
   }
 
   /// Spawn a client program on the front-end node with a ready BridgeClient
-  /// (connected to server 0).
+  /// connected to every Bridge Server.
   sim::ProcessHandle run_client(
       const std::string& name,
       std::function<void(sim::Context&, BridgeClient&)> body);
 
-  /// Spawn a client wired to ALL Bridge Servers through a RoutedBridgeClient
-  /// (the distributed-directory configuration).
+  /// perfbench/ still calls this name; it goes when the benchmark stops.
   sim::ProcessHandle run_routed_client(
       const std::string& name,
-      std::function<void(sim::Context&, RoutedBridgeClient&)> body);
+      std::function<void(sim::Context&, BridgeClient&)> body) {
+    return run_client(name, std::move(body));
+  }
 
   /// Run the simulation until quiescent.
   void run() { rt_->run(); }

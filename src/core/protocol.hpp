@@ -49,7 +49,7 @@ constexpr BridgeFileId make_file_id_base(std::uint32_t home) noexcept {
 }
 
 /// Which server owns directory entry `name` in a k-server partition.  Shared
-/// by RoutedBridgeClient (request routing) and BridgeServer (cross-server
+/// by BridgeClient (request routing) and BridgeServer (cross-server
 /// rename: the source computes the destination of the new name), so the two
 /// sides can never disagree about a name's home.
 inline std::uint32_t directory_home(std::string_view name,

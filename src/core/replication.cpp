@@ -14,7 +14,7 @@ namespace bridge::core {
 namespace {
 
 /// Open `name`, creating it (width = all LFSs) if absent.
-util::Result<FileMeta> open_or_create(BridgeApi& client,
+util::Result<FileMeta> open_or_create(BridgeClient& client,
                                       const std::string& name) {
   auto open = client.open(name);
   if (open.is_ok()) return open.value().meta;
@@ -367,7 +367,7 @@ MirroredFile::MirroredFile(sim::Context& ctx, tools::ToolEnv env,
 }
 
 util::Result<MirroredFile> MirroredFile::open(sim::Context& ctx,
-                                              BridgeApi& client,
+                                              BridgeClient& client,
                                               const std::string& name) {
   auto env = tools::discover(client);
   if (!env.is_ok()) return env.status();
@@ -547,7 +547,7 @@ ParityFile::ParityFile(sim::Context& ctx, tools::ToolEnv env, FileMeta data,
 }
 
 util::Result<ParityFile> ParityFile::open(sim::Context& ctx,
-                                          BridgeApi& client,
+                                          BridgeClient& client,
                                           const std::string& name) {
   auto env = tools::discover(client);
   if (!env.is_ok()) return env.status();

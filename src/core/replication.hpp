@@ -74,7 +74,7 @@ class MirroredFile {
   /// Bridge Server, so its record may be stale); a single failed LFS is
   /// tolerated by counting the partner constituent instead.
   static util::Result<MirroredFile> open(sim::Context& ctx,
-                                         BridgeApi& client,
+                                         BridgeClient& client,
                                          const std::string& name);
 
   /// Append `data` as the next block: one write to the primary home, one to
@@ -133,7 +133,7 @@ class MirroredFile {
 /// LFS is down.
 class ParityFile {
  public:
-  static util::Result<ParityFile> open(sim::Context& ctx, BridgeApi& client,
+  static util::Result<ParityFile> open(sim::Context& ctx, BridgeClient& client,
                                        const std::string& name);
 
   /// Append one stripe of up to data_width() blocks (all must be

@@ -1,286 +1,12 @@
-// RoutedBridgeClient: the "distributed collection of processes" of §4.1.
-//
-// The Bridge directory is partitioned across k Bridge Server instances by a
-// hash of the file name (directory_home, shared with the servers); each
-// server owns its files' sessions and jobs outright, so the monitor property
-// of §4.2 is preserved per partition.  Every id that crosses this interface
-// carries its home server in its top byte — session and job ids via
-// tag()/owner(), file ids minted by the server from its own slice
-// (file_id_home) — so routing is a pure function of the id and the client
-// holds NO per-file state.  A stale or corrupt id therefore fails with
-// not_found instead of silently landing on an arbitrary server.
-//
-// Cross-server namespace ops are server-to-server protocols, not client
-// loops: rename is routed to the home of the OLD name, which either commits
-// locally or runs the prepare/commit handoff with the new name's home
-// (returning the file's post-rename id); list fans one request out to every
-// server concurrently and k-way merges the sorted partitions.
+// Kept only because perfbench/bridge_bench.cpp includes this header and
+// names the type below; both go when the benchmark stops naming them.
 #pragma once
-
-#include <memory>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "src/core/client.hpp"
 
 namespace bridge::core {
 
-class RoutedBridgeClient final : public BridgeApi {
- public:
-  RoutedBridgeClient(sim::Context& ctx, std::vector<sim::Address> servers) {
-    for (auto& address : servers) {
-      clients_.push_back(std::make_unique<BridgeClient>(ctx, address));
-    }
-  }
-
-  [[nodiscard]] std::size_t num_servers() const noexcept {
-    return clients_.size();
-  }
-
-  util::Result<BridgeFileId> create(const std::string& name,
-                                    CreateOptions options = {}) override {
-    return home(name).create(name, options);
-  }
-
-  util::Status remove(const std::string& name) override {
-    return home(name).remove(name);
-  }
-
-  util::Status remove_many(const std::vector<std::string>& names) override {
-    // Partition the batch by home server, then put every server's kDeleteMany
-    // in flight before waiting for any, so the servers overlap their LFS
-    // fan-outs instead of running one partition at a time.
-    std::vector<std::vector<std::string>> partitions(clients_.size());
-    for (const auto& name : names) {
-      partitions[home_index(name)].push_back(name);
-    }
-    std::vector<std::pair<std::size_t, std::uint64_t>> pending;
-    pending.reserve(clients_.size());
-    for (std::size_t s = 0; s < clients_.size(); ++s) {
-      if (partitions[s].empty()) continue;
-      DeleteManyRequest req{std::move(partitions[s])};
-      pending.emplace_back(
-          s, clients_[s]->rpc().call_async(
-                 clients_[s]->server(),
-                 static_cast<std::uint32_t>(BridgeMsg::kDeleteMany),
-                 util::encode_to_bytes(req)));
-    }
-    // Drain every reply even after a failure (leaving replies queued would
-    // poison the next call on that client), reporting the first error.
-    util::Status first_error = util::ok_status();
-    for (const auto& [s, corr] : pending) {
-      auto reply = clients_[s]->rpc().wait_reply(corr);
-      if (!reply.is_ok() && first_error.is_ok()) first_error = reply.status();
-    }
-    return first_error;
-  }
-
-  util::Result<OpenResponse> open(const std::string& name) override {
-    std::size_t s = home_index(name);
-    auto resp = clients_[s]->open(name);
-    if (!resp.is_ok()) return resp;
-    OpenResponse tagged = resp.value();
-    // Sessions are scoped per server, so their ids need the home tag added
-    // here; file ids already carry it (the server mints from its own slice).
-    tagged.session = tag(s, tagged.session);
-    return tagged;
-  }
-
-  util::Result<SeqReadResponse> seq_read(std::uint64_t session) override {
-    auto s = owner(session);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->seq_read(untag(session));
-  }
-
-  util::Result<std::uint64_t> seq_write(
-      std::uint64_t session, std::span<const std::byte> data) override {
-    auto s = owner(session);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->seq_write(untag(session), data);
-  }
-
-  util::Result<std::vector<std::byte>> random_read(
-      BridgeFileId id, std::uint64_t block_no) override {
-    auto s = file_home(id);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->random_read(id, block_no);
-  }
-
-  util::Status random_write(BridgeFileId id, std::uint64_t block_no,
-                            std::span<const std::byte> data) override {
-    auto s = file_home(id);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->random_write(id, block_no, data);
-  }
-
-  util::Result<SeqReadManyResponse> seq_read_many(
-      std::uint64_t session, std::uint32_t max_blocks) override {
-    auto s = owner(session);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->seq_read_many(untag(session), max_blocks);
-  }
-
-  util::Result<SeqWriteManyResponse> seq_write_many(
-      std::uint64_t session,
-      std::vector<std::vector<std::byte>> blocks) override {
-    auto s = owner(session);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->seq_write_many(untag(session),
-                                               std::move(blocks));
-  }
-
-  util::Result<RandomReadManyResponse> random_read_many(
-      BridgeFileId id, std::uint64_t first_block,
-      std::uint32_t count) override {
-    auto s = file_home(id);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->random_read_many(id, first_block, count);
-  }
-
-  util::Result<std::uint64_t> seq_seek(std::uint64_t session,
-                                       std::uint64_t block_no) override {
-    auto s = owner(session);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->seq_seek(untag(session), block_no);
-  }
-
-  util::Result<std::uint64_t> truncate(
-      BridgeFileId id, std::uint64_t new_size_blocks) override {
-    auto s = file_home(id);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->truncate(id, new_size_blocks);
-  }
-
-  util::Result<BridgeFileId> rename(const std::string& from,
-                                    const std::string& to) override {
-    // The home of the OLD name coordinates; the reply already carries the
-    // post-rename id (a new one, from the destination's slice, if the file
-    // moved homes).
-    return home(from).rename(from, to);
-  }
-
-  util::Result<std::vector<ListEntry>> list(
-      const std::string& prefix) override {
-    // Fan one kList out per server before waiting for any, then merge the
-    // sorted partitions.  Every server sorts by name and names are unique
-    // across servers (a name's home is a function of the name), so a k-way
-    // merge by (name, server index) is a deterministic total order.
-    ListRequest req{prefix};
-    auto payload = util::encode_to_bytes(req);
-    std::vector<std::uint64_t> pending(clients_.size());
-    for (std::size_t s = 0; s < clients_.size(); ++s) {
-      pending[s] = clients_[s]->rpc().call_async(
-          clients_[s]->server(), static_cast<std::uint32_t>(BridgeMsg::kList),
-          payload);
-    }
-    std::vector<std::vector<ListEntry>> parts(clients_.size());
-    util::Status first_error = util::ok_status();
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < clients_.size(); ++s) {
-      auto reply = clients_[s]->rpc().wait_reply(pending[s]);
-      if (!reply.is_ok()) {
-        if (first_error.is_ok()) first_error = reply.status();
-        continue;
-      }
-      parts[s] = util::decode_from_bytes<ListResponse>(reply.value()).entries;
-      total += parts[s].size();
-    }
-    if (!first_error.is_ok()) return first_error;
-
-    std::vector<ListEntry> merged;
-    merged.reserve(total);
-    std::vector<std::size_t> cursor(parts.size(), 0);
-    while (merged.size() < total) {
-      std::size_t best = parts.size();
-      for (std::size_t s = 0; s < parts.size(); ++s) {
-        if (cursor[s] >= parts[s].size()) continue;
-        if (best == parts.size() ||
-            parts[s][cursor[s]].name < parts[best][cursor[best]].name) {
-          best = s;
-        }
-      }
-      merged.push_back(std::move(parts[best][cursor[best]]));
-      ++cursor[best];
-    }
-    return merged;
-  }
-
-  util::Result<std::uint64_t> parallel_open(
-      std::uint64_t session, const std::vector<sim::Address>& workers) override {
-    auto s = owner(session);
-    if (!s.is_ok()) return s.status();
-    auto job = clients_[s.value()]->parallel_open(untag(session), workers);
-    if (!job.is_ok()) return job;
-    return tag(s.value(), job.value());
-  }
-
-  util::Result<ParallelReadResponse> parallel_read(std::uint64_t job) override {
-    auto s = owner(job);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->parallel_read(untag(job));
-  }
-
-  util::Result<ParallelWriteResponse> parallel_write(std::uint64_t job) override {
-    auto s = owner(job);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->parallel_write(untag(job));
-  }
-
-  util::Result<GetInfoResponse> get_info() override {
-    // Machine structure is identical from every server.
-    return clients_[0]->get_info();
-  }
-
-  util::Result<ResolveResponse> resolve(BridgeFileId id, std::uint64_t first,
-                                        std::uint32_t count) override {
-    auto s = file_home(id);
-    if (!s.is_ok()) return s.status();
-    return clients_[s.value()]->resolve(id, first, count);
-  }
-
- private:
-  /// Top byte of a session/job id carries its home server index.
-  static constexpr std::uint64_t kTagShift = 56;
-
-  [[nodiscard]] std::size_t home_index(const std::string& name) const {
-    return directory_home(name, clients_.size());
-  }
-  BridgeClient& home(const std::string& name) {
-    return *clients_[home_index(name)];
-  }
-  static std::uint64_t tag(std::size_t server, std::uint64_t id) {
-    return (static_cast<std::uint64_t>(server) << kTagShift) | id;
-  }
-  /// Home server of a tagged session/job id.  A tag outside the group —
-  /// a corrupt id, or one minted against a differently-sized group — is an
-  /// error, NOT something to mask with a modulo: silently routing it to an
-  /// arbitrary server turns a caller bug into wrong-file data access.
-  [[nodiscard]] util::Result<std::size_t> owner(std::uint64_t tagged) const {
-    auto s = static_cast<std::size_t>(tagged >> kTagShift);
-    if (s >= clients_.size()) {
-      return util::not_found("id " + std::to_string(tagged) +
-                             " is homed on server " + std::to_string(s) +
-                             " of " + std::to_string(clients_.size()));
-    }
-    return s;
-  }
-  /// Home server of a file id (its minting server's slice index).  Same
-  /// no-masking rule as owner(): a stale or foreign id must fail loudly.
-  [[nodiscard]] util::Result<std::size_t> file_home(BridgeFileId id) const {
-    auto s = static_cast<std::size_t>(file_id_home(id));
-    if (s >= clients_.size()) {
-      return util::not_found("file id " + std::to_string(id) +
-                             " is homed on server " + std::to_string(s) +
-                             " of " + std::to_string(clients_.size()));
-    }
-    return s;
-  }
-  static std::uint64_t untag(std::uint64_t tagged) {
-    return tagged & ((1ull << kTagShift) - 1);
-  }
-
-  std::vector<std::unique_ptr<BridgeClient>> clients_;
-};
+/// BridgeClient serves one Bridge Server or many; perfbench's old name.
+using RoutedBridgeClient = BridgeClient;
 
 }  // namespace bridge::core

@@ -252,7 +252,7 @@ util::Status EfsCore::dir_persist(sim::Context& ctx, std::uint32_t slot,
   sb_.clean = 0;  // mutations in flight until the next sync
   poke_superblock();
   ++dir_mutations_;
-  if (force || dir_mutations_ % config_.dir_flush_interval == 0) {
+  if (force || dir_mutations_ % kDirFlushInterval == 0) {
     // Charge the write-behind flush of the hot metadata blocks.
     ctx.charge(sim::msec(15.0));
   }

@@ -58,11 +58,12 @@ struct EfsConfig {
   sim::SimTime request_cpu = sim::usec(300);
   /// CPU per block of payload handled (copying in/out of the cache).
   sim::SimTime record_cpu = sim::usec(100);
-  /// Directory mutations between charged metadata write-backs.  The
-  /// directory, bitmap and extent-table blocks are kept current on disk;
-  /// the amortization models write-behind of the hot metadata blocks.
-  std::uint32_t dir_flush_interval = 16;
 };
+
+/// Directory mutations between charged metadata write-backs.  The
+/// directory, bitmap and extent-table blocks are kept current on disk; the
+/// amortization models write-behind of the hot metadata blocks.
+inline constexpr std::uint32_t kDirFlushInterval = 16;
 
 struct FileInfo {
   FileId id = kInvalidFileId;
@@ -222,7 +223,7 @@ class EfsCore {
   /// Find a slot to insert `id` into; returns index or -1 (directory full).
   [[nodiscard]] std::int64_t dir_find_free(FileId id) const;
   /// Persist the directory block containing slot `slot` plus the superblock
-  /// (marked dirty).  Charges a disk write every dir_flush_interval
+  /// (marked dirty).  Charges a disk write every kDirFlushInterval
   /// mutations (or always if `force`).
   util::Status dir_persist(sim::Context& ctx, std::uint32_t slot, bool force);
   void poke_dir_block(std::uint32_t dir_block_index);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -58,32 +59,25 @@ class Channel {
     // Happens-before edge for the race detector: the item carries a snapshot
     // of the sender's vector clock, joined into the receiver's on delivery.
     std::uint64_t race_token = sched_.race_on_send();
-    items_.push(Item{at, next_seq_++, std::move(value), race_token});
-    // Wake every parked receiver at the delivery time; stale-epoch filtering
-    // makes redundant wakes harmless.
-    for (Process* waiter : waiters_) {
-      sched_.schedule_wake(*waiter, at);
+    // Wake every parked receiver that this item wakes at the delivery time;
+    // stale-epoch filtering makes redundant wakes harmless.
+    for (const Waiter& waiter : waiters_) {
+      if (waiter.wakes == nullptr || (*waiter.wakes)(value)) {
+        sched_.schedule_wake(*waiter.process, at);
+      }
     }
+    items_.push(Item{at, next_seq_++, std::move(value), race_token});
   }
 
   /// Block until an item is available, then return it.
-  T recv() {
-    Process* self = sched_.current();
-    while (true) {
-      if (!items_.empty() && items_.top().at <= sched_.now()) {
-        T value = std::move(items_.top().value);
-        sched_.race_on_recv(items_.top().race_token);
-        items_.pop();
-        return value;
-      }
-      waiters_.push_back(self);
-      if (!items_.empty()) {
-        // An item is in flight; make sure somebody wakes us when it lands.
-        sched_.schedule_wake(*self, items_.top().at);
-      }
-      sched_.park_current();
-      remove_waiter(self);
-    }
+  T recv() { return receive(nullptr); }
+
+  /// recv() for a caller that waits for one item among several in flight:
+  /// items that have already arrived are still returned in order, but a
+  /// parked caller is woken only by an item for which `wakes` holds, so the
+  /// others cost it no wake.
+  T recv_woken_by(const std::function<bool(const T&)>& wakes) {
+    return receive(&wakes);
   }
 
   /// Receive with a deadline: blocks until an item is available or `timeout`
@@ -101,7 +95,7 @@ class Channel {
         return value;
       }
       if (sched_.now() >= deadline) return std::nullopt;
-      waiters_.push_back(self);
+      waiters_.push_back({self, nullptr});
       // Wake at the earlier of the next delivery and the deadline.
       SimTime wake_at = deadline;
       if (!items_.empty() && items_.top().at < wake_at) {
@@ -135,9 +129,44 @@ class Channel {
     std::uint64_t race_token = 0;  ///< sender clock snapshot (0 = none)
   };
 
+  using Wakes = std::function<bool(const T&)>;
+
+  struct Waiter {
+    Process* process;
+    const Wakes* wakes;  ///< nullptr: every item wakes it
+  };
+
+  T receive(const Wakes* wakes) {
+    Process* self = sched_.current();
+    while (true) {
+      if (!items_.empty() && items_.top().at <= sched_.now()) {
+        T value = std::move(items_.top().value);
+        sched_.race_on_recv(items_.top().race_token);
+        items_.pop();
+        return value;
+      }
+      waiters_.push_back({self, wakes});
+      // An item that wakes us is in flight; make sure somebody wakes us when
+      // it lands.  Every queued item is in flight here.
+      std::optional<SimTime> landing;
+      if (wakes == nullptr) {
+        if (!items_.empty()) landing = items_.top().at;
+      } else {
+        items_.for_each([&](const Item& item) {
+          if ((*wakes)(item.value) && (!landing || item.at < *landing)) {
+            landing = item.at;
+          }
+        });
+      }
+      if (landing) sched_.schedule_wake(*self, *landing);
+      sched_.park_current();
+      remove_waiter(self);
+    }
+  }
+
   void remove_waiter(Process* self) {
     for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-      if (*it == self) {
+      if (it->process == self) {
         waiters_.erase(it);
         return;
       }
@@ -147,7 +176,7 @@ class Channel {
   Scheduler& sched_;
   NodeId node_;
   TimedMinQueue<Item> items_;
-  std::vector<Process*> waiters_;
+  std::vector<Waiter> waiters_;
   std::unordered_map<ProcessId, SimTime> last_delivery_;  ///< per-sender FIFO
   std::uint64_t next_seq_ = 0;
 };

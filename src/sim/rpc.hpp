@@ -186,6 +186,28 @@ class RpcClient {
   /// Block for the reply to a specific call_async correlation id.  Replies
   /// to other outstanding calls that arrive first are stashed, not dropped.
   util::Result<std::vector<std::byte>> wait_reply(std::uint64_t correlation) {
+    return wait(correlation, nullptr);
+  }
+
+  /// wait_reply() for a caller that collects the replies of several calls
+  /// in issue order: only this call's reply wakes it, so it parks once per
+  /// reply that had not yet arrived when it was awaited, as it would with a
+  /// reply box per callee, not once per reply of any call.
+  util::Result<std::vector<std::byte>> wait_own_reply(
+      std::uint64_t correlation) {
+    std::function<bool(const Envelope&)> own = [correlation](
+                                                   const Envelope& reply) {
+      return reply.correlation == correlation;
+    };
+    return wait(correlation, &own);
+  }
+
+  [[nodiscard]] Context& context() const noexcept { return ctx_; }
+
+ private:
+  util::Result<std::vector<std::byte>> wait(
+      std::uint64_t correlation,
+      const std::function<bool(const Envelope&)>* wakes) {
     for (auto it = stash_.begin(); it != stash_.end(); ++it) {
       if (it->correlation == correlation) {
         Envelope reply = std::move(*it);
@@ -198,7 +220,8 @@ class RpcClient {
     // service time to get the server's own (exclusive) busy share.
     std::int64_t wait_start_us = ctx_.now().us();
     while (true) {
-      Envelope reply = reply_box_.recv();
+      Envelope reply = wakes == nullptr ? reply_box_.recv()
+                                        : reply_box_.recv_woken_by(*wakes);
       if (reply.correlation != correlation) {
         stash_.push_back(std::move(reply));
         continue;
@@ -209,10 +232,6 @@ class RpcClient {
     }
   }
 
-  [[nodiscard]] Address reply_address() noexcept { return reply_box_.address(); }
-  [[nodiscard]] Context& context() const noexcept { return ctx_; }
-
- private:
   Context& ctx_;
   Mailbox reply_box_;
   obs::Histogram* wait_us_;

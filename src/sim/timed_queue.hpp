@@ -64,6 +64,13 @@ class TimedMinQueue {
     return const_cast<TimedMinQueue*>(this)->top();
   }
 
+  /// Visit every element, in no particular order.
+  template <typename F>
+  void for_each(F&& visit) const {
+    for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) visit(fifo_[i]);
+    for (const T& item : heap_) visit(item);
+  }
+
   void pop() {
     if (fifo_head_ != fifo_.size() &&
         (heap_.empty() || !earlier(heap_.front(), fifo_[fifo_head_]))) {

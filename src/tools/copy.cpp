@@ -60,7 +60,7 @@ util::Result<EcopyResult> ecopy(sim::Context& ctx, const EcopyTask& task,
 }
 
 util::Result<CopyReport> run_filter_tool(sim::Context& ctx,
-                                         core::BridgeApi& client,
+                                         core::BridgeClient& client,
                                          const std::string& src,
                                          const std::string& dst,
                                          CopyOptions options) {
@@ -131,7 +131,7 @@ util::Result<CopyReport> run_filter_tool(sim::Context& ctx,
 }  // namespace
 
 util::Result<CopyReport> run_copy_tool(sim::Context& ctx,
-                                       core::BridgeApi& client,
+                                       core::BridgeClient& client,
                                        const std::string& src,
                                        const std::string& dst,
                                        CopyOptions options) {
@@ -140,7 +140,7 @@ util::Result<CopyReport> run_copy_tool(sim::Context& ctx,
 }
 
 util::Result<CopyReport> run_scan_tool(sim::Context& ctx,
-                                       core::BridgeApi& client,
+                                       core::BridgeClient& client,
                                        const std::string& src,
                                        CopyOptions options) {
   return run_filter_tool(ctx, client, src, "", std::move(options));

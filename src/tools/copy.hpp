@@ -38,7 +38,7 @@ struct CopyReport {
 /// Copy `src` to a freshly created `dst`, applying the filter to every
 /// block.  Runs from a client process; blocks until the copy completes.
 util::Result<CopyReport> run_copy_tool(sim::Context& ctx,
-                                       core::BridgeApi& client,
+                                       core::BridgeClient& client,
                                        const std::string& src,
                                        const std::string& dst,
                                        CopyOptions options = {});
@@ -46,7 +46,7 @@ util::Result<CopyReport> run_copy_tool(sim::Context& ctx,
 /// Scan-only variant: runs the filter over every block of `src` without
 /// writing an output file (grep / word count / checksum tools).
 util::Result<CopyReport> run_scan_tool(sim::Context& ctx,
-                                       core::BridgeApi& client,
+                                       core::BridgeClient& client,
                                        const std::string& src,
                                        CopyOptions options);
 

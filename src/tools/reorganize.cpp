@@ -23,7 +23,7 @@ struct WorkerResult {
 }  // namespace
 
 util::Result<ReorganizeReport> run_reorganize_tool(sim::Context& ctx,
-                                                   core::BridgeApi& client,
+                                                   core::BridgeClient& client,
                                                    const std::string& src,
                                                    const std::string& dst,
                                                    FanOutConfig fanout) {

@@ -30,7 +30,7 @@ struct ReorganizeReport {
 };
 
 util::Result<ReorganizeReport> run_reorganize_tool(sim::Context& ctx,
-                                                   core::BridgeApi& client,
+                                                   core::BridgeClient& client,
                                                    const std::string& src,
                                                    const std::string& dst,
                                                    FanOutConfig fanout = {});

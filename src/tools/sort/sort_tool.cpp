@@ -19,7 +19,7 @@ namespace {
 /// rest so a failed sort leaves nothing behind.
 class SortFiles {
  public:
-  SortFiles(sim::Context& ctx, core::BridgeApi& client, const ToolEnv& env)
+  SortFiles(sim::Context& ctx, core::BridgeClient& client, const ToolEnv& env)
       : client_(client), rpc_(ctx), lfs_(env.make_lfs_clients(rpc_)) {}
 
   void hold(const core::FileMeta& meta) { held_.push_back(meta); }
@@ -77,7 +77,7 @@ class SortFiles {
     return spanned;
   }
 
-  core::BridgeApi& client_;
+  core::BridgeClient& client_;
   sim::RpcClient rpc_;
   std::vector<std::unique_ptr<efs::EfsClient>> lfs_;
   std::vector<core::FileMeta> held_;
@@ -323,7 +323,7 @@ util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
 }  // namespace
 
 util::Result<SortReport> run_sort_tool(sim::Context& ctx,
-                                       core::BridgeApi& client,
+                                       core::BridgeClient& client,
                                        const std::string& src,
                                        const std::string& dst,
                                        SortOptions options) {

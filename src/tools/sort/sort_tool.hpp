@@ -48,7 +48,7 @@ struct SortReport {
 /// Sort Bridge file `src` (round-robin interleaved, record = block, key =
 /// leading uint64) into a new p-way interleaved Bridge file `dst`.
 util::Result<SortReport> run_sort_tool(sim::Context& ctx,
-                                       core::BridgeApi& client,
+                                       core::BridgeClient& client,
                                        const std::string& src,
                                        const std::string& dst,
                                        SortOptions options = {});

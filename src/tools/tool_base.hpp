@@ -341,7 +341,7 @@ struct ToolEnv {
 };
 
 /// Step (1): Get Info from the Bridge Server.
-inline util::Result<ToolEnv> discover(core::BridgeApi& client) {
+inline util::Result<ToolEnv> discover(core::BridgeClient& client) {
   auto info = client.get_info();
   if (!info.is_ok()) return info.status();
   return ToolEnv{std::move(info).value()};

@@ -45,7 +45,7 @@ TEST(MessageStats, VectoredOpsAccountExactBytes) {
   sim::Runtime& rt = inst.runtime();
 
   rt.spawn(inst.bridge_address().node, "c", [&](sim::Context& ctx) {
-    BridgeClient client(ctx, inst.bridge_address());
+    BridgeClient client(ctx, {inst.bridge_address()});
     auto id = client.create("f");
     ASSERT_TRUE(id.is_ok());
     auto open = client.open("f");
@@ -148,7 +148,7 @@ TEST(MessageStats, NaiveViewWireSizesArePinned) {
   inst.start();
   sim::Runtime& rt = inst.runtime();
   rt.spawn(inst.bridge_address().node, "c", [&](sim::Context& ctx) {
-    BridgeClient client(ctx, inst.bridge_address());
+    BridgeClient client(ctx, {inst.bridge_address()});
     CreateOptions options;
     options.width = 1;
     auto id = client.create("f", options);
@@ -195,7 +195,7 @@ TEST(MessageStats, CreateTreeBitKeepsTheMessageSize) {
   inst.start();
   sim::Runtime& rt = inst.runtime();
   rt.spawn(inst.bridge_address().node, "c", [&](sim::Context& ctx) {
-    BridgeClient client(ctx, inst.bridge_address());
+    BridgeClient client(ctx, {inst.bridge_address()});
     auto create_bytes = [&](const std::string& name, bool tree_bit) {
       CreateOptions options;
       options.tree = tree_bit;

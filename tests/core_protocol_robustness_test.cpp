@@ -40,7 +40,7 @@ TEST(ProtocolRobustness, GarbagePayloadGetsErrorReply) {
         EXPECT_FALSE(reply.is_ok());
         EXPECT_EQ(reply.status().code(), util::ErrorCode::kInvalidArgument);
         // The server must still serve real requests afterwards.
-        BridgeClient client(ctx, server);
+        BridgeClient client(ctx, {server});
         server_alive_after = client.create("post-attack").is_ok();
       });
   inst.run();
@@ -116,7 +116,7 @@ TEST(ProtocolRobustness, OversizedVectorCountsAreCorrupt) {
                               static_cast<std::uint32_t>(BridgeMsg::kDeleteMany),
                               oversized_count(0));
         EXPECT_EQ(reply.status().code(), util::ErrorCode::kCorrupt);
-        BridgeClient client(ctx, bridge);
+        BridgeClient client(ctx, {bridge});
         auto id = client.create("after");
         bridge_alive = id.is_ok();
         // A resolve of 0xFFFFFFFF blocks of a real file fails at EOF
@@ -185,7 +185,7 @@ TEST(ProtocolRobustness, UnknownDistributionIsRejectedBeforeAnyLfs) {
           EXPECT_FALSE(reply.is_ok()) << int(dist);
           EXPECT_EQ(reply.status().code(), util::ErrorCode::kInvalidArgument);
         }
-        BridgeClient client(ctx, server);
+        BridgeClient client(ctx, {server});
         EXPECT_EQ(client.open("bad").status().code(),
                   util::ErrorCode::kNotFound);
       });

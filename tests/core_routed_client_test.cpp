@@ -1,9 +1,10 @@
-// RoutedBridgeClient + multi-server BridgeInstance: directory partitioning,
+// BridgeClient over a multi-server BridgeInstance: directory partitioning,
 // session/job routing, id-space disjointness, and tools running unchanged
 // against the distributed configuration.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "src/analysis/race.hpp"
 #include "src/core/instance.hpp"
@@ -38,7 +39,7 @@ std::vector<std::byte> record(std::uint32_t tag) {
 
 TEST(RoutedClient, FilesSpreadAcrossServers) {
   BridgeInstance inst(cfg(4, 3));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (int f = 0; f < 12; ++f) {
       ASSERT_TRUE(client.create("file" + std::to_string(f)).is_ok());
     }
@@ -58,7 +59,7 @@ TEST(RoutedClient, FilesSpreadAcrossServers) {
 TEST(RoutedClient, EndToEndReadWriteAcrossPartitions) {
   BridgeInstance inst(cfg(4, 2));
   int verified = 0;
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (int f = 0; f < 6; ++f) {
       std::string name = "data" + std::to_string(f);
       ASSERT_TRUE(client.create(name).is_ok());
@@ -93,7 +94,7 @@ TEST(RoutedClient, EndToEndReadWriteAcrossPartitions) {
 TEST(RoutedClient, LfsFileIdsDisjointAcrossServers) {
   BridgeInstance inst(cfg(4, 3));
   std::vector<BridgeFileId> ids;
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (int f = 0; f < 9; ++f) {
       auto id = client.create("x" + std::to_string(f));
       ASSERT_TRUE(id.is_ok());
@@ -107,7 +108,7 @@ TEST(RoutedClient, LfsFileIdsDisjointAcrossServers) {
 
 TEST(RoutedClient, RemoveManyPartitionsBatch) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::vector<std::string> names;
     for (int f = 0; f < 8; ++f) {
       names.push_back("t" + std::to_string(f));
@@ -124,8 +125,8 @@ TEST(RoutedClient, RemoveManyPartitionsBatch) {
 TEST(RoutedClient, CopyToolRunsAgainstRoutedDirectory) {
   BridgeInstance inst(cfg(4, 2));
   std::uint64_t copied = 0;
-  inst.run_routed_client("tool", [&](sim::Context& ctx,
-                                     RoutedBridgeClient& client) {
+  inst.run_client("tool", [&](sim::Context& ctx,
+                                     BridgeClient& client) {
     ASSERT_TRUE(client.create("src").is_ok());
     auto open = client.open("src");
     ASSERT_TRUE(open.is_ok());
@@ -151,8 +152,8 @@ TEST(RoutedClient, CopyToolRunsAgainstRoutedDirectory) {
 
 TEST(RoutedClient, SortToolRunsAgainstRoutedDirectory) {
   BridgeInstance inst(cfg(4, 3));
-  inst.run_routed_client("tool", [&](sim::Context& ctx,
-                                     RoutedBridgeClient& client) {
+  inst.run_client("tool", [&](sim::Context& ctx,
+                                     BridgeClient& client) {
     ASSERT_TRUE(client.create("input").is_ok());
     auto open = client.open("input");
     ASSERT_TRUE(open.is_ok());
@@ -207,7 +208,7 @@ std::vector<CreateOptions> create_variants() {
   return variants;
 }
 
-void expect_created_meta_matches_open(BridgeApi& client) {
+void expect_created_meta_matches_open(BridgeClient& client) {
   auto variants = create_variants();
   for (std::size_t i = 0; i < variants.size(); ++i) {
     std::string name = "made" + std::to_string(i);
@@ -236,7 +237,7 @@ TEST(CreatedFileMeta, EqualsOpenOnSingleAndRoutedMachines) {
   single.run();
 
   BridgeInstance routed(cfg(4, 2));
-  routed.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  routed.run_client("c", [&](sim::Context&, BridgeClient& client) {
     expect_created_meta_matches_open(client);
   });
   routed.run();
@@ -254,7 +255,7 @@ TEST(RoutedClient, CollidingLocalIdsRouteByHomeTag) {
   // one entry and routed its reads to the wrong server; ids tagged with
   // their home byte route correctly with no client state at all.
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string n0 = name_with_home("collide", 0, 2);
     std::string n1 = name_with_home("collide", 1, 2);
     auto id0 = client.create(n0);
@@ -278,7 +279,7 @@ TEST(RoutedClient, CollidingLocalIdsRouteByHomeTag) {
 
 TEST(RoutedClient, StaleIdAfterRemoveAndRecreateIsNotFound) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     ASSERT_TRUE(client.create("victim").is_ok());
     auto open = client.open("victim");
     ASSERT_TRUE(open.is_ok());
@@ -305,7 +306,7 @@ TEST(RoutedClient, StaleIdAfterRemoveAndRecreateIsNotFound) {
 
 TEST(RoutedClient, OutOfRangeTagIsNotFoundNotMasked) {
   BridgeInstance inst(cfg(2, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     // A corrupt session/job tag must fail, not silently route to tag % k.
     std::uint64_t bogus_session = (200ull << 56) | 1ull;
     auto r = client.seq_read(bogus_session);
@@ -328,7 +329,7 @@ TEST(RoutedClient, OutOfRangeTagIsNotFoundNotMasked) {
 
 TEST(RoutedClient, RemoveManyAggregatesStatusesAcrossServers) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string present0 = name_with_home("p0_", 0, 2);
     std::string present1 = name_with_home("p1_", 1, 2);
     std::string missing0 = name_with_home("m0_", 0, 2);
@@ -348,7 +349,7 @@ TEST(RoutedClient, RemoveManyAggregatesStatusesAcrossServers) {
 
 TEST(RoutedClient, RenameWithinOneHomeKeepsIdAndSessions) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string from = name_with_home("local_from", 0, 2);
     std::string to = name_with_home("local_to", 0, 2);
     auto id = client.create(from);
@@ -375,7 +376,7 @@ TEST(RoutedClient, RenameWithinOneHomeKeepsIdAndSessions) {
 
 TEST(RoutedClient, CrossServerRenameMovesHomeAndKeepsData) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string from = name_with_home("xfrom", 0, 2);
     std::string to = name_with_home("xto", 1, 2);
     auto id = client.create(from);
@@ -418,7 +419,7 @@ TEST(RoutedClient, CrossServerRenameMovesHomeAndKeepsData) {
 
 TEST(RoutedClient, CrossServerRenameAbortsWhenTargetExists) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string from = name_with_home("abort_from", 0, 2);
     std::string to = name_with_home("abort_to", 1, 2);
     ASSERT_TRUE(client.create(from).is_ok());
@@ -446,7 +447,7 @@ TEST(RoutedClient, CrossServerRenameAbortsWhenTargetExists) {
 TEST(RoutedClient, CrossServerRenameDropsTheSourceSessionsAndJobs) {
   BridgeInstance inst(cfg(4, 2));
   sim::Mailbox worker(inst.runtime().scheduler(), inst.config().client_node());
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string from = name_with_home("moved_from", 0, 2);
     std::string to = name_with_home("moved_to", 1, 2);
     ASSERT_TRUE(client.create(from).is_ok());
@@ -476,7 +477,7 @@ TEST(RoutedClient, CrossServerRenameDropsTheSourceSessionsAndJobs) {
 
 TEST(RoutedClient, GlobalListingMergesSortedAcrossServers) {
   BridgeInstance inst(cfg(4, 3));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (int f = 0; f < 12; ++f) {
       ASSERT_TRUE(
           client.create("ls" + std::string(1, char('a' + f))).is_ok());
@@ -514,7 +515,7 @@ std::string rename_race_trace(std::uint64_t* access_count,
   inst.runtime().enable_race_check();
   inst.runtime().tracer().enable();
   auto workload = [](std::uint32_t base) {
-    return [base](sim::Context&, RoutedBridgeClient& client) {
+    return [base](sim::Context&, BridgeClient& client) {
       for (std::uint32_t i = 0; i < 4; ++i) {
         std::string from = "race_src_" + std::to_string(base + i);
         std::string to = "race_dst_" + std::to_string(i);  // shared targets
@@ -534,8 +535,8 @@ std::string rename_race_trace(std::uint64_t* access_count,
       }
     };
   };
-  inst.run_routed_client("racer-a", workload(0));
-  inst.run_routed_client("racer-b", workload(100));
+  inst.run_client("racer-a", workload(0));
+  inst.run_client("racer-b", workload(100));
   inst.run();
   *access_count = inst.runtime().race()->access_count();
   *race_report = inst.runtime().race()->report_text();
@@ -561,7 +562,7 @@ TEST(RoutedClient, RenameRaceFreeAndTraceDeterministic) {
 
 TEST(RoutedClient, SingleServerDegeneratesToPlainClient) {
   BridgeInstance inst(cfg(2, 1));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     EXPECT_EQ(client.num_servers(), 1u);
     ASSERT_TRUE(client.create("f").is_ok());
     auto open = client.open("f");
@@ -573,6 +574,177 @@ TEST(RoutedClient, SingleServerDegeneratesToPlainClient) {
     EXPECT_EQ(r.value().data, record(1));
   });
   inst.run();
+}
+
+TEST(RoutedClient, SingleServerRejectsAForeignHomeTagWithoutARoundTrip) {
+  BridgeInstance inst(cfg(2, 1));
+  std::uint64_t requests_before = 0;
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
+    ASSERT_TRUE(client.create("f").is_ok());
+    auto open = client.open("f");
+    ASSERT_TRUE(open.is_ok());
+    requests_before = inst.server().stats().requests;
+    // A one-server group has only home 0: any other tag is not_found here,
+    // before a message is sent.
+    auto r = client.seq_read((1ull << 56) | open.value().session);
+    ASSERT_FALSE(r.is_ok());
+    EXPECT_EQ(r.status().code(), util::ErrorCode::kNotFound);
+    BridgeFileId foreign = (1u << kFileIdHomeShift) | open.value().meta.id;
+    auto rr = client.random_read(foreign, 0);
+    ASSERT_FALSE(rr.is_ok());
+    EXPECT_EQ(rr.status().code(), util::ErrorCode::kNotFound);
+  });
+  inst.run();
+  EXPECT_EQ(inst.server().stats().requests, requests_before);
+}
+
+TEST(RoutedClient, RunClientRoutesEveryNameToItsHome) {
+  BridgeInstance inst(cfg(4, 2));
+  std::string name = name_with_home("homed", 1, 2);
+  inst.run_client("writer", [&](sim::Context&, BridgeClient& client) {
+    EXPECT_EQ(client.num_servers(), 2u);
+    ASSERT_TRUE(client.create(name).is_ok());
+    auto open = client.open(name);
+    ASSERT_TRUE(open.is_ok());
+    ASSERT_TRUE(client.seq_write(open.value().session, record(5)).is_ok());
+  });
+  inst.run();
+  EXPECT_EQ(inst.server(0).directory_size(), 0u);
+  EXPECT_EQ(inst.server(1).directory_size(), 1u);
+  // A second client finds the file at its home and lists it exactly once.
+  inst.run_client("reader", [&](sim::Context&, BridgeClient& client) {
+    auto open = client.open(name);
+    ASSERT_TRUE(open.is_ok()) << open.status().to_string();
+    auto r = client.seq_read(open.value().session);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_EQ(r.value().data, record(5));
+    auto listed = client.list("");
+    ASSERT_TRUE(listed.is_ok());
+    ASSERT_EQ(listed.value().size(), 1u);
+    EXPECT_EQ(listed.value()[0].name, name);
+  });
+  inst.run();
+}
+
+/// Requests of op class `op` ("List", "DeleteMany", ...) the stage ledger
+/// has completed.
+std::uint64_t ledgered(BridgeInstance& inst, const std::string& op) {
+  const obs::Histogram* total =
+      inst.runtime().metrics().find_histogram("op." + op + ".total_us");
+  return total == nullptr ? 0 : total->count();
+}
+
+/// Requests the stage ledger has completed over every client op class.
+std::uint64_t ledgered_all(BridgeInstance& inst) {
+  std::uint64_t n = 0;
+  for (auto t = static_cast<std::uint32_t>(BridgeMsg::kCreate);
+       t <= static_cast<std::uint32_t>(BridgeMsg::kList); ++t) {
+    std::string name = bridge_msg_name(static_cast<BridgeMsg>(t));
+    n += ledgered(inst, name.substr(std::string("bridge.").size()));
+  }
+  return n;
+}
+
+/// Ledger requests a k-server client's list and remove_many open, each.
+std::pair<std::uint64_t, std::uint64_t> fan_out_requests(std::uint32_t k) {
+  BridgeInstance inst(cfg(4, k));
+  std::pair<std::uint64_t, std::uint64_t> added{99, 99};
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
+    for (int f = 0; f < 6; ++f) {
+      ASSERT_TRUE(client.create("g" + std::to_string(f)).is_ok());
+    }
+    std::uint64_t before = ledgered_all(inst);
+    std::uint64_t lists = ledgered(inst, "List");
+    auto listed = client.list("");
+    ASSERT_TRUE(listed.is_ok());
+    ASSERT_EQ(listed.value().size(), 6u);
+    ASSERT_EQ(ledgered_all(inst) - before, ledgered(inst, "List") - lists);
+    added.first = ledgered(inst, "List") - lists;
+
+    before = ledgered_all(inst);
+    std::uint64_t deletes = ledgered(inst, "DeleteMany");
+    ASSERT_TRUE(client.remove_many({"g0", "g1", "g2", "g3", "g4", "g5"})
+                    .is_ok());
+    ASSERT_EQ(ledgered_all(inst) - before,
+              ledgered(inst, "DeleteMany") - deletes);
+    added.second = ledgered(inst, "DeleteMany") - deletes;
+  });
+  inst.run();
+  std::size_t left = 0;
+  for (std::uint32_t s = 0; s < k; ++s) left += inst.server(s).directory_size();
+  EXPECT_EQ(left, 0u);
+  return added;
+}
+
+TEST(ClientLedger, OneServerListAndRemoveManyAreOneRequestEach) {
+  auto [list, remove_many] = fan_out_requests(1);
+  EXPECT_EQ(list, 1u);
+  EXPECT_EQ(remove_many, 1u);
+}
+
+TEST(ClientLedger, MultiServerListAndRemoveManyOpenNoRequest) {
+  auto [list, remove_many] = fan_out_requests(3);
+  EXPECT_EQ(list, 0u);
+  EXPECT_EQ(remove_many, 0u);
+}
+
+TEST(ClientLedger, EveryOtherRoutedCallIsOneRequest) {
+  BridgeInstance inst(cfg(4, 3));
+  sim::Mailbox worker(inst.runtime().scheduler(), inst.config().client_node());
+  std::size_t checked = 0;
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
+    // One request of class `op`, and no other, per call.
+    auto one = [&](const std::string& op, auto&& call) {
+      std::uint64_t all = ledgered_all(inst);
+      std::uint64_t mine = ledgered(inst, op);
+      EXPECT_TRUE(call()) << op;
+      EXPECT_EQ(ledgered(inst, op) - mine, 1u) << op;
+      EXPECT_EQ(ledgered_all(inst) - all, 1u) << op;
+      ++checked;
+    };
+    std::string from = name_with_home("lf", 1, 3);
+    std::string to = name_with_home("lt", 2, 3);
+    BridgeFileId id = 0;
+    std::uint64_t session = 0;
+    one("Create", [&] {
+      auto r = client.create(from);
+      id = r.is_ok() ? r.value() : 0;
+      return r.is_ok();
+    });
+    one("Open", [&] {
+      auto r = client.open(from);
+      session = r.is_ok() ? r.value().session : 0;
+      return r.is_ok();
+    });
+    one("SeqWrite",
+        [&] { return client.seq_write(session, record(1)).is_ok(); });
+    one("SeqWriteMany", [&] {
+      return client.seq_write_many(session, {record(2), record(3)}).is_ok();
+    });
+    one("RandomWrite",
+        [&] { return client.random_write(id, 3, record(4)).is_ok(); });
+    one("SeqRead", [&] { return client.seq_read(session).is_ok(); });
+    one("SeqReadMany", [&] { return client.seq_read_many(session, 2).is_ok(); });
+    one("SeqSeek", [&] { return client.seq_seek(session, 0).is_ok(); });
+    one("RandomRead", [&] { return client.random_read(id, 0).is_ok(); });
+    one("RandomReadMany",
+        [&] { return client.random_read_many(id, 0, 4).is_ok(); });
+    one("Resolve", [&] { return client.resolve(id, 0, 4).is_ok(); });
+    one("GetInfo", [&] { return client.get_info().is_ok(); });
+    one("ParallelOpen", [&] {
+      return client.parallel_open(session, {worker.address()}).is_ok();
+    });
+    one("Truncate", [&] { return client.truncate(id, 2).is_ok(); });
+    one("Rename", [&] {
+      auto r = client.rename(from, to);  // crosses from home 1 to home 2
+      id = r.is_ok() ? r.value() : 0;
+      return r.is_ok();
+    });
+    one("Delete", [&] { return client.remove(to).is_ok(); });
+  });
+  inst.run();
+  EXPECT_EQ(checked, 16u);
+  EXPECT_EQ(inst.server(1).stats().renames_out, 1u);
 }
 
 }  // namespace

@@ -258,7 +258,7 @@ TEST(StageLedger, CrossServerRenameHandoffIsAttributed) {
   cfg.num_bridge_servers = 2;
   BridgeInstance inst(cfg);
   inst.runtime().tracer().enable();
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string from = name_with_home("hfrom", 0, 2);
     std::string to = name_with_home("hto", 1, 2);
     ASSERT_TRUE(client.create(from).is_ok());

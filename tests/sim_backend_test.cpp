@@ -46,7 +46,7 @@ RunFingerprint routed_workload() {
   core::BridgeInstance inst(config);
   inst.runtime().tracer().enable();
   auto workload = [](std::uint32_t base) {
-    return [base](sim::Context&, core::RoutedBridgeClient& client) {
+    return [base](sim::Context&, core::BridgeClient& client) {
       for (std::uint32_t i = 0; i < 4; ++i) {
         std::string from = "src_" + std::to_string(base + i);
         std::string to = "dst_" + std::to_string(i);  // shared targets
@@ -64,8 +64,8 @@ RunFingerprint routed_workload() {
       }
     };
   };
-  inst.run_routed_client("racer-a", workload(0));
-  inst.run_routed_client("racer-b", workload(100));
+  inst.run_client("racer-a", workload(0));
+  inst.run_client("racer-b", workload(100));
   inst.run();
   RunFingerprint fp;
   fp.trace = inst.runtime().tracer().chrome_trace_json();

@@ -2,6 +2,7 @@
 // blocking receive, multiple producers/consumers, try_recv.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,36 @@ TEST(Channel, PendingCountsInFlight) {
   rt.run();
   EXPECT_EQ(pending_mid, 2u);
   EXPECT_EQ(chan->pending(), 0u);
+}
+
+TEST(Channel, RecvWokenByParksThroughOtherItems) {
+  // Item 1 lands at 5 ms but does not wake the receiver; item 2 does, at
+  // 20 ms.  Items that have arrived are still returned in delivery order.
+  // The receiver parks before the sends, or after them with both in flight.
+  for (std::int64_t park_at_us : {0, 1'000}) {
+    Runtime rt(1);
+    auto chan = rt.make_channel<int>(0);
+    std::vector<int> got;
+    std::vector<std::int64_t> at_us;
+    rt.spawn(0, "receiver", [&](Context& ctx) {
+      ctx.sleep(usec(park_at_us));
+      std::function<bool(const int&)> two = [](const int& v) {
+        return v == 2;
+      };
+      for (int i = 0; i < 2; ++i) {
+        got.push_back(chan->recv_woken_by(two));
+        at_us.push_back(ctx.now().us());
+      }
+    });
+    rt.spawn(0, "sender", [&](Context&) {
+      chan->send(1, msec(5));
+      chan->send(2, msec(20));
+    });
+    rt.run();
+    EXPECT_EQ(got, (std::vector<int>{1, 2})) << park_at_us;
+    EXPECT_EQ(at_us, (std::vector<std::int64_t>{20'000, 20'000}))
+        << park_at_us;
+  }
 }
 
 }  // namespace

@@ -344,5 +344,39 @@ TEST(Rpc, ReplyPayloadRoundTrip) {
   EXPECT_EQ(parsed_err.status().message(), "disk full");
 }
 
+/// A slow call to one server and a fast one to another, awaited in issue
+/// order; returns the wakes the run scheduled.
+std::uint64_t two_server_fan_out_wakes(bool own) {
+  Runtime rt(3);
+  Mailbox slow_box(rt.scheduler(), 1);
+  Mailbox fast_box(rt.scheduler(), 2);
+  Address slow = spawn_test_server(rt, 1, slow_box);
+  Address fast = spawn_test_server(rt, 2, fast_box);
+  rt.spawn(0, "client", [&](Context& ctx) {
+    RpcClient cli(ctx);
+    Writer w20;
+    w20.u64(20);
+    Writer w1;
+    w1.u64(1);
+    auto c1 = cli.call_async(slow, kSlowDouble, w20.buffer());
+    auto c2 = cli.call_async(fast, kSlowDouble, w1.buffer());
+    // The fast reply lands while the caller waits for the slow one.
+    auto r1 = own ? cli.wait_own_reply(c1) : cli.wait_reply(c1);
+    auto r2 = own ? cli.wait_own_reply(c2) : cli.wait_reply(c2);
+    ASSERT_TRUE(r1.is_ok() && r2.is_ok());
+    EXPECT_EQ(Reader(r1.value()).u64(), 40u);
+    EXPECT_EQ(Reader(r2.value()).u64(), 2u);
+  });
+  rt.run();
+  return rt.scheduler().stats().wakes_scheduled;
+}
+
+TEST(Rpc, WaitOwnReplyIsNotWokenByAnotherCallsReply) {
+  // wait_reply parks twice (woken by the fast reply, then by its own);
+  // wait_own_reply parks once, as with one reply box per server.
+  EXPECT_EQ(two_server_fan_out_wakes(/*own=*/true) + 1,
+            two_server_fan_out_wakes(/*own=*/false));
+}
+
 }  // namespace
 }  // namespace bridge::sim
