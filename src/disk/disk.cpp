@@ -46,8 +46,14 @@ void DiskStats::publish(obs::MetricsRegistry& registry,
 SimDisk::SimDisk(Geometry geometry, LatencyModel latency)
     : geometry_(geometry),
       latency_(latency),
-      store_(static_cast<std::byte*>(std::calloc(store_bytes(), 1))) {
-  if (store_ == nullptr && store_bytes() > 0) throw std::bad_alloc();
+      store_(map_store(store_bytes()), FreeStore{store_bytes()}) {}
+
+std::byte* SimDisk::map_store(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
+  void* store = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (store == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::byte*>(store);
 }
 
 util::Status SimDisk::check_addr(BlockAddr addr) const {

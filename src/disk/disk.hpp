@@ -10,6 +10,8 @@
 // positioning latency for blocks_per_track blocks.
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -200,15 +202,20 @@ class SimDisk {
            geometry_.block_size;
   }
 
+  /// A fresh anonymous mapping of `bytes`, or null for none.
+  static std::byte* map_store(std::size_t bytes);
   struct FreeStore {
-    void operator()(std::byte* store) const noexcept { std::free(store); }
+    std::size_t bytes = 0;
+    void operator()(std::byte* store) const noexcept { ::munmap(store, bytes); }
   };
 
   Geometry geometry_;
   LatencyModel latency_;
-  /// capacity_blocks * block_size, contiguous, from calloc: the zeros are
-  /// never written, so a large device is resident only where it has been
-  /// written and unwritten blocks read as zeros.
+  /// capacity_blocks * block_size, contiguous, mapped fresh: its pages are
+  /// zero until written, so a large device is resident only where it has
+  /// been written.  calloc gave a fresh mapping only while no free heap
+  /// chunk fit the store; one carved from the heap was zero-filled, and so
+  /// resident, at once.
   std::unique_ptr<std::byte, FreeStore> store_;
   DiskStats stats_;
   BlockAddr last_addr_ = kNilAddr;

@@ -241,6 +241,8 @@ class RpcClient {
 
 /// Fan-out helper: issue N calls, then collect the replies — which may
 /// arrive in any order — without correlation bookkeeping at the call site.
+/// wait_all() waits for them in issue order with wait_own_reply(), so a
+/// reply that lands while an earlier call's is awaited costs no wake.
 ///
 /// A call may carry a completion: it takes the call's reply and returns a
 /// status.  wait_all() first waits for every reply, inside one
@@ -288,7 +290,7 @@ class AsyncBatch {
       // The gap between the fan-out and the slowest reply.
       ScopedSpan span(rpc_->context(), "rpc.batch_wait");
       for (const auto& call : calls_) {
-        results.push_back(rpc_->wait_reply(call.correlation));
+        results.push_back(rpc_->wait_own_reply(call.correlation));
       }
     }
     std::vector<Call> calls = std::move(calls_);

@@ -14,11 +14,10 @@ namespace bridge::tools {
 util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
                                              const LocalSortTask& task) {
   LocalSortResult result;
-  result.offset = task.offset;
-  if (task.keep_keys) result.keys.reserve(task.run.size_blocks);
+  if (task.rank) result.keys.reserve(task.run.size_blocks);
   sim::RpcClient rpc(ctx);
   efs::EfsClient efs(rpc, task.lfs_service);
-  const std::uint32_t c = std::max<std::uint32_t>(task.tuning.in_core_records, 2);
+  const std::uint32_t c = task.tuning.in_core();
   std::uint32_t temp_seq = 0;
   auto temp_id = [&](std::uint32_t seq) {
     return tool_private_file_id(task.owner, kPrivateTempSlot0 + seq);
@@ -83,12 +82,20 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
                        2.0, static_cast<double>(index.size())));
     ctx.charge(task.tuning.compare_cpu * static_cast<std::int64_t>(nlogn));
 
+    // Small portion for the rank merge: keep the sorted records in core.
+    if (single_run && task.rank) {
+      for (const Slot& slot : index) {
+        result.keys.push_back(slot.key);
+        result.sorted.push_back({slot.begin, slot.size});
+      }
+      result.in_core = std::move(in_core);
+      break;
+    }
     // Small portion: write the sorted records straight into the run file.
     auto sink = next_sink(single_run);
     if (!sink.is_ok()) return fail(sink.status());
     for (const Slot& slot : index) {
       ctx.charge(task.tuning.record_cpu);
-      if (single_run && task.keep_keys) result.keys.push_back(slot.key);
       auto record = std::span(in_core).subspan(slot.begin, slot.size);
       if (auto st = sink.value().put(record); !st.is_ok()) return fail(st);
     }
@@ -142,7 +149,7 @@ util::Result<LocalSortResult> run_local_sort(sim::Context& ctx,
         ctx.charge(task.tuning.compare_cpu *
                    static_cast<std::int64_t>(k > 1 ? k - 1 : 1));
         ctx.charge(task.tuning.record_cpu);
-        if (is_final && task.keep_keys) result.keys.push_back(best_key);
+        if (is_final && task.rank) result.keys.push_back(best_key);
         if (auto st = sink.value().put(*readers[best].head()); !st.is_ok()) {
           return fail(st);
         }

@@ -22,9 +22,10 @@ inline std::uint64_t record_key(std::span<const std::byte> payload) {
 }
 
 /// Blocks per LFS request on the sort's streams: the local sort's source,
-/// run, temp and merge streams, the rank merge's gather and the token
-/// merge's writers.  The token merge's readers stay at one block, since a
-/// window there makes the token wait while its holder refills.
+/// run, temp and merge streams, the rank merge's run readers and dst
+/// writers, and the token merge's writers.  The token merge's readers stay
+/// at one block, since a window there makes the token wait while its holder
+/// refills.
 inline constexpr std::uint32_t kSortWindow = 8;
 
 /// Tuning for both sort phases.
@@ -42,6 +43,11 @@ struct SortTuning {
   sim::SimTime record_cpu = sim::usec(40);
   /// CPU to process one token at a merge reader.
   sim::SimTime token_cpu = sim::usec(60);
+
+  /// c as the local sort uses it: at least 2.
+  [[nodiscard]] std::uint32_t in_core() const noexcept {
+    return in_core_records < 2 ? 2 : in_core_records;
+  }
 };
 
 }  // namespace bridge::tools

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/tools/sort/local_sort.hpp"
@@ -83,25 +85,20 @@ class SortFiles {
   std::vector<core::FileMeta> held_;
 };
 
-/// What the local phase leaves: the runs and, for the rank merge, each
-/// run's keys in run order.
-struct LocalRuns {
-  std::vector<core::FileMeta> runs;
-  std::vector<std::vector<std::uint64_t>> keys;
-};
+/// Records of src's j-th constituent.
+std::uint64_t local_count(const core::FileMeta& src, std::uint32_t j) {
+  return src.size_blocks / src.width + (j < src.size_blocks % src.width ? 1 : 0);
+}
 
-/// Phase 1: one local external sort per constituent LFS.  Run j is a
-/// tool-private width-1 file on the source's j-th LFS and holds the records
-/// of src's constituent there.  The runs are merge "pass 0": they share one
-/// id, because they sit on disjoint LFSs, and are created in one batch.  A
-/// width-1 source sorts straight into dst.
-util::Result<LocalRuns> sort_locally(sim::Context& ctx, const ToolEnv& env,
-                                     const core::FileMeta& src,
-                                     const core::FileMeta& dst,
-                                     const SortOptions& options,
-                                     SortFiles& files) {
+/// Phase 1 of the token tree: one local external sort per constituent LFS.
+/// Run j is a tool-private width-1 file on the source's j-th LFS and holds
+/// the records of src's constituent there.  The runs are merge "pass 0":
+/// they share one id, because they sit on disjoint LFSs, and are created in
+/// one batch.  A width-1 source sorts straight into dst.
+util::Result<std::vector<core::FileMeta>> sort_locally(
+    sim::Context& ctx, const ToolEnv& env, const core::FileMeta& src,
+    const core::FileMeta& dst, const SortOptions& options, SortFiles& files) {
   std::uint32_t w = src.width;
-  bool keep_keys = options.merge == SortMerge::kRank && w > 1;
   std::vector<core::FileMeta> runs(w, dst);
   if (w > 1) {
     auto run_id = tool_private_file_id(dst.id, 0);
@@ -118,8 +115,7 @@ util::Result<LocalRuns> sort_locally(sim::Context& ctx, const ToolEnv& env,
   WorkerGroup<LocalSortResult> group(ctx, options.fanout);
   for (std::uint32_t j = 0; j < w; ++j) {
     std::uint32_t lfs = (src.start_lfs + j) % env.num_lfs();
-    runs[j].size_blocks =
-        src.size_blocks / w + (j < src.size_blocks % w ? 1 : 0);
+    runs[j].size_blocks = local_count(src, j);
     LocalSortTask task;
     task.lfs_service = env.lfs_service(lfs);
     task.lfs_index = lfs;
@@ -127,23 +123,14 @@ util::Result<LocalRuns> sort_locally(sim::Context& ctx, const ToolEnv& env,
     task.src = src;
     task.run = runs[j];
     task.owner = dst.id;
-    task.keep_keys = keep_keys;
     task.tuning = options.tuning;
     group.spawn(env.lfs_node(lfs), "lsort@" + std::to_string(lfs),
                 [task](sim::Context& worker_ctx) {
                   return run_local_sort(worker_ctx, task);
                 });
   }
-  auto sorted = group.wait_all();
-  if (!sorted.is_ok()) return sorted.status();
-  LocalRuns local{std::move(runs), {}};
-  if (keep_keys) {
-    local.keys.resize(w);
-    for (auto& result : sorted.value()) {
-      local.keys[result.offset] = std::move(result.keys);
-    }
-  }
-  return local;
+  if (auto sorted = group.wait_all(); !sorted.is_ok()) return sorted.status();
+  return runs;
 }
 
 /// Phase 2: the log-depth tree of token merges; returns the pass count.
@@ -204,25 +191,52 @@ util::Result<std::uint32_t> merge_runs(sim::Context& ctx, const ToolEnv& env,
   return pass;
 }
 
-/// Ranks per gather round: two windows.  A worker holds at most two
-/// rounds, the one it appends and the one in flight.
-constexpr std::size_t kGatherRound = 2 * kSortWindow;
+/// Ranks per dst constituent in one scatter round: four windows, so every
+/// round appends four kWriteMany on each dst LFS.
+constexpr std::uint64_t kScatterRound = 4 * kSortWindow;
 
-/// Phase 2, rank arm: one pass; returns the pass count.  The controller
+/// A rank worker's report: its run's keys in run order, 8 B each.
+struct RunKeys {
+  std::vector<std::uint64_t> keys;
+
+  [[nodiscard]] std::size_t wire_bytes() const noexcept {
+    return keys.size() * sizeof(std::uint64_t);
+  }
+};
+
+/// A rank worker's plan: 4 B per record of its run and per rank it owns.
+struct ScatterPlan {
+  std::uint64_t records = 0;          ///< n, the records of every run
+  std::vector<std::uint32_t> rank_of;  ///< rank of each record of its run
+  std::vector<std::uint32_t> run_of;   ///< run of each rank it owns, in order
+
+  [[nodiscard]] std::size_t wire_bytes() const noexcept {
+    return sizeof(records) + (rank_of.size() + run_of.size()) * 4;
+  }
+};
+
+/// One scatter message: the records run `run` sends one dst constituent in
+/// round `round`, each u32-length-prefixed, back to back.  A parcel whose
+/// status is an error instead tells its worker to stop.
+struct Parcel {
+  util::Status status = util::ok_status();
+  std::uint32_t run = 0;
+  std::uint64_t round = 0;
+  std::vector<std::byte> records;
+};
+
+using RankGroup = WorkerGroup<std::uint64_t, RunKeys, ScatterPlan>;
+/// One per rank worker, on its node; they outlive the workers.
+using Inboxes = std::deque<sim::Channel<Parcel>>;
+
+/// Rank every record once and plan the scatter.  The controller
 /// stable-sorts every record's (key, run, local index), built run-major so
 /// equal keys keep (run, local) order.  Rank g goes to dst constituent
-/// g mod w at local block g div w, so worker m, on dst's m-th LFS, is
-/// handed the run of each of its ranks and, per run, the locals it needs,
-/// which ascend.  It walks its ranks in rounds: the list-mode kReadMany of
-/// round k+1, one per run it touches and window, go out in one batch
-/// before round k's records are appended in rank order.
-util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
-                                       LocalRuns local,
-                                       const core::FileMeta& dst,
-                                       const SortOptions& options,
-                                       SortFiles& files) {
-  auto w = static_cast<std::uint32_t>(local.runs.size());
-  if (w <= 1) return 0u;  // a width-1 source sorted straight into dst
+/// g mod w at local block g div w.
+std::vector<ScatterPlan> plan_scatter(sim::Context& ctx,
+                                      const std::vector<RunKeys>& runs,
+                                      const SortTuning& tuning) {
+  auto w = static_cast<std::uint32_t>(runs.size());
   struct Entry {
     std::uint64_t key;
     std::uint32_t run;
@@ -230,7 +244,7 @@ util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
   };
   std::vector<Entry> entries;
   for (std::uint32_t run = 0; run < w; ++run) {
-    const auto& keys = local.keys[run];
+    const auto& keys = runs[run].keys;
     for (std::uint32_t l = 0; l < keys.size(); ++l) {
       entries.push_back({keys[l], run, l});
     }
@@ -238,86 +252,203 @@ util::Result<std::uint32_t> rank_merge(sim::Context& ctx, const ToolEnv& env,
   std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) { return a.key < b.key; });
   double nlogw = static_cast<double>(entries.size()) * std::log2(w);
-  ctx.charge(options.tuning.compare_cpu * static_cast<std::int64_t>(nlogw));
+  ctx.charge(tuning.compare_cpu * static_cast<std::int64_t>(nlogw));
 
-  struct Plan {
-    std::vector<std::uint32_t> run_of_rank;
-    std::vector<std::vector<std::uint32_t>> locals;  ///< per run
+  std::vector<ScatterPlan> plans(w);
+  for (std::uint32_t run = 0; run < w; ++run) {
+    plans[run].records = entries.size();
+    plans[run].rank_of.resize(runs[run].keys.size());
+  }
+  for (std::uint32_t g = 0; g < entries.size(); ++g) {
+    plans[entries[g].run].rank_of[entries[g].local] = g;
+    plans[g % w].run_of.push_back(entries[g].run);
+  }
+  return plans;
+}
+
+/// Rank worker m, on the m-th LFS of src and of dst: sort src's constituent
+/// there, report its keys, and, once the plan comes down, scatter its
+/// records to their dst constituents and append the ones its own dst
+/// constituent gets.  Rank g falls in round (g div w) div kScatterRound.  In
+/// round k the worker sends the slice of its run whose ranks fall in round
+/// k, one parcel per dst constituent, then appends round k-1's records in
+/// rank order.  Appending round k-1 waits for every run's round k-1, so no
+/// worker is more than one round ahead of another, and a worker buffers
+/// about three rounds.
+util::Result<std::uint64_t> rank_worker(sim::Context& ctx,
+                                        const LocalSortTask& task,
+                                        const core::FileMeta& dst,
+                                        std::uint32_t m, RankGroup& group,
+                                        Inboxes& inboxes) {
+  auto local = run_local_sort(ctx, task);
+  if (!local.is_ok()) return local.status();
+  LocalSortResult& sorted = local.value();
+  auto planned = group.exchange(ctx, m, RunKeys{std::move(sorted.keys)});
+  if (!planned.is_ok()) return planned.status();
+  const ScatterPlan& plan = planned.value();
+  auto w = static_cast<std::uint32_t>(inboxes.size());
+
+  sim::RpcClient rpc(ctx);
+  efs::EfsClient lfs(rpc, task.lfs_service);
+  // The run's records in order: kept in core, or streamed from its file.
+  ConstituentReader run(lfs, task.run.lfs_file_id,
+                        sorted.sorted.empty() ? sorted.records : 0, 1, 0,
+                        kSortWindow);
+  std::size_t sent = 0;  ///< records of the run sent so far
+  std::vector<util::Writer> outgoing(w);
+  auto send_round = [&](std::uint64_t k) -> util::Status {
+    std::uint64_t end = (k + 1) * kScatterRound * w;  // past round k's ranks
+    for (; sent < plan.rank_of.size() && plan.rank_of[sent] < end; ++sent) {
+      util::Writer& parcel = outgoing[plan.rank_of[sent] % w];
+      if (!sorted.sorted.empty()) {
+        InCoreRecord at = sorted.sorted[sent];
+        parcel.bytes(std::span(sorted.in_core).subspan(at.begin, at.size));
+        continue;
+      }
+      auto record = run.next();
+      if (!record.is_ok()) return record.status();
+      parcel.bytes(record.value());
+    }
+    for (std::uint32_t d = 0; d < w; ++d) {
+      if (outgoing[d].size() == 0) continue;
+      std::size_t bytes = outgoing[d].size();
+      Parcel parcel{util::ok_status(), m, k, std::move(outgoing[d]).take()};
+      outgoing[d] = util::Writer();
+      ctx.send(inboxes[d], std::move(parcel), bytes);
+    }
+    return util::ok_status();
   };
-  std::vector<Plan> plans(w);
-  for (Plan& plan : plans) plan.locals.resize(w);
-  for (std::size_t g = 0; g < entries.size(); ++g) {
-    Plan& plan = plans[g % w];
-    plan.run_of_rank.push_back(entries[g].run);
-    plan.locals[entries[g].run].push_back(entries[g].local);
+
+  ConstituentWriter out(lfs, dst.owner(), m, kSortWindow);
+  std::vector<Parcel> early;              ///< parcels of later rounds
+  std::vector<Parcel> from(w);            ///< this round's parcel per run
+  std::vector<std::size_t> taken(w, 0);   ///< bytes of it appended
+  std::vector<bool> awaited(w, false);    ///< runs this round draws on
+  auto append_round = [&](std::uint64_t k) -> util::Status {
+    std::size_t first = k * kScatterRound;
+    std::size_t last = std::min(first + kScatterRound, plan.run_of.size());
+    std::size_t missing = 0;
+    for (std::size_t l = first; l < last; ++l) {
+      if (!awaited[plan.run_of[l]]) {
+        awaited[plan.run_of[l]] = true;
+        ++missing;
+      }
+    }
+    auto take = [&](Parcel& parcel) {
+      taken[parcel.run] = 0;
+      from[parcel.run] = std::move(parcel);
+      --missing;
+    };
+    for (auto it = early.begin(); it != early.end();) {
+      if (it->round != k) {
+        ++it;
+        continue;
+      }
+      take(*it);
+      it = early.erase(it);
+    }
+    while (missing > 0) {
+      Parcel parcel = inboxes[m].recv();
+      if (!parcel.status.is_ok()) return parcel.status;
+      if (parcel.round == k) {
+        take(parcel);
+      } else {
+        early.push_back(std::move(parcel));
+      }
+    }
+    for (std::size_t l = first; l < last; ++l) {
+      std::uint32_t r = plan.run_of[l];
+      util::Reader reader(std::span(from[r].records).subspan(taken[r]));
+      std::span<const std::byte> record = reader.raw(reader.u32());
+      taken[r] += sizeof(std::uint32_t) + record.size();
+      ctx.charge(task.tuning.record_cpu);
+      if (auto st = out.put(record); !st.is_ok()) return st;
+    }
+    for (std::size_t l = first; l < last; ++l) {
+      from[plan.run_of[l]] = Parcel{};
+      awaited[plan.run_of[l]] = false;
+    }
+    return util::ok_status();
+  };
+
+  std::uint64_t per_writer = (plan.records + w - 1) / w;
+  std::uint64_t rounds = (per_writer + kScatterRound - 1) / kScatterRound;
+  for (std::uint64_t k = 0; k <= rounds; ++k) {
+    if (k < rounds) {
+      if (auto st = send_round(k); !st.is_ok()) return st;
+    }
+    if (k > 0) {
+      if (auto st = append_round(k - 1); !st.is_ok()) return st;
+    }
+  }
+  if (auto st = out.finish(); !st.is_ok()) return st;
+  return out.written();
+}
+
+/// The rank sort of a source of width w > 1, in one pass: one worker per
+/// LFS sorts its constituent, reports its keys and scatters its records
+/// (rank_worker).  Only a constituent above c records gets a run file; the
+/// runs share one id (merge "pass 0") and are created in one batch.  The
+/// local phase ends when every key has arrived.
+util::Status rank_sort(sim::Context& ctx, const ToolEnv& env,
+                       const core::FileMeta& src, const core::FileMeta& dst,
+                       const SortOptions& options, SortFiles& files,
+                       sim::SimTime t0, SortReport& report) {
+  std::uint32_t w = src.width;
+  auto run_id = tool_private_file_id(dst.id, 0);
+  if (!run_id.is_ok()) return run_id.status();
+  std::vector<LocalSortTask> tasks(w);
+  std::vector<core::FileMeta> runs;
+  Inboxes inboxes;
+  for (std::uint32_t j = 0; j < w; ++j) {
+    std::uint32_t lfs = (src.start_lfs + j) % env.num_lfs();
+    LocalSortTask& task = tasks[j];
+    task.lfs_service = env.lfs_service(lfs);
+    task.lfs_index = lfs;
+    task.offset = j;
+    task.src = src;
+    task.run.width = 1;
+    task.run.start_lfs = lfs;
+    task.run.size_blocks = local_count(src, j);
+    task.owner = dst.id;
+    task.rank = true;
+    task.tuning = options.tuning;
+    if (task.run.size_blocks > options.tuning.in_core()) {
+      task.run.lfs_file_id = run_id.value();
+      runs.push_back(task.run);
+    }
+    inboxes.emplace_back(ctx.runtime().scheduler(), env.lfs_node(lfs));
+  }
+  if (!runs.empty()) {
+    if (auto st = files.create_private(runs); !st.is_ok()) return st;
   }
 
-  const std::vector<core::FileMeta>& runs = local.runs;
-  WorkerGroup<std::uint64_t> group(ctx, options.fanout);
-  for (std::uint32_t m = 0; m < w; ++m) {
-    std::uint32_t lfs = (dst.start_lfs + m) % env.num_lfs();
-    // The plan travels 8 B per rank: its run and its local index.
-    std::size_t plan_bytes = plans[m].run_of_rank.size() * 8;
-    group.spawn(
-        env.lfs_node(lfs), "gather@" + std::to_string(lfs),
-        [&env, &runs, dst, m, lfs, record_cpu = options.tuning.record_cpu,
-         plan = std::move(plans[m])](
-            sim::Context& worker_ctx) mutable -> util::Result<std::uint64_t> {
-          sim::RpcClient rpc(worker_ctx);
-          auto lfs_clients = env.make_lfs_clients(rpc);
-          std::vector<ConstituentReader> readers;
-          for (std::size_t run = 0; run < runs.size(); ++run) {
-            readers.emplace_back(*lfs_clients[runs[run].start_lfs],
-                                 runs[run].lfs_file_id,
-                                 std::move(plan.locals[run]), 1, 0,
-                                 kSortWindow);
-          }
-          ConstituentWriter out(*lfs_clients[lfs], dst.owner(), m,
-                                kSortWindow);
-          const std::vector<std::uint32_t>& order = plan.run_of_rank;
-          // The batch in flight: each call's completion buffers its blocks
-          // in its run's reader.
-          sim::AsyncBatch batch(rpc);
-          std::vector<std::uint64_t> demand(runs.size(), 0);
-          auto post_round = [&](std::size_t first) {
-            std::size_t last = std::min(first + kGatherRound, order.size());
-            for (std::size_t g = first; g < last; ++g) ++demand[order[g]];
-            for (std::size_t g = first; g < last; ++g) {
-              std::uint32_t run = order[g];
-              std::size_t n = 0;
-              while (demand[run] > 0 &&
-                     (n = readers[run].post(batch, demand[run])) > 0) {
-                demand[run] -= n;
-              }
-            }
-          };
-          auto append_round = [&](std::size_t first) -> util::Status {
-            std::size_t last = std::min(first + kGatherRound, order.size());
-            for (std::size_t g = first; g < last; ++g) {
-              auto record = readers[order[g]].next();
-              if (!record.is_ok()) return record.status();
-              worker_ctx.charge(record_cpu);
-              if (auto st = out.put(record.value()); !st.is_ok()) return st;
-            }
-            return util::ok_status();
-          };
-          post_round(0);
-          for (std::size_t first = 0; first < order.size();
-               first += kGatherRound) {
-            if (auto st = batch.wait_all_ok(); !st.is_ok()) return st;
-            post_round(first + kGatherRound);  // none past the last round
-            if (auto st = append_round(first); !st.is_ok()) return st;
-          }
-          if (auto st = out.finish(); !st.is_ok()) return st;
-          return out.written();
-        },
-        plan_bytes);
+  RankGroup group(ctx, options.fanout);
+  for (std::uint32_t j = 0; j < w; ++j) {
+    group.spawn(env.lfs_node(tasks[j].lfs_index),
+                "rank@" + std::to_string(tasks[j].lfs_index),
+                [&group, &inboxes, &dst, j, task = tasks[j]](
+                    sim::Context& worker_ctx) {
+                  return rank_worker(worker_ctx, task, dst, j, group, inboxes);
+                });
   }
-  if (auto gathered = group.wait_all(); !gathered.is_ok()) {
-    return gathered.status();
+  auto keys = group.reports();
+  report.local_phase = ctx.now() - t0;
+  if (!keys.is_ok()) {
+    group.send_plans(keys.status());  // release the workers that reported
+    (void)group.wait_all();           // the first failure stands
+    return keys.status();
   }
-  if (auto st = files.discard(runs); !st.is_ok()) return st;
-  return 1u;
+  group.send_plans(plan_scatter(ctx, keys.value(), options.tuning));
+  // A worker that fails stops sending, so release every worker that may
+  // wait for its parcels.
+  auto written = group.wait_all([&](const util::Status& failed) {
+    for (auto& inbox : inboxes) {
+      ctx.send(inbox, Parcel{failed, 0, 0, {}}, RankGroup::kResultWireBytes);
+    }
+  });
+  if (!written.is_ok()) return written.status();
+  return runs.empty() ? util::ok_status() : files.discard(runs);
 }
 
 }  // namespace
@@ -355,28 +486,29 @@ util::Result<SortReport> run_sort_tool(sim::Context& ctx,
 
   SortReport report;
   report.records = src_meta.size_blocks;
-  auto local =
-      sort_locally(ctx, env.value(), src_meta, dst_meta, options, files);
-  if (!local.is_ok()) {
-    files.discard_all();
-    return local.status();
+  util::Status sorted = util::ok_status();
+  if (options.merge == SortMerge::kRank && src_meta.width > 1) {
+    sorted = rank_sort(ctx, env.value(), src_meta, dst_meta, options, files,
+                       t0, report);
+    report.merge_passes = 1;
+  } else {
+    // The token tree, and a width-1 source, which sorts straight into dst.
+    auto runs =
+        sort_locally(ctx, env.value(), src_meta, dst_meta, options, files);
+    report.local_phase = ctx.now() - t0;
+    auto passes = runs.is_ok() ? merge_runs(ctx, env.value(),
+                                            std::move(runs).value(), dst_meta,
+                                            options, files)
+                               : util::Result<std::uint32_t>(runs.status());
+    sorted = passes.status();
+    if (passes.is_ok()) report.merge_passes = passes.value();
   }
-  report.local_phase = ctx.now() - t0;
-
-  sim::SimTime merge_start = ctx.now();
-  auto passes =
-      options.merge == SortMerge::kRank
-          ? rank_merge(ctx, env.value(), std::move(local).value(), dst_meta,
-                       options, files)
-          : merge_runs(ctx, env.value(), std::move(local.value().runs),
-                       dst_meta, options, files);
-  if (!passes.is_ok()) {
+  if (!sorted.is_ok()) {
     files.discard_all();
-    return passes.status();
+    return sorted;
   }
-  report.merge_passes = passes.value();
-  report.merge_phase = ctx.now() - merge_start;
   report.total = ctx.now() - t0;
+  report.merge_phase = report.total - report.local_phase;
   return report;
 }
 

@@ -12,9 +12,12 @@
 //     Discard the old files in parallel
 //   endwhile
 //
-// The rank merge (the default) makes one pass: the local sorts return their
-// runs' keys, the controller ranks every record once, and each dst
-// constituent gathers its own records from the runs, in rank order.
+// The rank merge (the default) makes one pass.  One worker per LFS sorts
+// its constituent, keeping it in core when it holds at most c records, and
+// reports its keys.  The controller ranks every record once and sends each
+// worker its plan.  The workers then scatter their sorted records to the
+// dst constituents in lock-step rank rounds, one message per destination,
+// and each appends what it receives in rank order.
 #pragma once
 
 #include <string>
@@ -28,7 +31,7 @@ namespace bridge::tools {
 
 enum class SortMerge {
   kTokenTree,  ///< §5.2: log2(p) passes of token-passing pairwise merges
-  kRank,       ///< one pass: rank at the controller, gather at each writer
+  kRank,       ///< one pass: rank at the controller, scatter to the writers
 };
 
 struct SortOptions {

@@ -11,25 +11,27 @@
 // nodes — sequentially or through an embedded binary tree (the §5.1
 // "O(log p) startup and completion") — and collects one util::Result from
 // each.  wait_all() drains every worker before it reports the first error,
-// so a tool never cleans up after workers still running.
+// so a tool never cleans up after workers still running.  A group may also
+// make one mid-run exchange: a report up from every worker, then a plan
+// down to each.
 //
 // ConstituentReader and ConstituentWriter are step (3): the one way a
 // worker streams its LFS's share of a Bridge file.  Local block l of a
 // constituent at stripe offset o of a width-w file is global block
 // l * w + o; the reader checks every header against that (bridge_block.hpp)
 // and the writer stamps it.  Both move `window` blocks per vectored LFS
-// request; a reader can also post its windows, each with a completion that
-// buffers its blocks, into a caller's batch, so one worker keeps several
-// LFSs busy at once.
+// request.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/client.hpp"
@@ -48,24 +50,38 @@ struct FanOutConfig {
   sim::SimTime spawn_cost = sim::msec(2.0);
 };
 
+/// The default Report and Plan of a WorkerGroup: no mid-run exchange.
+struct NoExchange {};
+
 /// Spawns workers and gathers one util::Result<R> from each.  R must be
 /// copyable/movable; results are delivered through a channel on the
 /// coordinator's node, each charged as a 64-B message plus, when R has
 /// one, its wire_bytes().
-template <typename R>
+///
+/// A group with a Report and a Plan also makes one mid-run exchange: each
+/// worker sends a Report up with exchange() and parks until the
+/// coordinator, having collected every report with reports(), sends each
+/// worker its Plan with send_plans().  Reports and plans are charged like
+/// results, and under the tree fan-out the coordinator also pays one
+/// spawn_cost per tree level each way, as for the completion funnel.  A
+/// worker that returns before it reports counts as failed in reports().
+template <typename R, typename Report = NoExchange, typename Plan = NoExchange>
 class WorkerGroup {
  public:
   static constexpr std::size_t kResultWireBytes = 64;
+  static constexpr bool kExchanges = !std::is_same_v<Report, NoExchange>;
 
   WorkerGroup(sim::Context& ctx, FanOutConfig config)
       : ctx_(ctx),
         config_(config),
-        results_(ctx.runtime().scheduler(), ctx.node()) {}
+        results_(ctx.runtime().scheduler(), ctx.node()),
+        reports_(ctx.runtime().scheduler(), ctx.node()) {}
 
   /// Spawn the next worker on `node`.  `body` runs there and its result —
   /// a value or an error — is shipped back to the coordinator.  A worker
-  /// handed `input_bytes` of input (a plan) starts later by their transfer
-  /// time; the spawn message's fixed cost is in spawn_cost.
+  /// handed `input_bytes` of input starts later by their transfer time;
+  /// the spawn message's fixed cost is in spawn_cost.  Workers are
+  /// numbered 0, 1, ... in spawn order; exchange() takes that number.
   void spawn(sim::NodeId node, const std::string& name,
              std::function<util::Result<R>(sim::Context&)> body,
              std::size_t input_bytes = 0) {
@@ -83,24 +99,87 @@ class WorkerGroup {
       // Sequential initiation: the coordinator pays for each spawn in turn.
       ctx_.charge(config_.spawn_cost);
     }
-    auto* results = &results_;
+    if constexpr (kExchanges) {
+      plans_.emplace_back(ctx_.runtime().scheduler(), node);
+      reported_.push_back(false);
+    }
     ctx_.runtime().spawn(
         node, name,
-        [results, body = std::move(body)](sim::Context& worker_ctx) {
+        [this, worker = spawned_, body = std::move(body)](
+            sim::Context& worker_ctx) {
           util::Result<R> result = body(worker_ctx);
+          if constexpr (kExchanges) {
+            if (!reported_[worker]) {
+              send_report(worker_ctx, worker,
+                          result.is_ok() ? util::internal_error(
+                                               "worker returned unreported")
+                                         : result.status());
+            }
+          }
           std::size_t bytes = kResultWireBytes;
           if constexpr (requires(const R& r) { r.wire_bytes(); }) {
             if (result.is_ok()) bytes += result.value().wire_bytes();
           }
-          worker_ctx.send(*results, std::move(result), bytes);
+          worker_ctx.send(results_, std::move(result), bytes);
         },
         delay);
     ++spawned_;
   }
 
+  /// Worker side: send `report` up and park until this worker's plan, or
+  /// the error send_plans() released it with, comes down.  Once per worker.
+  util::Result<Plan> exchange(sim::Context& worker_ctx, std::uint32_t worker,
+                              Report report)
+    requires kExchanges
+  {
+    send_report(worker_ctx, worker, std::move(report));
+    return plans_[worker].recv();
+  }
+
+  /// Coordinator side: block until every worker has reported or failed;
+  /// returns the reports in spawn order, or the first failure to arrive.
+  util::Result<std::vector<Report>> reports()
+    requires kExchanges
+  {
+    std::vector<Report> reports(spawned_);
+    util::Status first_error = util::ok_status();
+    for (std::uint32_t i = 0; i < spawned_; ++i) {
+      auto [worker, report] = reports_.recv();
+      if (report.is_ok()) {
+        reports[worker] = std::move(report).value();
+      } else if (first_error.is_ok()) {
+        first_error = report.status();
+      }
+    }
+    charge_tree_levels();  // the reports funnel up the tree
+    if (!first_error.is_ok()) return first_error;
+    return reports;
+  }
+
+  /// Coordinator side, once, after reports(): send worker i plans[i], or
+  /// release every worker with the error `plans` holds.
+  void send_plans(util::Result<std::vector<Plan>> plans)
+    requires kExchanges
+  {
+    charge_tree_levels();  // the plans fan down the tree
+    for (std::uint32_t i = 0; i < spawned_; ++i) {
+      if (!plans.is_ok()) {
+        ctx_.send(plans_[i], util::Result<Plan>(plans.status()),
+                  kResultWireBytes);
+        continue;
+      }
+      Plan& plan = plans.value()[i];
+      std::size_t bytes = kResultWireBytes + plan.wire_bytes();
+      ctx_.send(plans_[i], util::Result<Plan>(std::move(plan)), bytes);
+    }
+  }
+
   /// Block until every spawned worker has reported; returns the values in
-  /// arrival order, or the first error to arrive.
-  util::Result<std::vector<R>> wait_all() {
+  /// arrival order, or the first error to arrive.  `on_error`, if set, runs
+  /// when that first error arrives, before the rest are drained: workers
+  /// that wait on each other are released there.
+  util::Result<std::vector<R>> wait_all(
+      const std::function<void(const util::Status&)>& on_error = {}) {
     std::vector<R> values;
     util::Status first_error = util::ok_status();
     for (std::uint32_t i = 0; i < spawned_; ++i) {
@@ -109,14 +188,10 @@ class WorkerGroup {
         values.push_back(std::move(result).value());
       } else if (first_error.is_ok()) {
         first_error = result.status();
+        if (on_error) on_error(first_error);
       }
     }
-    if (config_.tree && spawned_ > 0) {
-      // Completion notifications funnel back up the tree.
-      auto levels = static_cast<std::int64_t>(
-          std::ceil(std::log2(static_cast<double>(spawned_) + 1.0)));
-      ctx_.charge(config_.spawn_cost * levels);
-    }
+    charge_tree_levels();  // completion notifications funnel up the tree
     if (!first_error.is_ok()) return first_error;
     return values;
   }
@@ -124,25 +199,43 @@ class WorkerGroup {
   [[nodiscard]] std::uint32_t spawned() const noexcept { return spawned_; }
 
  private:
+  /// A worker's report, or its failure, on its way up.
+  struct Reported {
+    std::uint32_t worker;
+    util::Result<Report> report;
+  };
+
+  void send_report(sim::Context& worker_ctx, std::uint32_t worker,
+                   util::Result<Report> report) {
+    reported_[worker] = true;
+    std::size_t bytes = kResultWireBytes;
+    if constexpr (requires(const Report& r) { r.wire_bytes(); }) {
+      if (report.is_ok()) bytes += report.value().wire_bytes();
+    }
+    worker_ctx.send(reports_, Reported{worker, std::move(report)}, bytes);
+  }
+
+  /// Under the tree fan-out, one spawn_cost per level of the tree.
+  void charge_tree_levels() {
+    if (!config_.tree || spawned_ == 0) return;
+    auto levels = static_cast<std::int64_t>(
+        std::ceil(std::log2(static_cast<double>(spawned_) + 1.0)));
+    ctx_.charge(config_.spawn_cost * levels);
+  }
+
   sim::Context& ctx_;
   FanOutConfig config_;
   sim::Channel<util::Result<R>> results_;
+  sim::Channel<Reported> reports_;
+  std::deque<sim::Channel<util::Result<Plan>>> plans_;  ///< one per worker
+  std::vector<bool> reported_;
   std::uint32_t spawned_ = 0;
 };
 
 /// Streams a constituent — `count` local blocks on one LFS, local block l
 /// holding global block l * stride + offset of file `file` — and returns
 /// each block's user payload, `window` blocks per kReadMany.  A block whose
-/// header names another file or global block is kCorrupt.  In list mode the
-/// reader streams only the listed local blocks, in list order, so one
-/// kReadMany names up to `window` blocks that need not be adjacent.
-///
-/// next() reads a window itself when none is buffered.  A caller that keeps
-/// several readers busy at once instead post()s their windows into one
-/// sim::AsyncBatch: each post's completion buffers its blocks when the
-/// batch's wait_all() runs, and next() then returns them, checked as on the
-/// blocking path.  A reader must stay put (not move) while a post of its is
-/// in flight.
+/// header names another file or global block is kCorrupt.
 class ConstituentReader {
  public:
   ConstituentReader(efs::EfsClient& lfs, efs::FileId file, std::uint64_t count,
@@ -155,58 +248,34 @@ class ConstituentReader {
         offset_(offset),
         window_(window) {}
 
-  /// List mode: stream local blocks `locals` only.
-  ConstituentReader(efs::EfsClient& lfs, efs::FileId file,
-                    std::vector<std::uint32_t> locals, std::uint32_t stride,
-                    std::uint32_t offset, std::uint32_t window = 1)
-      : ConstituentReader(lfs, file, locals.size(), stride, offset, window) {
-    locals_ = std::move(locals);
-  }
-
   [[nodiscard]] bool exhausted() const noexcept { return next_ >= count_; }
   /// Global block number of the block next() returns.
   [[nodiscard]] std::uint64_t next_global() const noexcept {
-    return local(next_) * stride_ + offset_;
+    return next_ * stride_ + offset_;
   }
 
-  /// The next block's user payload; reads a window when none is buffered
-  /// and none is posted.
+  /// The next block's user payload; reads a window when none is buffered.
   util::Result<std::vector<std::byte>> next() {
     if (exhausted()) return util::invalid_argument("constituent exhausted");
     if (taken_ == buffered_.size()) {
-      if (in_flight_ > 0) {
-        return util::invalid_argument("a posted window is in flight");
+      std::uint64_t n = std::min<std::uint64_t>(window_, count_ - next_);
+      std::vector<std::uint32_t> locals(n);
+      for (std::uint64_t j = 0; j < n; ++j) {
+        locals[j] = static_cast<std::uint32_t>(next_ + j);
       }
-      auto locals = ask(window_);
-      std::size_t n = locals.size();
-      if (auto st = buffer(lfs_->read_many(file_, std::move(locals)), n);
-          !st.is_ok()) {
-        return st;
+      auto read = lfs_->read_many(file_, std::move(locals));
+      if (!read.is_ok()) return read.status();
+      if (read.value().size() != n) {
+        return util::corrupt("LFS returned a short vectored read");
       }
+      buffered_ = std::move(read).value();
+      taken_ = 0;
     }
     auto block = core::unwrap_block(buffered_[taken_], file_, next_global());
     buffered_[taken_++] = {};  // free the raw block
     if (!block.is_ok()) return block.status();
     ++next_;
     return std::move(block.value().user_data);
-  }
-
-  /// Post one kReadMany for the next min(limit, window) blocks not yet
-  /// asked for into `batch`, without waiting for it; its blocks queue
-  /// behind those already buffered once the batch is waited for.  Returns
-  /// how many it named: 0, and nothing posted, once every block is asked
-  /// for.
-  std::size_t post(sim::AsyncBatch& batch, std::uint64_t limit) {
-    auto locals = ask(std::min<std::uint64_t>(limit, window_));
-    std::size_t n = locals.size();
-    if (n == 0) return 0;
-    ++in_flight_;
-    lfs_->read_many(batch, file_, std::move(locals),
-                    [this, n](util::Result<efs::EfsClient::Blocks> read) {
-                      --in_flight_;
-                      return buffer(std::move(read), n);
-                    });
-    return n;
   }
 
   /// Merge-style access: head() is the block the last advance() took, null
@@ -224,49 +293,14 @@ class ConstituentReader {
   }
 
  private:
-  /// The local block number of the i-th block streamed.
-  [[nodiscard]] std::uint64_t local(std::uint64_t i) const noexcept {
-    return locals_.empty() ? i : locals_[i];
-  }
-
-  /// The locals of the next `n` blocks not yet asked for (fewer at the end),
-  /// now asked for.
-  std::vector<std::uint32_t> ask(std::uint64_t n) {
-    n = std::min(n, count_ - asked_);
-    std::vector<std::uint32_t> locals(n);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      locals[j] = static_cast<std::uint32_t>(local(asked_ + j));
-    }
-    asked_ += n;
-    return locals;
-  }
-
-  /// Queue a read reply of `n` blocks behind the buffered ones.
-  util::Status buffer(util::Result<std::vector<std::vector<std::byte>>> read,
-                      std::size_t n) {
-    if (!read.is_ok()) return read.status();
-    if (read.value().size() != n) {
-      return util::corrupt("LFS returned a short vectored read");
-    }
-    if (taken_ == buffered_.size()) {
-      buffered_.clear();
-      taken_ = 0;
-    }
-    for (auto& block : read.value()) buffered_.push_back(std::move(block));
-    return util::ok_status();
-  }
-
   efs::EfsClient* lfs_;
   efs::FileId file_;
   std::uint64_t count_;
   std::uint32_t stride_;
   std::uint32_t offset_;
   std::uint32_t window_;
-  std::vector<std::uint32_t> locals_;  ///< list mode: the locals to stream
-  std::uint64_t next_ = 0;             ///< blocks returned by next()
-  std::uint64_t asked_ = 0;            ///< blocks read or posted
-  std::size_t in_flight_ = 0;          ///< posted reads not yet buffered
-  std::vector<std::vector<std::byte>> buffered_;  ///< read blocks, in order
+  std::uint64_t next_ = 0;                        ///< blocks returned by next()
+  std::vector<std::vector<std::byte>> buffered_;  ///< the window read last
   std::size_t taken_ = 0;  ///< buffered_ entries next() has returned
   std::optional<std::vector<std::byte>> head_;
 };

@@ -2,6 +2,8 @@
 // out-of-order replies, and traffic accounting.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include <string>
 
 #include "src/sim/rpc.hpp"
@@ -376,6 +378,58 @@ TEST(Rpc, WaitOwnReplyIsNotWokenByAnotherCallsReply) {
   // wait_own_reply parks once, as with one reply box per server.
   EXPECT_EQ(two_server_fan_out_wakes(/*own=*/true) + 1,
             two_server_fan_out_wakes(/*own=*/false));
+}
+
+/// Three calls to three servers whose replies arrive in reverse issue
+/// order (30, 20 and 10 ms of work), collected by an AsyncBatch or by hand
+/// in issue order; returns the wakes the run scheduled.
+std::uint64_t reverse_fan_out_wakes(bool batch, bool own) {
+  Runtime rt(4);
+  std::vector<std::unique_ptr<Mailbox>> boxes;
+  std::vector<Address> servers;
+  for (NodeId n = 1; n <= 3; ++n) {
+    boxes.push_back(std::make_unique<Mailbox>(rt.scheduler(), n));
+    servers.push_back(spawn_test_server(rt, n, *boxes.back()));
+  }
+  rt.spawn(0, "client", [&](Context& ctx) {
+    RpcClient cli(ctx);
+    std::vector<std::uint64_t> doubled;
+    if (batch) {
+      AsyncBatch fan_out(cli);
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        Writer w;
+        w.u64(30 - 10 * i);
+        fan_out.call(servers[i], kSlowDouble, w.buffer());
+      }
+      for (auto& reply : fan_out.wait_all()) {
+        ASSERT_TRUE(reply.is_ok());
+        doubled.push_back(Reader(reply.value()).u64());
+      }
+    } else {
+      std::vector<std::uint64_t> calls;
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        Writer w;
+        w.u64(30 - 10 * i);
+        calls.push_back(cli.call_async(servers[i], kSlowDouble, w.buffer()));
+      }
+      for (auto call : calls) {
+        auto reply = own ? cli.wait_own_reply(call) : cli.wait_reply(call);
+        ASSERT_TRUE(reply.is_ok());
+        doubled.push_back(Reader(reply.value()).u64());
+      }
+    }
+    EXPECT_EQ(doubled, (std::vector<std::uint64_t>{60, 40, 20}));
+  });
+  rt.run();
+  return rt.scheduler().stats().wakes_scheduled;
+}
+
+TEST(Rpc, AsyncBatchIsWokenOnlyByTheReplyItAwaits) {
+  // The two later-issued replies land while the batch waits for the first:
+  // with wait_reply each would wake it once more.
+  std::uint64_t own = reverse_fan_out_wakes(/*batch=*/false, /*own=*/true);
+  EXPECT_EQ(reverse_fan_out_wakes(/*batch=*/true, /*own=*/false), own);
+  EXPECT_EQ(reverse_fan_out_wakes(/*batch=*/false, /*own=*/false), own + 2);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tool framework: WorkerGroup fan-out semantics (tree vs sequential timing,
-// result collection, node placement, wire cost of inputs and results),
-// ConstituentReader's list mode and posted windows, and ToolEnv discovery.
+// result collection, node placement, wire cost of inputs and results, the
+// mid-run exchange), ConstituentReader's windows and checks, and ToolEnv
+// discovery.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -157,6 +158,63 @@ TEST(WorkerGroup, InputAndResultBytesCostTheirTransferTime) {
   EXPECT_EQ(arrival_us(0, 8 * n) - baseline, transfer_us);
 }
 
+TEST(WorkerGroup, ExchangeSendsReportsUpAndPlansDown) {
+  // Three workers report i, the coordinator answers each with 10 * the sum
+  // of the reports plus i, and each returns its plan.  A worker that fails
+  // before it reports counts as failed in reports(), and send_plans() with
+  // an error releases the workers parked on their plans.
+  struct Report {
+    std::uint64_t value = 0;
+  };
+  struct Plan {
+    std::uint64_t value = 0;
+    [[nodiscard]] std::size_t wire_bytes() const noexcept { return 8; }
+  };
+  using Group = WorkerGroup<std::uint64_t, Report, Plan>;
+  for (bool fail : {false, true}) {
+    SCOPED_TRACE(fail ? "one worker fails first" : "all report");
+    sim::Runtime rt(4);
+    std::vector<std::uint64_t> results;
+    util::Status status = util::ok_status();
+    rt.spawn(0, "coordinator", [&](sim::Context& ctx) {
+      Group group(ctx, FanOutConfig{});
+      for (std::uint32_t i = 0; i < 3; ++i) {
+        group.spawn(i + 1, "w",
+                    [&group, i, fail](sim::Context& worker)
+                        -> util::Result<std::uint64_t> {
+                      if (fail && i == 1) return util::corrupt("no report");
+                      auto plan = group.exchange(worker, i, Report{i});
+                      if (!plan.is_ok()) return plan.status();
+                      return plan.value().value;
+                    });
+      }
+      auto reports = group.reports();
+      if (!reports.is_ok()) {
+        group.send_plans(reports.status());
+        status = group.wait_all().status();
+        EXPECT_EQ(status, reports.status());
+        return;
+      }
+      std::uint64_t sum = 0;
+      for (const Report& report : reports.value()) sum += report.value;
+      std::vector<Plan> plans;
+      for (std::uint64_t i = 0; i < 3; ++i) plans.push_back({10 * sum + i});
+      group.send_plans(std::move(plans));
+      auto done = group.wait_all();
+      ASSERT_TRUE(done.is_ok());
+      results = done.value();
+    });
+    rt.run();
+    EXPECT_FALSE(rt.scheduler().deadlocked());
+    if (fail) {
+      EXPECT_EQ(status.code(), util::ErrorCode::kCorrupt);
+    } else {
+      std::multiset<std::uint64_t> got(results.begin(), results.end());
+      EXPECT_EQ(got, (std::multiset<std::uint64_t>{30, 31, 32}));
+    }
+  }
+}
+
 /// A width-2 file of 16 records on a 2-LFS machine; record i's first byte
 /// is i.  Returns its metadata.
 core::FileMeta make_two_lfs_file(core::BridgeInstance& inst) {
@@ -175,10 +233,9 @@ core::FileMeta make_two_lfs_file(core::BridgeInstance& inst) {
   return meta;
 }
 
-TEST(ConstituentReader, ListModeStreamsOnlyTheListedLocals) {
+TEST(ConstituentReader, WindowedReadsStreamTheConstituentsLocals) {
   // LFS 1 holds constituent 1 of the width-2 file: local l is global
-  // 2l + 1.  Locals {0, 2, 5, 6} with window 2 take two kReadMany, one per
-  // pair of locals.
+  // 2l + 1.  Its 8 locals with window 3 take three kReadMany (3, 3, 2).
   core::BridgeInstance inst(cfg(2));
   core::FileMeta meta = make_two_lfs_file(inst);
   ASSERT_EQ(meta.start_lfs, 0u);
@@ -187,9 +244,8 @@ TEST(ConstituentReader, ListModeStreamsOnlyTheListedLocals) {
     ASSERT_TRUE(env.is_ok());
     auto lfs = env.value().make_lfs_clients(client.rpc());
     sim::MessageStats before = inst.runtime().message_stats();
-    ConstituentReader reader(*lfs[1], meta.lfs_file_id,
-                             std::vector<std::uint32_t>{0, 2, 5, 6}, 2, 1, 2);
-    for (std::uint32_t local : {0u, 2u, 5u, 6u}) {
+    ConstituentReader reader(*lfs[1], meta.lfs_file_id, 8, 2, 1, 3);
+    for (std::uint32_t local = 0; local < 8; ++local) {
       ASSERT_FALSE(reader.exhausted());
       std::uint64_t global = 2 * local + 1;
       EXPECT_EQ(reader.next_global(), global);
@@ -202,13 +258,13 @@ TEST(ConstituentReader, ListModeStreamsOnlyTheListedLocals) {
     }
     EXPECT_TRUE(reader.exhausted());
     sim::MessageStats used = inst.runtime().message_stats() - before;
-    // Two kReadMany requests and their two replies.
-    EXPECT_EQ(used.local_messages + used.remote_messages, 4u);
+    // Three kReadMany requests and their three replies.
+    EXPECT_EQ(used.local_messages + used.remote_messages, 6u);
   });
   inst.run();
 }
 
-TEST(ConstituentReader, ListModeRejectsMisplacedBlockAndEmptyListIsExhausted) {
+TEST(ConstituentReader, WindowedReadsRejectMisplacedBlockAndEmptyIsExhausted) {
   core::BridgeInstance inst(cfg(2));
   core::FileMeta meta = make_two_lfs_file(inst);
   inst.run_client("reader", [&](sim::Context&, core::BridgeClient& client) {
@@ -219,109 +275,18 @@ TEST(ConstituentReader, ListModeRejectsMisplacedBlockAndEmptyListIsExhausted) {
     auto local0 = lfs[1]->read(meta.lfs_file_id, 0);
     ASSERT_TRUE(local0.is_ok());
     ASSERT_TRUE(lfs[1]->write(meta.lfs_file_id, 5, local0.value()).is_ok());
-    ConstituentReader reader(*lfs[1], meta.lfs_file_id,
-                             std::vector<std::uint32_t>{2, 5}, 2, 1, 2);
-    EXPECT_TRUE(reader.next().is_ok());
-    EXPECT_EQ(reader.next().status().code(), util::ErrorCode::kCorrupt);
+    ConstituentReader misplaced(*lfs[1], meta.lfs_file_id, 8, 2, 1, 2);
+    for (std::uint32_t local = 0; local < 5; ++local) {
+      EXPECT_TRUE(misplaced.next().is_ok()) << "local " << local;
+    }
+    EXPECT_EQ(misplaced.next().status().code(), util::ErrorCode::kCorrupt);
 
     sim::MessageStats before = inst.runtime().message_stats();
-    ConstituentReader empty(*lfs[1], meta.lfs_file_id,
-                            std::vector<std::uint32_t>{}, 2, 1, 8);
+    ConstituentReader empty(*lfs[1], meta.lfs_file_id, 0, 2, 1, 8);
     EXPECT_TRUE(empty.exhausted());
     EXPECT_FALSE(empty.next().is_ok());
     sim::MessageStats used = inst.runtime().message_stats() - before;
     EXPECT_EQ(used.local_messages + used.remote_messages, 0u);
-  });
-  inst.run();
-}
-
-TEST(ConstituentReader, PostedWindowsMatchTheBlockingPath) {
-  // Three readers post into one batch, so three kReadMany are sent before
-  // any reply is awaited: LFS 0's locals {1, 4, 7} and LFS 1's locals
-  // {0, 3}, each with window 8, and all 8 of LFS 1's locals with window 2.
-  // The first post is capped by its limit, the second by the list's end,
-  // the third by the window; next() reads the rest itself.  Every reader
-  // returns what the blocking path returns, checked the same way.
-  core::BridgeInstance inst(cfg(2));
-  core::FileMeta meta = make_two_lfs_file(inst);
-  ASSERT_EQ(meta.start_lfs, 0u);
-  inst.run_client("reader", [&](sim::Context&, core::BridgeClient& client) {
-    auto env = discover(client);
-    ASSERT_TRUE(env.is_ok());
-    auto lfs = env.value().make_lfs_clients(client.rpc());
-    auto make_readers = [&] {
-      std::vector<ConstituentReader> readers;
-      readers.emplace_back(*lfs[0], meta.lfs_file_id,
-                           std::vector<std::uint32_t>{1, 4, 7}, 2, 0, 8);
-      readers.emplace_back(*lfs[1], meta.lfs_file_id,
-                           std::vector<std::uint32_t>{0, 3}, 2, 1, 8);
-      readers.emplace_back(*lfs[1], meta.lfs_file_id, 8, 2, 1, 2);
-      return readers;
-    };
-    // A stream's (global, payload) pairs.
-    auto drain = [](ConstituentReader& reader) {
-      std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> blocks;
-      while (!reader.exhausted()) {
-        std::uint64_t global = reader.next_global();
-        auto block = reader.next();
-        EXPECT_TRUE(block.is_ok()) << block.status().to_string();
-        if (!block.is_ok()) break;
-        blocks.emplace_back(global, std::move(block).value());
-      }
-      return blocks;
-    };
-    auto blocking = make_readers();
-    std::vector<std::vector<std::pair<std::uint64_t, std::vector<std::byte>>>>
-        expected;
-    for (auto& reader : blocking) expected.push_back(drain(reader));
-    ASSERT_EQ(expected[0].size(), 3u);
-    EXPECT_EQ(expected[0][2].first, 14u);
-    EXPECT_EQ(expected[0][2].second,
-              std::vector<std::byte>(efs::kUserDataBytes, std::byte{14}));
-
-    auto posted = make_readers();
-    sim::MessageStats before = inst.runtime().message_stats();
-    sim::AsyncBatch batch(client.rpc());
-    EXPECT_EQ(posted[0].post(batch, 2), 2u);  // the limit caps it
-    EXPECT_EQ(posted[1].post(batch, 8), 2u);  // the list ends
-    EXPECT_EQ(posted[2].post(batch, 8), 2u);  // the window caps it
-    EXPECT_EQ(posted[1].post(batch, 8), 0u);  // nothing left to ask for
-    sim::MessageStats sent = inst.runtime().message_stats() - before;
-    EXPECT_EQ(sent.local_messages + sent.remote_messages, 3u);
-    // A reader does not read past its own undelivered post.
-    EXPECT_EQ(posted[0].next().status().code(),
-              util::ErrorCode::kInvalidArgument);
-    // Each post's completion buffers its blocks in its reader.
-    auto replies = batch.wait_all();
-    ASSERT_EQ(replies.size(), 3u);
-    for (const auto& reply : replies) {
-      EXPECT_TRUE(reply.is_ok()) << reply.status().to_string();
-    }
-    for (std::size_t i = 0; i < posted.size(); ++i) {
-      EXPECT_EQ(drain(posted[i]), expected[i]) << "reader " << i;
-    }
-    // Three posts, then blocking reads: one for reader 0's last local and
-    // three for reader 2's last 6.
-    sim::MessageStats used = inst.runtime().message_stats() - before;
-    EXPECT_EQ(used.local_messages + used.remote_messages, 14u);
-
-    // LFS 1's local 0 copied over its local 3: a delivered block is checked
-    // like a read one.
-    auto local0 = lfs[1]->read(meta.lfs_file_id, 0);
-    ASSERT_TRUE(local0.is_ok());
-    ASSERT_TRUE(lfs[1]->write(meta.lfs_file_id, 3, local0.value()).is_ok());
-    for (bool post : {false, true}) {
-      SCOPED_TRACE(post ? "posted" : "blocking");
-      auto readers = make_readers();
-      ConstituentReader& reader = readers[1];
-      if (post) {
-        ASSERT_EQ(reader.post(batch, 8), 2u);
-        ASSERT_TRUE(batch.wait_all_ok().is_ok());
-      }
-      EXPECT_TRUE(reader.next().is_ok());
-      EXPECT_EQ(reader.next_global(), 7u);
-      EXPECT_EQ(reader.next().status().code(), util::ErrorCode::kCorrupt);
-    }
   });
   inst.run();
 }

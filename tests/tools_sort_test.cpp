@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <tuple>
 
@@ -338,28 +339,39 @@ TEST(SortTool, TwoConcurrentSortsOnOneMachine) {
   EXPECT_TRUE(inst.verify_all_lfs().is_ok());
 }
 
+/// Only `name`'s blocks remain: one Bridge file, one constituent per LFS,
+/// and every LFS passes its integrity walk.
+void expect_only(BridgeInstance& inst, std::uint32_t p) {
+  EXPECT_EQ(inst.server().directory_size(), 1u);
+  for (std::uint32_t i = 0; i < p; ++i) {
+    EXPECT_EQ(inst.lfs(i).core().file_count(), 1u) << "lfs " << i;
+  }
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
 TEST(SortTool, FailedSortLeavesNoDebris) {
-  // Each LFS holds 40 input records, and with c >= 40 each local sort
-  // writes its run directly.  The local phase needs 80 data blocks per LFS
-  // (input + run), a token-tree pass 120 (input, its inputs and its output)
-  // and the rank merge's gather 120 (input, run and dst at once).  A
-  // 100-block disk fails in the merge phase: a token pass or the gather.
-  // A gather worker walks its 40 ranks in rounds of 16, 16 and 8.  dst
-  // runs out of space in round 1, while round 2's reads are in flight, and
-  // the worker drains them before it returns.  A 60-block disk fails in the
-  // local phase, as the run writes fill it after one batch created every
-  // run.
+  // Each LFS holds 40 input records.  With c >= 40 a token-tree local sort
+  // writes its run directly, and the rank sort keeps the records in core.
+  // The token local phase needs 80 data blocks per LFS (input + run) and a
+  // token pass 120 (input, its inputs and its output), so a 100-block disk
+  // fails in a token pass and a 60-block one in the local phase.  The rank
+  // scatter needs 80 (input + dst): a 64-block disk runs out of space while
+  // dst is appended, with parcels in flight, and every worker is released.
+  // With c = 16 the rank local sort writes temps and a run, and a 60-block
+  // disk fails before any worker reports its keys.
   struct Case {
     const char* phase;
     SortMerge merge;
     std::uint32_t blocks_per_lfs;
-    const char* merge_worker;  ///< spawned only if the local phase succeeds
+    std::uint32_t in_core;
+    std::vector<const char*> workers;  ///< every worker name spawned
   };
   for (const Case& c :
-       {Case{"token merge", SortMerge::kTokenTree, 100, "merge-wr"},
-        Case{"rank gather", SortMerge::kRank, 100, "gather@"},
-        Case{"token local", SortMerge::kTokenTree, 60, nullptr},
-        Case{"rank local", SortMerge::kRank, 60, nullptr}}) {
+       {Case{"token merge", SortMerge::kTokenTree, 100, 64,
+             {"lsort@", "merge-wr"}},
+        Case{"rank scatter", SortMerge::kRank, 64, 64, {"rank@"}},
+        Case{"token local", SortMerge::kTokenTree, 60, 64, {"lsort@"}},
+        Case{"rank local", SortMerge::kRank, 60, 16, {"rank@"}}}) {
     SCOPED_TRACE(c.phase);
     BridgeInstance inst(cfg(4, c.blocks_per_lfs));
     make_keyed_file(inst, "input", random_keys(160, 5));
@@ -367,7 +379,7 @@ TEST(SortTool, FailedSortLeavesNoDebris) {
     inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
       SortOptions options;
       options.merge = c.merge;
-      options.tuning.in_core_records = 64;
+      options.tuning.in_core_records = c.in_core;
       auto result = run_sort_tool(ctx, client, "input", "sorted", options);
       EXPECT_EQ(result.status().code(), util::ErrorCode::kOutOfSpace)
           << result.status().to_string();
@@ -375,18 +387,97 @@ TEST(SortTool, FailedSortLeavesNoDebris) {
     inst.run();
     ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
     std::string trace = inst.runtime().tracer().chrome_trace_json();
-    for (const char* worker : {"merge-wr", "gather@"}) {
-      bool expected =
-          c.merge_worker != nullptr && std::string(c.merge_worker) == worker;
+    for (const char* worker : {"lsort@", "merge-wr", "rank@"}) {
+      bool expected = std::find_if(c.workers.begin(), c.workers.end(),
+                                   [&](const char* spawned) {
+                                     return std::string(spawned) == worker;
+                                   }) != c.workers.end();
       EXPECT_EQ(trace.find(worker) != std::string::npos, expected) << worker;
     }
     // dst, its runs and its private files are gone; only the input remains.
-    EXPECT_EQ(inst.server().directory_size(), 1u);
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(inst.lfs(i).core().file_count(), 1u) << "lfs " << i;
-    }
-    EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+    expect_only(inst, 4);
   }
+}
+
+TEST(SortTool, RankWorkerThatFailsBeforeItsReportReleasesTheOthers) {
+  // LFS 2's local block 1 is overwritten with its local block 0, so its
+  // rank worker fails in its local sort, before it reports its keys.  The
+  // other three report and park on their plans; the controller releases
+  // them with the error, and nothing is left behind.
+  BridgeInstance inst(cfg(4));
+  make_keyed_file(inst, "input", random_keys(80, 7));
+  inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+    auto open = client.open("input");
+    ASSERT_TRUE(open.is_ok());
+    ASSERT_EQ(open.value().meta.start_lfs, 0u);
+    efs::FileId id = open.value().meta.lfs_file_id;
+    auto env = discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    auto local0 = lfs[2]->read(id, 0);
+    ASSERT_TRUE(local0.is_ok());
+    ASSERT_TRUE(lfs[2]->write(id, 1, local0.value()).is_ok());
+
+    SortOptions options;
+    options.tuning.in_core_records = 64;
+    auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+    EXPECT_EQ(result.status().code(), util::ErrorCode::kCorrupt)
+        << result.status().to_string();
+  });
+  inst.run();
+  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
+  expect_only(inst, 4);
+}
+
+TEST(SortTool, DiskFailureDuringTheScatterFailsTheSort) {
+  // A first sort measures the phases; a second, identical one loses LFS
+  // 1's disk halfway through its scatter.  LFS 1's next disk access fails,
+  // its worker fails, the controller releases the other workers, and the
+  // sort returns the disk's error.  The disk comes back right after that
+  // first failed request, before the controller cleans up, so nothing is
+  // left behind.
+  constexpr std::uint32_t kP = 4;
+  auto sort_once = [&](std::optional<sim::SimTime> fail_at,
+                       SortReport* report) {
+    BridgeInstance inst(cfg(kP));
+    make_keyed_file(inst, "input", random_keys(800, 13));
+    if (fail_at) {
+      // LFS 1 runs on node 1; the disk returns once LFS 1 has replied
+      // with its first error.
+      obs::Counter& errors =
+          inst.runtime().metrics().counter("rpc.n1.error_replies");
+      inst.runtime().spawn(0, "fault", [&](sim::Context& ctx) {
+        ctx.sleep(*fail_at);
+        std::uint64_t before = errors.value();
+        inst.lfs(1).disk().fail();
+        while (errors.value() == before) ctx.sleep(sim::usec(100));
+        inst.lfs(1).disk().repair();
+      });
+    }
+    util::Status status = util::ok_status();
+    inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+      SortOptions options;
+      options.tuning.in_core_records = 256;
+      auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+      status = result.status();
+      if (result.is_ok()) *report = result.value();
+    });
+    inst.run();
+    EXPECT_FALSE(inst.runtime().scheduler().deadlocked());
+    if (fail_at) {
+      EXPECT_EQ(status.code(), util::ErrorCode::kUnavailable)
+          << status.to_string();
+      expect_only(inst, kP);
+    } else {
+      EXPECT_TRUE(status.is_ok()) << status.to_string();
+    }
+  };
+  SortReport healthy;
+  sort_once(std::nullopt, &healthy);
+  ASSERT_GT(healthy.merge_phase.us(), 0);
+  SortReport unused;
+  sort_once(healthy.local_phase + sim::usec(healthy.merge_phase.us() / 2),
+            &unused);
 }
 
 TEST(SortTool, RejectsMisplacedSourceBlock) {
